@@ -12,7 +12,6 @@ from .congruence import (
     Witness,
     divides,
     is_prime,
-    normalize_exponent_mod_p,
     rem_mod,
     residue_equal_mod,
 )
@@ -30,7 +29,7 @@ from .faulhaber import (
     conjecture_coefficient,
     power_sum,
 )
-from .poly import ONE, ZERO, BigRat, IntPoly
+from .poly import ONE, ZERO, IntPoly
 from .qcomb import (
     LaurentPoly,
     QBinomialCache,
@@ -61,7 +60,6 @@ from .theorems import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BigRat",
     "CongruenceReport",
     "ConjectureInstance",
     "FAIL",
@@ -97,7 +95,6 @@ __all__ = [
     "enumerate_instances",
     "is_prime",
     "multinom_factor",
-    "normalize_exponent_mod_p",
     "power_sum",
     "q1_check",
     "q_binomial",

@@ -4,8 +4,10 @@ Usage:
     qcong --suite thm1 --n-max 20 --samples 100 --seed 7 --format json
 
 Exit codes: 0 all checks passed (skips allowed), 1 a theorem or identity
-check failed, 2 usage error, 3 conjecture counterexample found.  --jobs
-defaults to the QCONG_JOBS environment variable when set, else 1.
+check failed, 2 usage error (including a selection with no instances), 3
+conjecture counterexample found, 4 a check crashed (the traceback goes to
+stderr).  --jobs defaults to the QCONG_JOBS environment variable when set,
+else 1.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 
 from .sweep import DEFAULT_PRIMES, FORMATS, SUITES, SweepConfig, UsageError, run_suite
 
@@ -120,6 +123,10 @@ def main(argv=None):
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception:
+        # a crash must not read as exit 1, "a theorem was falsified"
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

@@ -50,13 +50,6 @@ def residue_equal_mod(a, b, m):
     return divides(m, a - b)
 
 
-def normalize_exponent_mod_p(e, p):
-    """Reduce an exponent of q into [0, p-1]; any integer e, p >= 1."""
-    if p < 1:
-        raise ValueError("modulus exponent period must be >= 1")
-    return e % p
-
-
 def is_prime(n):
     """Deterministic trial-division primality check."""
     if n < 2:

@@ -9,18 +9,11 @@ to pickle into worker processes.
 Multiplication is schoolbook convolution up to ``KARATSUBA_THRESHOLD``
 coefficients and Karatsuba above it; both paths produce identical results
 and the threshold only affects speed.
-
-Exact rational scalars are ``BigRat``, an alias of ``fractions.Fraction``
-(always reduced, denominator >= 1), used for polynomial evaluation.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import LeadingCoeffNotUnitError, NotDivisibleError
-
-BigRat = Fraction
 
 NEG_INFINITY = float("-inf")  # degree of the zero polynomial
 
@@ -253,7 +246,7 @@ class IntPoly:
         return IntPoly._make([0] * k + list(self._coeffs))
 
     def evaluate(self, x):
-        """Horner evaluation at an exact scalar (int or BigRat)."""
+        """Horner evaluation at an exact scalar (int or fractions.Fraction)."""
         acc = 0
         for c in reversed(self._coeffs):
             acc = acc * x + c

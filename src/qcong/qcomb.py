@@ -17,6 +17,11 @@ value by a structurally unrelated route (the Pascal-style recurrence
 gauss(n,k) = gauss(n-1,k-1) + q^k * gauss(n-1,k)) and exists purely as a
 cross-check; the two must agree everywhere.
 
+``BINOMIAL_MEMO`` is the package's one Gaussian-binomial memo: every
+checker in :mod:`qcong.theorems` asks it, never ``q_binomial`` directly.
+It is bounded, so a long sweep cannot grow it without limit, and each
+worker process of a sweep holds its own copy.
+
 ``LaurentPoly`` extends the kernel with negative powers of q for identities
 whose natural exponents dip below zero.
 """
@@ -125,6 +130,9 @@ class QBinomialCache:
 
     def clear(self):
         self._table.clear()
+
+
+BINOMIAL_MEMO = QBinomialCache(max_entries=8192)
 
 
 class LaurentPoly:

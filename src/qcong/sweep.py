@@ -1,5 +1,9 @@
 """Deterministic claim sweeps: enumeration, execution, rendering, exit codes.
 
+One table, ``CLAIMS``, drives the sweep: each row names a claim's checker,
+the suite that runs it, and whether it is the open conjecture.  ``SUITES``,
+instance enumeration, execution, exit codes and rendering all read it.
+
 A sweep instance is a pair (claim_id, params) with params an ordered tuple
 of (name, int) pairs; the full instance list for a given SweepConfig is a
 pure function of the config.  Random samples come from SplitMix64 (the
@@ -14,23 +18,26 @@ output; ``stable_output`` additionally zeroes elapsed_ms for byte-exact
 diffs.
 
 Exit codes: 0 all pass/skip, 1 a theorem or identity check failed (an
-implementation bug or a falsified theorem), 2 usage error, 3 the open
-conjecture produced a counterexample.
+implementation bug or a falsified theorem), 2 usage error (including a
+config that selects no instances), 3 the open conjecture produced a
+counterexample.  An exception escaping a checker propagates out of
+``run_suite``; the CLI maps it to exit code 4.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .congruence import FAIL, PASS, is_prime
 from .faulhaber import ConjectureInstance, check_conjecture, check_faulhaber_cong
-from .qcomb import QBinomialCache
 from .theorems import (
     check_chu_vandermonde,
     check_p_minus_one_lemma,
@@ -43,7 +50,50 @@ from .theorems import (
     q1_check,
 )
 
-SUITES = ("thm1", "thm2", "identities", "conjecture", "faulhaber", "all")
+
+class Claim(NamedTuple):
+    """One row of the claim table.
+
+    ``check`` takes an instance's params as keyword arguments and returns its
+    report.  ``suite`` is the ``--suite`` that runs the claim.  A failing
+    ``conjecture`` claim is a counterexample to an open problem (exit code
+    3), not a falsified theorem (exit code 1).
+    """
+
+    check: Callable
+    suite: str
+    conjecture: bool = False
+
+
+def _a_list_check(check):
+    """Adapt a checker of (n, a_list) to the params n, a1, ..., am."""
+    return lambda n, **a: check(n, list(a.values()))
+
+
+def _pfaff_check(n, **f):
+    x, y, z, q = (Fraction(f[v + "_num"], f[v + "_den"]) for v in "xyzq")
+    return check_pfaff_saalschutz(x, y, z, q, n)
+
+
+def _conjecture_check(n, m, k):
+    return check_conjecture(ConjectureInstance(n, m, k))
+
+
+CLAIMS = {
+    "thm1": Claim(_a_list_check(check_thm1), "thm1"),
+    "q1": Claim(_a_list_check(q1_check), "thm1"),
+    "thm2": Claim(check_thm2, "thm2"),
+    "sum_lemma": Claim(check_sum_lemma, "identities"),
+    "chu_vandermonde": Claim(check_chu_vandermonde, "identities"),
+    "p_minus_one": Claim(check_p_minus_one_lemma, "identities"),
+    "residue_identity": Claim(check_residue_identity, "identities"),
+    "symmetric_identity": Claim(check_symmetric_identity, "identities"),
+    "qpfaff": Claim(_pfaff_check, "identities"),
+    "conjecture": Claim(_conjecture_check, "conjecture", conjecture=True),
+    "faulhaber": Claim(check_faulhaber_cong, "faulhaber"),
+}
+
+SUITES = tuple(dict.fromkeys(c.suite for c in CLAIMS.values())) + ("all",)
 FORMATS = ("text", "json", "csv")
 
 DEFAULT_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -131,20 +181,11 @@ def thm1_grid_instances(n_max, m_max, a_max):
     out = []
     for n in range(1, n_max + 1):
         for m in range(1, m_max + 1):
-            for a_list in _tuples(m, a_max):
+            for a_list in itertools.product(range(a_max + 1), repeat=m):
                 params = _a_tuple_params(n, a_list)
                 out.append(("thm1", params))
                 out.append(("q1", params))
     return out
-
-
-def _tuples(m, a_max):
-    if m == 0:
-        yield ()
-        return
-    for rest in _tuples(m - 1, a_max):
-        for a in range(a_max + 1):
-            yield rest + (a,)
 
 
 def thm1_sample_instances(count, seed, n_max, m_max, a_max):
@@ -201,130 +242,72 @@ def pfaff_sample_instances(count, seed, n_max):
     return out
 
 
+def _thm1_suite(c):
+    return (thm1_grid_instances(c.n_max, c.m_max, c.a_max)
+            + thm1_sample_instances(c.sample_count, c.rng_seed,
+                                    c.n_max, c.m_max, c.a_max))
+
+
+def _thm2_suite(c):
+    return [("thm2", _params(p=p, a=a, b=b))
+            for p in sorted(set(c.prime_set)) for a in range(p) for b in range(p)]
+
+
+def _identities_suite(c):
+    out = [("sum_lemma", _params(n=n, a=a))
+           for n in range(1, c.n_max + 1) for a in range(c.a_max + 1)]
+    out.extend(("chu_vandermonde", _params(a=a, b=b, n=n))
+               for a in range(c.a_max + 1) for b in range(c.a_max + 1)
+               for n in range(c.n_max + 1))
+    out.extend(("p_minus_one", _params(p=p, j=j))
+               for p in sorted(set(c.prime_set)) for j in range(p))
+    for a in range(c.a_max + 1):
+        for b in range(c.a_max + 1):
+            out.append(("residue_identity", _params(a=a, b=b)))
+            out.append(("symmetric_identity", _params(a=a, b=b)))
+    out.extend(pfaff_sample_instances(c.sample_count, c.rng_seed, c.n_max))
+    return out
+
+
+def _conjecture_suite(c):
+    return [("conjecture", _params(n=n, m=m, k=k))
+            for m in range(1, c.m_max + 1) for k in range(1, m + 1)
+            for n in range(1, c.n_max + 1)]
+
+
+def _faulhaber_suite(c):
+    return [("faulhaber", _params(n=n, m=m))
+            for n in range(1, c.n_max + 1) for m in range(1, c.m_max + 1)]
+
+
+_SUITE_INSTANCES = {
+    "thm1": _thm1_suite,
+    "thm2": _thm2_suite,
+    "identities": _identities_suite,
+    "conjecture": _conjecture_suite,
+    "faulhaber": _faulhaber_suite,
+}
+
+
 def enumerate_instances(config):
-    """The full, deterministic instance list for a config (duplicates removed)."""
-    suite = config.suite
+    """The full, deterministic instance list for a config (duplicates removed).
+
+    Suites are concatenated in ``SUITES`` order, so ``all`` lists the thm1
+    instances first and the faulhaber instances last.
+    """
+    suites = SUITES[:-1] if config.suite == "all" else (config.suite,)
     out = []
-    if suite in ("thm1", "all"):
-        out.extend(thm1_grid_instances(config.n_max, config.m_max, config.a_max))
-        out.extend(thm1_sample_instances(config.sample_count, config.rng_seed,
-                                         config.n_max, config.m_max, config.a_max))
-    if suite in ("thm2", "all"):
-        for p in sorted(set(config.prime_set)):
-            for a in range(p):
-                for b in range(p):
-                    out.append(("thm2", _params(p=p, a=a, b=b)))
-    if suite in ("identities", "all"):
-        for n in range(1, config.n_max + 1):
-            for a in range(config.a_max + 1):
-                out.append(("sum_lemma", _params(n=n, a=a)))
-        for a in range(config.a_max + 1):
-            for b in range(config.a_max + 1):
-                for n in range(config.n_max + 1):
-                    out.append(("chu_vandermonde", _params(a=a, b=b, n=n)))
-        for p in sorted(set(config.prime_set)):
-            for j in range(p):
-                out.append(("p_minus_one", _params(p=p, j=j)))
-        for a in range(config.a_max + 1):
-            for b in range(config.a_max + 1):
-                out.append(("residue_identity", _params(a=a, b=b)))
-                out.append(("symmetric_identity", _params(a=a, b=b)))
-        out.extend(pfaff_sample_instances(config.sample_count, config.rng_seed,
-                                          config.n_max))
-    if suite in ("conjecture", "all"):
-        for m in range(1, config.m_max + 1):
-            for k in range(1, m + 1):
-                for n in range(1, config.n_max + 1):
-                    out.append(("conjecture", _params(n=n, m=m, k=k)))
-    if suite in ("faulhaber", "all"):
-        for n in range(1, config.n_max + 1):
-            for m in range(1, config.m_max + 1):
-                out.append(("faulhaber", _params(n=n, m=m)))
+    for suite in suites:
+        out.extend(_SUITE_INSTANCES[suite](config))
     return list(dict.fromkeys(out))
 
 
 # --- execution ---------------------------------------------------------------------
 
-_worker_cache = None
-
-
-def _cache():
-    global _worker_cache
-    if _worker_cache is None:
-        _worker_cache = QBinomialCache(max_entries=8192)
-    return _worker_cache
-
-
-def _a_list_from(d):
-    return [d["a%d" % i] for i in range(1, len(d))]
-
-
-def _run_thm1(d):
-    return check_thm1(d["n"], _a_list_from(d), cache=_cache())
-
-
-def _run_q1(d):
-    return q1_check(d["n"], _a_list_from(d))
-
-
-def _run_thm2(d):
-    return check_thm2(d["p"], d["a"], d["b"], cache=_cache())
-
-
-def _run_sum_lemma(d):
-    return check_sum_lemma(d["n"], d["a"])
-
-
-def _run_chu(d):
-    return check_chu_vandermonde(d["a"], d["b"], d["n"])
-
-
-def _run_p_minus_one(d):
-    return check_p_minus_one_lemma(d["p"], d["j"])
-
-
-def _run_residue_identity(d):
-    return check_residue_identity(d["a"], d["b"])
-
-
-def _run_symmetric_identity(d):
-    return check_symmetric_identity(d["a"], d["b"])
-
-
-def _run_pfaff(d):
-    return check_pfaff_saalschutz(
-        Fraction(d["x_num"], d["x_den"]), Fraction(d["y_num"], d["y_den"]),
-        Fraction(d["z_num"], d["z_den"]), Fraction(d["q_num"], d["q_den"]),
-        d["n"])
-
-
-def _run_conjecture(d):
-    return check_conjecture(ConjectureInstance(d["n"], d["m"], d["k"]))
-
-
-def _run_faulhaber(d):
-    return check_faulhaber_cong(d["n"], d["m"])
-
-
-_RUNNERS = {
-    "thm1": _run_thm1,
-    "q1": _run_q1,
-    "thm2": _run_thm2,
-    "sum_lemma": _run_sum_lemma,
-    "chu_vandermonde": _run_chu,
-    "p_minus_one": _run_p_minus_one,
-    "residue_identity": _run_residue_identity,
-    "symmetric_identity": _run_symmetric_identity,
-    "qpfaff": _run_pfaff,
-    "conjecture": _run_conjecture,
-    "faulhaber": _run_faulhaber,
-}
-
-
 def run_instance(item):
     """Execute one (claim_id, params) instance; used directly and by workers."""
     claim_id, params = item
-    return _RUNNERS[claim_id](dict(params))
+    return CLAIMS[claim_id].check(**dict(params))
 
 
 def execute(instances, jobs=1, fail_fast=False):
@@ -349,12 +332,16 @@ def execute(instances, jobs=1, fail_fast=False):
     return reports
 
 
+def _is_conjecture(report):
+    return CLAIMS[report.claim_id].conjecture
+
+
 def exit_code_for(reports):
     """0 clean, 1 any theorem/identity failure, 3 conjecture counterexample only."""
     conjecture_fail = False
     for r in reports:
         if r.status == FAIL:
-            if r.claim_id == "conjecture":
+            if _is_conjecture(r):
                 conjecture_fail = True
             else:
                 return 1
@@ -394,7 +381,7 @@ def render_report(reports, fmt, stable=False):
         counts[r.status] += 1
     lines.append("summary: %d pass, %d fail, %d skipped"
                  % (counts[PASS], counts[FAIL], counts["skipped"]))
-    if any(r.claim_id == "conjecture" for r in reports) and counts[FAIL] == 0:
+    if any(_is_conjecture(r) for r in reports) and counts[FAIL] == 0:
         lines.append("conjecture sweep: no counterexample in the swept range "
                      "(evidence only, not proof)")
     return "\n".join(lines) + "\n"
@@ -406,19 +393,22 @@ def run_suite(config, out=None, err=None):
     err = sys.stderr if err is None else err
     config.validate()
     instances = enumerate_instances(config)
+    if not instances:
+        raise UsageError("suite %r selects no instances with these bounds and primes"
+                         % (config.suite,))
     reports = execute(instances, jobs=config.jobs, fail_fast=config.fail_fast)
     reports = sorted(reports, key=lambda r: r.sort_key)
     out.write(render_report(reports, config.format, stable=config.stable_output))
     code = exit_code_for(reports)
     if code == 1:
         for r in reports:
-            if r.status == FAIL and r.claim_id != "conjecture":
+            if r.status == FAIL and not _is_conjecture(r):
                 err.write("CHECK FAILED: %s %s\n  lhs: %s\n  rhs: %s\n  difference: %s\n"
                           % (r.claim_id, _params_str(r), r.witness.lhs,
                              r.witness.rhs, r.witness.difference))
     elif code == 3:
         for r in reports:
-            if r.status == FAIL and r.claim_id == "conjecture":
+            if r.status == FAIL and _is_conjecture(r):
                 err.write("CONJECTURE COUNTEREXAMPLE: %s\n  value: %s\n  residue: %s\n"
                           % (_params_str(r), r.witness.lhs, r.witness.difference))
     return code

@@ -65,6 +65,9 @@ by [n], has a closed base case and a contiguous recurrence:
 computed here by ``sum_quotient_recurrence`` with memoization keyed on the
 exact ordered tuple (the recurrence is only stated for ordered lists, so no
 sorting is ever applied to memo keys).
+
+Every Gaussian binomial used here comes from the shared bounded memo
+``qcomb.BINOMIAL_MEMO``; no checker takes a cache argument.
 """
 
 from __future__ import annotations
@@ -85,7 +88,6 @@ from .congruence import (
     identity_witness,
     is_prime,
     make_report,
-    normalize_exponent_mod_p,
     residue_equal_mod,
 )
 from .errors import (
@@ -95,7 +97,7 @@ from .errors import (
     SingularSpecialization,
 )
 from .poly import ONE, ZERO, IntPoly
-from .qcomb import LaurentPoly, q_binomial, q_factorial, q_int, q_pochhammer_eval
+from .qcomb import BINOMIAL_MEMO, LaurentPoly, q_factorial, q_int, q_pochhammer_eval
 
 VANISHING_SUM = "vanishing-sum"
 
@@ -163,7 +165,7 @@ _PRODUCT_CACHE = {}
 _PRODUCT_CACHE_MAX = 1 << 15
 
 
-def _binomial_product(h, a_sorted, binom):
+def _binomial_product(h, a_sorted):
     # built tail-recursively off the (h, prefix) entry so distinct a-tuples
     # sharing a sorted prefix pay for each extension only once
     key = (h, a_sorted)
@@ -173,11 +175,11 @@ def _binomial_product(h, a_sorted, binom):
     if not a_sorted:
         out = ONE
     else:
-        factor = binom(h, a_sorted[-1])
+        factor = BINOMIAL_MEMO.binomial(h, a_sorted[-1])
         if factor.is_zero:
             out = ZERO
         else:
-            prefix = _binomial_product(h, a_sorted[:-1], binom)
+            prefix = _binomial_product(h, a_sorted[:-1])
             out = ZERO if prefix.is_zero else prefix * factor
     if len(_PRODUCT_CACHE) >= _PRODUCT_CACHE_MAX:
         _PRODUCT_CACHE.pop(next(iter(_PRODUCT_CACHE)))
@@ -185,18 +187,17 @@ def _binomial_product(h, a_sorted, binom):
     return out
 
 
-def weighted_sum(n, a_list, cache=None):
+def weighted_sum(n, a_list):
     """sum_{h=0}^{n-1} q^h * prod_i gauss(h, a_i).
 
     Terms with h below max(a_i) vanish through the out-of-range binomial
     convention, so the loop starts there.
     """
     params = ThmParams(n, tuple(a_list))
-    binom = cache.binomial if cache is not None else q_binomial
     a_sorted = tuple(sorted(params.a_list))
     total = []
     for h in range(a_sorted[-1], n):
-        part = _binomial_product(h, a_sorted, binom)
+        part = _binomial_product(h, a_sorted)
         if part.is_zero:
             continue
         coeffs = part.coeffs
@@ -207,10 +208,10 @@ def weighted_sum(n, a_list, cache=None):
     return IntPoly._make(total)
 
 
-def check_thm1(n, a_list, cache=None):
+def check_thm1(n, a_list):
     """Divisibility of the prefactored weighted sum by [n] (claim id thm1)."""
     t0 = time.perf_counter()
-    w = weighted_sum(n, a_list, cache=cache)
+    w = weighted_sum(n, a_list)
     product = multinom_factor(a_list) * w
     modulus = q_int(n)
     params = _a_params("n", n, a_list)
@@ -254,24 +255,23 @@ def q1_check(n, a_list):
 
 # --- the quotient polynomial: two independent routes -------------------------------
 
-def sum_quotient_direct(n, a_list, cache=None):
+def sum_quotient_direct(n, a_list):
     """multinom_factor * weighted_sum divided exactly by [n].
 
     A NotDivisibleError here is a genuine counterexample to thm1 and is
     allowed to propagate.
     """
-    product = multinom_factor(a_list) * weighted_sum(n, a_list, cache=cache)
+    product = multinom_factor(a_list) * weighted_sum(n, a_list)
     return product.exact_div(q_int(n))
 
 
-def sum_quotient_recurrence(n, a_list, cache=None):
+def sum_quotient_recurrence(n, a_list):
     """The same quotient by the closed base case plus contiguous recurrence.
 
     Memoized on the exact ordered tuple of remaining exponents; the
     recurrence consumes the list from the right.
     """
     params = ThmParams(n, tuple(a_list))
-    binom = cache.binomial if cache is not None else q_binomial
     memo = {}
 
     def rec(a_tuple):
@@ -280,16 +280,16 @@ def sum_quotient_recurrence(n, a_list, cache=None):
             return hit
         if len(a_tuple) == 1:
             a = a_tuple[0]
-            out = binom(n - 1, a).shift(a)
+            out = BINOMIAL_MEMO.binomial(n - 1, a).shift(a)
         else:
             head = a_tuple[:-2]
             prev, last = a_tuple[-2], a_tuple[-1]
             total = sum(a_tuple) + 1
             out = ZERO
             for k in range(last + 1):
-                c1 = binom(total, last - k)
-                c2 = binom(prev + k, last)
-                c3 = binom(prev + k, prev)
+                c1 = BINOMIAL_MEMO.binomial(total, last - k)
+                c2 = BINOMIAL_MEMO.binomial(prev + k, last)
+                c3 = BINOMIAL_MEMO.binomial(prev + k, prev)
                 if c1.is_zero or c2.is_zero or c3.is_zero:
                     continue
                 e = k * (prev - last + k)
@@ -311,8 +311,8 @@ def check_sum_lemma(n, a):
         raise InvalidParamsError("need n >= 1 and a >= 0")
     lhs = ZERO
     for h in range(n):
-        lhs = lhs + q_binomial(h, a).shift(h)
-    rhs = q_binomial(n, a + 1).shift(a)
+        lhs = lhs + BINOMIAL_MEMO.binomial(h, a).shift(h)
+    rhs = BINOMIAL_MEMO.binomial(n, a + 1).shift(a)
     params = {"n": n, "a": a}
     if lhs == rhs:
         return make_report("sum_lemma", params, PASS, elapsed_ms=_ms(t0))
@@ -327,11 +327,11 @@ def check_chu_vandermonde(a, b, n):
         raise InvalidParamsError("need a, b, n >= 0")
     lhs = LaurentPoly()
     for k in range(n + 1):
-        coeff = q_binomial(a, k) * q_binomial(b, n - k)
+        coeff = BINOMIAL_MEMO.binomial(a, k) * BINOMIAL_MEMO.binomial(b, n - k)
         if coeff.is_zero:
             continue
         lhs = lhs + LaurentPoly(coeff, k * (b - n + k))
-    rhs = LaurentPoly.from_poly(q_binomial(a + b, n))
+    rhs = LaurentPoly.from_poly(BINOMIAL_MEMO.binomial(a + b, n))
     params = {"a": a, "b": b, "n": n}
     if lhs == rhs:
         return make_report("chu_vandermonde", params, PASS, elapsed_ms=_ms(t0))
@@ -347,7 +347,7 @@ def check_p_minus_one_lemma(p, j):
     if not 0 <= j <= p - 1:
         raise InvalidParamsError("need 0 <= j <= p-1")
     modulus = q_int(p)
-    lhs = q_binomial(p - 1, j).shift(math.comb(j + 1, 2))
+    lhs = BINOMIAL_MEMO.binomial(p - 1, j).shift(math.comb(j + 1, 2))
     rhs = _sign(j) * ONE
     params = {"p": p, "j": j}
     if residue_equal_mod(lhs, rhs, modulus):
@@ -363,8 +363,8 @@ def check_residue_identity(a, b):
         raise InvalidParamsError("need a, b >= 0")
     lhs = LaurentPoly()
     for k in range(b + 1):
-        coeff = (q_binomial(a + b + 1, b - k) * q_binomial(a + k, a)
-                 * q_binomial(a + k, b))
+        coeff = (BINOMIAL_MEMO.binomial(a + b + 1, b - k)
+                 * BINOMIAL_MEMO.binomial(a + k, a) * BINOMIAL_MEMO.binomial(a + k, b))
         if coeff.is_zero:
             continue
         e = k * (a - b + k) + a + k - math.comb(a + k + 1, 2)
@@ -386,8 +386,8 @@ def check_symmetric_identity(a, b):
     lhs = LaurentPoly()
     base = math.comb(a + 1, 2) + math.comb(b + 1, 2)
     for k in range(a, a + b + 1):
-        coeff = (q_binomial(k, a) * q_binomial(k, b)
-                 * q_binomial(a + b + 1, k + 1))
+        coeff = (BINOMIAL_MEMO.binomial(k, a) * BINOMIAL_MEMO.binomial(k, b)
+                 * BINOMIAL_MEMO.binomial(a + b + 1, k + 1))
         if coeff.is_zero:
             continue
         e = math.comb(k + 1, 2) + base - (k + 1) * (a + b)
@@ -402,7 +402,7 @@ def check_symmetric_identity(a, b):
 
 # --- the prime-squared refinement ----------------------------------------------------
 
-def check_thm2(p, a, b, cache=None):
+def check_thm2(p, a, b):
     """The mod [p]^2 refinement for pairs (claim id thm2).
 
     Verifies the congruence with the right-hand exponent normalized into
@@ -413,10 +413,10 @@ def check_thm2(p, a, b, cache=None):
     ThmParams(p, (a, b), p=p)  # validates primality and p > max(a, b)
     mod_p = q_int(p)
     mod_p2 = mod_p * mod_p
-    lhs = multinom_factor((a, b)) * weighted_sum(p, (a, b), cache=cache)
+    lhs = multinom_factor((a, b)) * weighted_sum(p, (a, b))
     sign = _sign(a - b)
     e = a * b - math.comb(a, 2) - math.comb(b, 2)
-    rhs_norm = (sign * ONE).shift(normalize_exponent_mod_p(e, p)) * mod_p
+    rhs_norm = (sign * ONE).shift(e % p) * mod_p
     ok_norm = residue_equal_mod(lhs, rhs_norm, mod_p2)
     if e >= 0:
         ok_clear = residue_equal_mod(lhs, (sign * ONE).shift(e) * mod_p, mod_p2)

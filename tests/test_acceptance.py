@@ -24,7 +24,7 @@ import pytest
 
 from qcong.faulhaber import check_conjecture, check_faulhaber_cong
 from qcong.poly import IntPoly
-from qcong.qcomb import QBinomialCache, q_binomial, q_binomial_oracle, q_int
+from qcong.qcomb import q_binomial, q_binomial_oracle, q_int
 from qcong.sweep import (
     SplitMix64,
     SweepConfig,
@@ -69,7 +69,6 @@ def thm1_workload():
     Grid: every (n, a-tuple) with n <= 25, 1 <= m <= 3, entries <= 5.
     Samples: 500 seeded draws with n <= 40, m <= 5, entries <= 8.
     """
-    cache = QBinomialCache(max_entries=1 << 14)
     grid = []
     for n in range(1, 26):
         for m in range(1, 4):
@@ -84,10 +83,10 @@ def thm1_workload():
         samples.append((n, tuple(d["a%d" % i] for i in range(1, len(d) + 1))))
 
     t0 = time.perf_counter()
-    reports = [check_thm1(n, list(a), cache=cache) for n, a in grid + samples]
+    reports = [check_thm1(n, list(a)) for n, a in grid + samples]
     elapsed = time.perf_counter() - t0
     return {"grid": grid, "samples": samples, "reports": reports,
-            "elapsed": elapsed, "cache": cache}
+            "elapsed": elapsed}
 
 
 def test_criterion_01_main_congruence_grid_and_samples(thm1_workload):
@@ -103,13 +102,12 @@ def test_criterion_01_main_congruence_grid_and_samples(thm1_workload):
 
 
 def test_criterion_02_prime_square_refinement():
-    cache = QBinomialCache(max_entries=1 << 13)
     t0 = time.perf_counter()
     reports = []
     for p in (2, 3, 5, 7, 11, 13):
         for a in range(p):
             for b in range(p):
-                reports.append(check_thm2(p, a, b, cache=cache))
+                reports.append(check_thm2(p, a, b))
     elapsed = time.perf_counter() - t0
     ok = (len(reports) == sum(p * p for p in (2, 3, 5, 7, 11, 13))
           and all(r.status == "pass" for r in reports)
@@ -121,7 +119,6 @@ def test_criterion_02_prime_square_refinement():
 
 def test_criterion_03_quotient_recurrence_fidelity():
     rng = SplitMix64(SAMPLE_SEED)
-    cache = QBinomialCache(max_entries=1 << 13)
     cases = []
     for _ in range(200):
         n = 1 + rng.below(20)
@@ -131,8 +128,8 @@ def test_criterion_03_quotient_recurrence_fidelity():
     nonneg = 0
     mixed = 0
     for n, a in cases:
-        direct = sum_quotient_direct(n, list(a), cache=cache)
-        recurred = sum_quotient_recurrence(n, list(a), cache=cache)
+        direct = sum_quotient_direct(n, list(a))
+        recurred = sum_quotient_recurrence(n, list(a))
         if direct != recurred:
             mismatches += 1
             continue
@@ -204,7 +201,7 @@ def test_criterion_06_q_equals_one_consistency(thm1_workload):
     for _ in range(250):
         n, a = all_params[rng.below(len(all_params))]
         poly_value = (multinom_factor(list(a))
-                      * weighted_sum(n, list(a), cache=w["cache"])).evaluate(1)
+                      * weighted_sum(n, list(a))).evaluate(1)
         factor = math.factorial(sum(a) + 1)
         for ai in a:
             factor //= math.factorial(ai)

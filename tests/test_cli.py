@@ -5,13 +5,18 @@ so any independent implementation seeded identically enumerates the same
 sampled instances.
 """
 
+import hashlib
 import json
+import os
+import re
 
 import pytest
 
 from qcong.congruence import FAIL, PASS, Witness, make_report
-from qcong.cli import main
+from qcong.cli import build_parser, main
 from qcong.sweep import (
+    CLAIMS,
+    SUITES,
     SplitMix64,
     SweepConfig,
     UsageError,
@@ -23,6 +28,9 @@ from qcong.sweep import (
     run_suite,
 )
 import qcong.sweep as sweep_mod
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "README.md")
 
 
 # reference vectors for the standard SplitMix64 mixer
@@ -50,6 +58,11 @@ def test_splitmix64_below_bounds():
     assert len(set(draws)) == 7
     with pytest.raises(ValueError):
         rng.below(0)
+
+
+def _patch_check(monkeypatch, claim_id, check):
+    """Swap the checker of one CLAIMS row for the duration of a test."""
+    monkeypatch.setitem(CLAIMS, claim_id, CLAIMS[claim_id]._replace(check=check))
 
 
 def _cfg(**kw):
@@ -124,6 +137,42 @@ class TestEnumeration:
             assert abs(d["q_num"]) != d["q_den"]  # |q| = 1 is redrawn
             for key in ("x_den", "y_den", "z_den", "q_den"):
                 assert d[key] >= 1
+
+    # sha256 of repr(instance list) per suite, recorded before the claim table
+    # replaced the per-suite if-chain; --fail-fast output and the pool's
+    # chunking depend on this order, not just on the set
+    ORDER_CONFIGS = (
+        dict(n_max=4, m_max=2, a_max=2, prime_set=(2, 3), sample_count=5,
+             rng_seed=7),
+        dict(n_max=6, m_max=3, a_max=3, prime_set=(3, 5), sample_count=12,
+             rng_seed=2026),
+    )
+    ORDER_DIGESTS = {
+        "thm1": ((96, "af74194959ba4527721b15f1a132a2eb5d9e6de75899f202f90e252cb5265840"),
+                 (1008, "c79cfb18c4786729606452cfec0e2e45f7340ce09012d3741c0cfc09e3f98016")),
+        "thm2": ((13, "132eaaedd0883ee65afb4e7d7068c90ff43f67c8cc7ff2b9e7ac8b3c3bfb6a87"),
+                 (34, "d187f2c2b015efddac736df31ab843c1bb6110db3164df572868e01f5eeb268b")),
+        "identities": (
+            (85, "44f077a49b34a96093acd2a4f3cf9ec4527970ee31bb03edc3871b0e5df459e3"),
+            (188, "e938f471965cd029c2ee9c70b470aabbbe705a3a2d72fe01e2490bc92e8a4c66")),
+        "conjecture": (
+            (12, "ba81edad53c281e11c114e7a5db06455c9e98e5c1c514ff9284c2e393393de4d"),
+            (36, "ab41bac564e95c46a5d2a5cc1f7c757cfc7808972db4249951b77caaaf60966c")),
+        "faulhaber": (
+            (8, "8a039f2ea83dc9942b988d6b4b5a1df88a8d5f109cd154c321af3dbd15dc8b82"),
+            (18, "98adcf9f9eefa9cd82dce09990faf15bc687bb4483c97d64bd90cb109aab336a")),
+        "all": ((214, "8d6271aba47629ab7b45ca23afe90a4c8c0bfab8307805b211554a4d8c0c4c9e"),
+                (1284, "56c33090068a78bb8b11189fb7b37cbaf5d429b6cfadf2b6524c5193c2db08cd")),
+    }
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_order_is_pinned(self, suite):
+        for kw, (count, digest) in zip(self.ORDER_CONFIGS, self.ORDER_DIGESTS[suite]):
+            instances = enumerate_instances(SweepConfig(suite=suite, **kw))
+            assert len(instances) == count
+            assert hashlib.sha256(repr(instances).encode()).hexdigest() == digest
+            if suite != "all":
+                assert {CLAIMS[c].suite for c, _ in instances} == {suite}
 
     def test_conjecture_triangle(self):
         inst = enumerate_instances(_cfg(suite="conjecture", n_max=3, m_max=3))
@@ -201,8 +250,8 @@ class TestExecution:
             return make_report(claim_id, dict(params), FAIL,
                                witness=Witness("1", "0", "1"))
 
-        monkeypatch.setitem(sweep_mod._RUNNERS, "sum_lemma",
-                            lambda d: fake_runner(("sum_lemma", tuple(d.items()))))
+        _patch_check(monkeypatch, "sum_lemma",
+                     lambda **d: fake_runner(("sum_lemma", tuple(d.items()))))
         instances = [("sum_lemma", (("n", i), ("a", 0))) for i in range(1, 6)]
         reports = execute(instances, jobs=1, fail_fast=True)
         assert len(reports) == 1
@@ -231,11 +280,11 @@ class TestRunSuite:
         assert all(o["status"] in ("pass", "skipped") for o in objs)
 
     def test_forced_failure_exit_one_and_loud_stderr(self, capsys, monkeypatch):
-        def broken(d):
+        def broken(**d):
             return make_report("sum_lemma", d, FAIL,
                                witness=Witness("q + 1", "0", "q"))
 
-        monkeypatch.setitem(sweep_mod._RUNNERS, "sum_lemma", broken)
+        _patch_check(monkeypatch, "sum_lemma", broken)
         cfg = _cfg(suite="identities", n_max=2, a_max=1, prime_set=(2,),
                    format="text")
         code = run_suite(cfg)
@@ -245,11 +294,11 @@ class TestRunSuite:
         assert "difference: q" in captured.err
 
     def test_forced_counterexample_exit_three(self, capsys, monkeypatch):
-        def broken(d):
+        def broken(**d):
             return make_report("conjecture", d, FAIL,
                                witness=Witness("17", "0", "17"))
 
-        monkeypatch.setitem(sweep_mod._RUNNERS, "conjecture", broken)
+        _patch_check(monkeypatch, "conjecture", broken)
         cfg = _cfg(suite="conjecture", n_max=2, m_max=1)
         code = run_suite(cfg)
         captured = capsys.readouterr()
@@ -280,6 +329,24 @@ class TestMain:
         assert main(["--suite", "thm2", "--primes", "2,x"]) == 2
         assert main(["--suite", "thm2", "--primes", "2,9"]) == 2
         assert "not prime" in capsys.readouterr().err
+
+    def test_empty_selection_exits_two(self, capsys):
+        assert main(["--suite", "thm2", "--primes", ","]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "selects no instances" in captured.err
+
+    def test_crashing_check_exits_four(self, capsys, monkeypatch):
+        from qcong.errors import InternalError
+
+        def crash(**d):
+            raise InternalError("routes disagree")
+
+        _patch_check(monkeypatch, "faulhaber", crash)
+        assert main(["--suite", "faulhaber", "--n-max", "2", "--m-max", "1"]) == 4
+        captured = capsys.readouterr()
+        assert "Traceback" in captured.err
+        assert "InternalError: routes disagree" in captured.err
 
     def test_bad_n_max_exits_two(self, capsys):
         assert main(["--suite", "thm1", "--n-max", "0"]) == 2
@@ -314,3 +381,21 @@ class TestMain:
         code = main(["--suite", "faulhaber", "--n-max", "2", "--m-max", "1",
                      "--jobs", "1", "--format", "csv"])
         assert code == 0
+
+
+class TestClaimTable:
+    def _readme_table(self):
+        with open(README) as fh:
+            text = fh.read()
+        section = text.split("## What is verified", 1)[1].split("\n## ", 1)[0]
+        return re.findall(r"^\| `(\w+)`\s+\|", section, flags=re.M)
+
+    def test_readme_claims_match_table(self):
+        ids = self._readme_table()
+        assert len(ids) == len(set(ids))
+        assert set(ids) == set(CLAIMS)
+
+    def test_cli_suites_are_table_suites_plus_all(self):
+        choices = next(a.choices for a in build_parser()._actions
+                       if a.dest == "suite")
+        assert sorted(choices) == sorted({c.suite for c in CLAIMS.values()} | {"all"})

@@ -10,7 +10,6 @@ from qcong.congruence import (
     divides,
     is_prime,
     make_report,
-    normalize_exponent_mod_p,
     rem_mod,
     residue_equal_mod,
 )
@@ -68,16 +67,6 @@ def test_residue_equal_mod():
         residue_equal_mod(ONE, ONE, ZERO)
 
 
-def test_normalize_exponent():
-    assert normalize_exponent_mod_p(-1, 3) == 2
-    assert normalize_exponent_mod_p(7, 5) == 2
-    assert normalize_exponent_mod_p(0, 2) == 0
-    assert normalize_exponent_mod_p(-20, 13) == 6
-    assert normalize_exponent_mod_p(5, 1) == 0
-    with pytest.raises(ValueError):
-        normalize_exponent_mod_p(1, 0)
-
-
 def test_qp_minus_one_times_qint_identity():
     # (q^p - 1)*[p] = (q-1)*[p]^2, the fact justifying exponent reduction mod p
     for p in PRIMES_TO_13:
@@ -91,7 +80,7 @@ def test_exponent_normalization_respects_period():
     for p in PRIMES_TO_13:
         msq = q_int(p) * q_int(p)
         for e in range(-20, 21):
-            norm = normalize_exponent_mod_p(e, p)
+            norm = e % p
             t0 = 0 if e >= 0 else -(e // p)  # smallest t with e + p*t >= 0
             for t in (t0, t0 + 1):
                 lifted = q_power(e + p * t) * q_int(p)

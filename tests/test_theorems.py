@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from qcong import qcomb
 from qcong.errors import InvalidParamsError
 from qcong.poly import ONE, ZERO, IntPoly
-from qcong.qcomb import LaurentPoly, QBinomialCache, q_binomial, q_factorial, q_int
+from qcong.qcomb import LaurentPoly, q_binomial, q_factorial, q_int
 from qcong.theorems import (
     ThmParams,
     check_chu_vandermonde,
@@ -68,10 +69,40 @@ def test_params_validation():
 
 
 def test_weighted_sum_cache_transparent():
-    cache = QBinomialCache(max_entries=128)
+    # the memoized sum must equal one built from uncached product-formula binomials
     for n in (1, 3, 6):
         for a_list in ([0], [1, 1], [2, 0, 1]):
-            assert weighted_sum(n, a_list, cache=cache) == weighted_sum(n, a_list)
+            direct = ZERO
+            for h in range(n):
+                term = ONE.shift(h)
+                for a in a_list:
+                    term = term * q_binomial(h, a)
+                direct = direct + term
+            assert weighted_sum(n, a_list) == direct
+
+
+@pytest.mark.parametrize("check, args", [
+    (check_sum_lemma, (5, 2)),
+    (check_chu_vandermonde, (3, 2, 4)),
+    (check_p_minus_one_lemma, (5, 2)),
+    (check_residue_identity, (2, 3)),
+    (check_symmetric_identity, (3, 2)),
+    (sum_quotient_recurrence, (6, [2, 1])),
+])
+def test_checker_draws_binomials_from_the_shared_memo(monkeypatch, check, args):
+    calls = []
+
+    def counting(n, k):
+        calls.append((n, k))
+        return q_binomial(n, k)
+
+    monkeypatch.setattr(qcomb, "q_binomial", counting)
+    qcomb.BINOMIAL_MEMO.clear()
+    check(*args)
+    assert calls and len(calls) == len(set(calls))  # built once, via the memo
+    built = len(calls)
+    check(*args)
+    assert len(calls) == built  # a second run is all memo hits
 
 
 # --- main divisibility claim --------------------------------------------------------
@@ -154,13 +185,12 @@ def test_sum_quotient_routes_agree_small_grid():
 
 def test_sum_quotient_routes_agree_sampled():
     rng = random.Random(40)
-    cache = QBinomialCache()
     for _ in range(30):
         n = rng.randint(1, 10)
         m = rng.randint(1, 3)
         a_list = [rng.randint(0, 4) for _ in range(m)]
-        assert sum_quotient_direct(n, a_list, cache=cache) == \
-            sum_quotient_recurrence(n, a_list, cache=cache), (n, a_list)
+        assert sum_quotient_direct(n, a_list) == \
+            sum_quotient_recurrence(n, a_list), (n, a_list)
 
 
 # --- support identities ----------------------------------------------------------------
@@ -255,11 +285,10 @@ def test_thm2_negative_exponent_instance():
 
 
 def test_thm2_full_grids_small_primes():
-    cache = QBinomialCache()
     for p in (2, 3, 5):
         for a in range(p):
             for b in range(p):
-                assert check_thm2(p, a, b, cache=cache).status == "pass", (p, a, b)
+                assert check_thm2(p, a, b).status == "pass", (p, a, b)
 
 
 def test_thm2_lhs_symmetric_in_a_b():
