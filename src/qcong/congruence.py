@@ -11,6 +11,7 @@ trivially-true instances) only appears in the human-readable text rendering.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 from .errors import LeadingCoeffNotUnitError, NotDivisibleError
@@ -120,6 +121,11 @@ class CongruenceReport:
             },
             "elapsed_ms": 0 if stable else self.elapsed_ms,
         }
+
+
+def _ms(t0):
+    """Whole milliseconds since the perf_counter reading t0."""
+    return max(0, round((time.perf_counter() - t0) * 1000))
 
 
 def make_report(claim_id, params, status, witness=None, elapsed_ms=0, note=None):

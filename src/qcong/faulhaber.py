@@ -21,7 +21,7 @@ import math
 import time
 from dataclasses import dataclass
 
-from .congruence import FAIL, PASS, Witness, make_report
+from .congruence import FAIL, PASS, Witness, _ms, make_report
 from .errors import InternalError, InvalidParamsError
 
 
@@ -99,7 +99,3 @@ def check_conjecture(inst):
     return make_report("conjecture", params, FAIL,
                        witness=Witness(str(value), "0", str(value % modulus)),
                        elapsed_ms=_ms(t0))
-
-
-def _ms(t0):
-    return max(0, round((time.perf_counter() - t0) * 1000))

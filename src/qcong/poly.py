@@ -6,21 +6,15 @@ the empty tuple, and otherwise the last entry is nonzero.  Values are
 immutable after construction and therefore safe to share across threads and
 to pickle into worker processes.
 
-Multiplication is schoolbook convolution up to ``KARATSUBA_THRESHOLD``
-coefficients and Karatsuba above it; both paths produce identical results
-and the threshold only affects speed.
+Multiplication is Kronecker substitution: each operand is packed into one
+integer and the two are multiplied once by the interpreter's big-integer
+multiply.  Schoolbook convolution (``_mul_schoolbook``) is kept only as the
+reference the kernel tests compare against.
 """
 
 from __future__ import annotations
 
 from .errors import LeadingCoeffNotUnitError, NotDivisibleError
-
-NEG_INFINITY = float("-inf")  # degree of the zero polynomial
-
-# Coefficient count at or below which multiplication stays schoolbook.
-# Build-level knob: correctness never depends on it (see the kernel tests,
-# which rerun the multiplier at several thresholds).
-KARATSUBA_THRESHOLD = 32
 
 
 def _strip(coeffs):
@@ -62,32 +56,33 @@ def _mul_schoolbook(a, b):
     return out
 
 
-def _acc_into(out, part, k):
-    for i, v in enumerate(part):
-        if v:
-            out[k + i] += v
+def _pack(coeffs, k, bias):
+    """The integer sum of c_i * 2^(8ki), packed via k-byte slots holding c_i + bias."""
+    slots = b"".join([(c + bias).to_bytes(k, "little") for c in coeffs])
+    return (int.from_bytes(slots, "little")
+            - int.from_bytes(bias.to_bytes(k, "little") * len(coeffs), "little"))
 
 
-def _mul_lists(a, b, threshold=KARATSUBA_THRESHOLD):
-    """Multiply coefficient lists, recursing with Karatsuba above the threshold."""
+def _mul_lists(a, b):
+    """Multiply coefficient lists by Kronecker substitution.
+
+    Every input and product coefficient c has |c| <= bound = max|a| * max|b| *
+    min(len a, len b) < 2^(8k-1) = bias, so c + bias fills a k-byte slot
+    without sign or overflow.  Each operand is packed into one integer, the
+    two are multiplied once, and the product plus bias in every slot is read
+    back slot by slot.  The result has len(a) + len(b) - 1 entries, exactly
+    as ``_mul_schoolbook`` returns them.
+    """
     if not a or not b:
         return []
-    if min(len(a), len(b)) <= threshold:
-        return _mul_schoolbook(a, b)
-    m = max(len(a), len(b)) // 2
-    a0, a1 = _strip(list(a[:m])), a[m:]
-    b0, b1 = _strip(list(b[:m])), b[m:]
-    z0 = _mul_lists(a0, b0, threshold)
-    z2 = _mul_lists(a1, b1, threshold)
-    z1 = _sub_lists(
-        _sub_lists(_mul_lists(_add_lists(a0, a1), _add_lists(b0, b1), threshold), z0),
-        z2,
-    )
-    out = [0] * (len(a) + len(b) - 1)
-    _acc_into(out, z0, 0)
-    _acc_into(out, z1, m)
-    _acc_into(out, z2, 2 * m)
-    return out
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    k = bound.bit_length() // 8 + 1
+    bias = 1 << (8 * k - 1)
+    n = len(a) + len(b) - 1
+    biased = _pack(a, k, bias) * _pack(b, k, bias) + int.from_bytes(
+        bias.to_bytes(k, "little") * n, "little")
+    buf = biased.to_bytes(n * k, "little")
+    return [int.from_bytes(buf[i:i + k], "little") - bias for i in range(0, n * k, k)]
 
 
 def _divrem_lists(a, b, exact):
@@ -177,8 +172,8 @@ class IntPoly:
 
     @property
     def degree(self):
-        """Degree, or -inf for the zero polynomial."""
-        return len(self._coeffs) - 1 if self._coeffs else NEG_INFINITY
+        """Degree; -1 for the zero polynomial, so deg(rem) < deg(divisor) holds."""
+        return len(self._coeffs) - 1
 
     @property
     def is_zero(self):

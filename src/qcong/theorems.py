@@ -83,6 +83,7 @@ from .congruence import (
     PASS,
     SKIPPED,
     Witness,
+    _ms,
     congruence_witness,
     divides,
     identity_witness,
@@ -123,10 +124,6 @@ class ThmParams:
                 raise InvalidParamsError("p must be prime, got %r" % (self.p,))
             if self.p <= max(self.a_list):
                 raise InvalidParamsError("p must exceed every a_i")
-
-
-def _ms(t0):
-    return max(0, round((time.perf_counter() - t0) * 1000))
 
 
 def _sign(e):

@@ -1,4 +1,4 @@
-"""Kernel tests: canonical form, ring laws, both multiplication paths, division."""
+"""Kernel tests: canonical form, ring laws, Kronecker multiply vs schoolbook, division."""
 
 import random
 from fractions import Fraction
@@ -8,15 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcong.errors import LeadingCoeffNotUnitError, NotDivisibleError
-from qcong.poly import (
-    KARATSUBA_THRESHOLD,
-    NEG_INFINITY,
-    ONE,
-    ZERO,
-    IntPoly,
-    _mul_lists,
-    _mul_schoolbook,
-)
+from qcong.poly import ONE, ZERO, IntPoly, _mul_lists, _mul_schoolbook
 
 BIG = 2 ** 256
 
@@ -35,8 +27,8 @@ def test_zero_is_empty_tuple():
     assert ZERO.coeffs == ()
     assert IntPoly([0, 0, 0]).coeffs == ()
     assert not ZERO
-    assert ZERO.degree == NEG_INFINITY
-    assert ZERO.degree < 0
+    assert ZERO.degree == -1
+    assert type(ZERO.degree) is int
 
 
 def test_trailing_zeros_stripped():
@@ -190,28 +182,55 @@ def test_ring_laws_bulk_seeded():
         assert a - a == ZERO
 
 
-# --- multiplication paths -------------------------------------------------------
+# --- Kronecker multiply against the schoolbook reference ------------------------
 
-def test_karatsuba_equals_schoolbook_across_thresholds():
-    rng = random.Random(20260818)
-    for trial in range(120):
-        a = rand_coeffs(rng, rng.choice([5, 33, 90, 200]), 96)
-        b = rand_coeffs(rng, rng.choice([5, 33, 90, 200]), 96)
-        ref = _mul_schoolbook(a, b)
-        for threshold in (1, 2, 7, 32, 64):
-            got = _mul_lists(a, b, threshold)
-            assert IntPoly(got) == IntPoly(ref)
+def _signed(rng, length, bits):
+    return [rng.randint(-(1 << bits), 1 << bits) for _ in range(length)]
 
 
-def test_default_threshold_in_configured_range():
-    assert KARATSUBA_THRESHOLD >= 1
+def _kronecker_cases():
+    rng = random.Random(20261018)
+    cases = []
+    # Shapes from 1x1 to 400x400, the very unbalanced ones included.
+    shapes = [(1, 1), (1, 2), (2, 2), (3, 5), (8, 9), (33, 31), (64, 65),
+              (200, 150), (400, 400), (400, 1), (1, 400), (400, 3), (3, 400)]
+    shapes += [(rng.randint(1, 400), rng.randint(1, 400)) for _ in range(40)]
+    for la, lb in shapes:
+        bits = rng.choice([1, 8, 16, 64, 256])
+        cases.append((_signed(rng, la, bits), _signed(rng, lb, bits)))
+    # The sparse factor 1 - q^j that q_binomial multiplies by.
+    for j in (1, 2, 5, 17, 40):
+        factor = [1] + [0] * (j - 1) + [-1]
+        cases.append(([rng.randint(1, 1 << 40) for _ in range(60)], factor))
+        cases.append((factor, factor))
+    # Interior zeros, all-negative operands, mixed signs.
+    cases.append(([5, 0, 0, 0, -3, 0, 7], [0, 0, 2, 0, -1]))
+    cases.append(([-rng.randint(1, 1 << 64) for _ in range(50)],
+                  [-rng.randint(1, 1 << 64) for _ in range(30)]))
+    cases.append(([-(1 << 256)] * 7, [1 << 256, -(1 << 256)] * 4))
+    # Coefficients of exactly +-2^256.
+    cases.append(([1 << 256, -(1 << 256), 1 << 256], [-(1 << 256), 1 << 256]))
+    # bound.bit_length() on a byte boundary.
+    for x in (127, 128, 255, 256, -127, -128, -255, -256, (1 << 15) - 1, 1 << 15):
+        cases.append(([x], [1]))
+        cases.append(([1], [x]))
+    # Slot edges: [M]*L times [+-M]*L has middle coefficient exactly +-bound.
+    for m in (1, 127, 128, 255, 256, (1 << 64) - 1, 1 << 256):
+        for length in (1, 2, 3, 4, 400):
+            for sign_a, sign_b in ((1, 1), (1, -1), (-1, -1)):
+                cases.append(([sign_a * m] * length, [sign_b * m] * length))
+    return cases
 
 
-def test_unbalanced_multiplication():
-    rng = random.Random(7)
-    a = rand_coeffs(rng, 400, 64)
-    b = rand_coeffs(rng, 3, 64)
-    assert IntPoly(_mul_lists(a, b, 2)) == IntPoly(_mul_schoolbook(a, b))
+def test_kronecker_equals_schoolbook_seeded():
+    for a, b in _kronecker_cases():
+        assert _mul_lists(a, b) == _mul_schoolbook(a, b)
+
+
+@given(poly_st, poly_st)
+@settings(max_examples=300, deadline=None)
+def test_kronecker_equals_schoolbook_hypothesis(a, b):
+    assert _mul_lists(a.coeffs, b.coeffs) == _mul_schoolbook(a.coeffs, b.coeffs)
 
 
 # --- division contracts ----------------------------------------------------------

@@ -1,0 +1,42 @@
+"""Kernel multiply and division checked against sympy's Poly over ZZ.
+
+sympy is an independent implementation of the same ring arithmetic, so a
+shared bug in ``_mul_lists`` and its schoolbook reference would show here.
+It is not a declared dependency; the module is skipped without it.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qcong.poly import IntPoly
+
+sympy = pytest.importorskip("sympy")
+
+Q = sympy.Symbol("q")
+BIG = 2 ** 256
+
+coeff_st = st.integers(min_value=-BIG, max_value=BIG)
+poly_st = st.lists(coeff_st, max_size=60).map(IntPoly)
+
+
+def to_sympy(p):
+    return sympy.Poly(list(reversed(p.coeffs)) or [0], Q, domain="ZZ")
+
+
+def from_sympy(poly):
+    return IntPoly([int(c) for c in reversed(poly.all_coeffs())])
+
+
+@given(poly_st, poly_st)
+@settings(max_examples=200, deadline=None)
+def test_mul_matches_sympy(a, b):
+    assert a * b == from_sympy(to_sympy(a) * to_sympy(b))
+
+
+@given(poly_st, st.lists(coeff_st, max_size=20), st.sampled_from([1, -1]))
+@settings(max_examples=200, deadline=None)
+def test_divrem_matches_sympy(a, body, lead):
+    b = IntPoly(body + [lead])
+    quot, rem = to_sympy(a).div(to_sympy(b))
+    assert a.divrem(b) == (from_sympy(quot), from_sympy(rem))
