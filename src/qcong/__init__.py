@@ -34,7 +34,6 @@ from .qcomb import (
     LaurentPoly,
     QBinomialCache,
     q_binomial,
-    q_binomial_oracle,
     q_factorial,
     q_int,
     q_pochhammer_eval,
@@ -98,7 +97,6 @@ __all__ = [
     "power_sum",
     "q1_check",
     "q_binomial",
-    "q_binomial_oracle",
     "q_factorial",
     "q_int",
     "q_pochhammer_eval",

@@ -7,11 +7,17 @@ in the ring of integer polynomials; nothing is ever tested numerically.
 Its JSON form has exactly the fields claim_id, params, status, witness,
 elapsed_ms; the optional ``note`` (e.g. the vanishing-sum marker on
 trivially-true instances) only appears in the human-readable text rendering.
-"""
+
+Every verdict is built by one of three deciders: ``congruence_report``
+(lhs == rhs modulo a polynomial), ``identity_report`` (lhs == rhs exactly:
+polynomials, Laurent polynomials or rationals) and ``integer_report`` (an
+integer divisible by a modulus).  Each returns ``pass`` with the optional
+note, or ``fail`` with a witness whose difference is the residue of
+lhs - rhs, lhs - rhs itself, or value % modulus respectively.  Checkers
+read no clock: ``sweep.run_instance`` stamps each report's ``elapsed_ms``."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .errors import LeadingCoeffNotUnitError, NotDivisibleError
@@ -48,7 +54,7 @@ def residue_equal_mod(a, b, m):
         raise ZeroDivisionError("zero modulus")
     if m.coeffs[-1] not in (1, -1):
         raise LeadingCoeffNotUnitError("modulus must have unit leading coefficient")
-    return divides(m, a - b)
+    return divides(m, a - b if b else a)  # against b == 0, skip copying a
 
 
 def is_prime(n):
@@ -83,6 +89,9 @@ class CongruenceReport:
     ``params`` is an ordered tuple of (name, integer value) pairs so reports
     stay immutable, hashable, and totally ordered by (claim_id, params).
     Status ``fail`` always comes with a witness whose difference is nonzero.
+    ``elapsed_ms`` is the sweep's wall time for the instance in whole
+    milliseconds; it is 0 for a checker called directly and is rendered as
+    0 under ``--stable-output``.
     """
 
     claim_id: str
@@ -123,11 +132,6 @@ class CongruenceReport:
         }
 
 
-def _ms(t0):
-    """Whole milliseconds since the perf_counter reading t0."""
-    return max(0, round((time.perf_counter() - t0) * 1000))
-
-
 def make_report(claim_id, params, status, witness=None, elapsed_ms=0, note=None):
     """Build a report from a plain mapping of parameter names to integers."""
     items = []
@@ -145,5 +149,29 @@ def congruence_witness(lhs, rhs, modulus):
 
 
 def identity_witness(lhs, rhs):
-    """Witness for a failed exact identity (polynomial or Laurent)."""
+    """Witness for a failed exact identity (polynomial, Laurent or rational)."""
     return Witness(str(lhs), str(rhs), str(lhs - rhs))
+
+
+def congruence_report(claim_id, params, lhs, rhs, modulus, note=None):
+    """Report whether lhs == rhs (mod modulus) in Z[q]."""
+    if residue_equal_mod(lhs, rhs, modulus):
+        return make_report(claim_id, params, PASS, note=note)
+    return make_report(claim_id, params, FAIL,
+                       witness=congruence_witness(lhs, rhs, modulus))
+
+
+def identity_report(claim_id, params, lhs, rhs, note=None):
+    """Report whether lhs == rhs exactly."""
+    if lhs == rhs:
+        return make_report(claim_id, params, PASS, note=note)
+    return make_report(claim_id, params, FAIL, witness=identity_witness(lhs, rhs))
+
+
+def integer_report(claim_id, params, value, modulus, note=None):
+    """Report whether the integer value is divisible by modulus."""
+    residue = value % modulus
+    if residue == 0:
+        return make_report(claim_id, params, PASS, note=note)
+    return make_report(claim_id, params, FAIL,
+                       witness=Witness(str(value), "0", str(residue)))

@@ -18,10 +18,9 @@ conjecture (claim id)
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
-from .congruence import FAIL, PASS, Witness, _ms, make_report
+from .congruence import integer_report
 from .errors import InternalError, InvalidParamsError
 
 
@@ -50,18 +49,10 @@ def power_sum(n, e):
 
 def check_faulhaber_cong(n, m):
     """(2m+2)! * power_sum(n, 2m+1) == 0 (mod n^2) (claim id faulhaber)."""
-    t0 = time.perf_counter()
     if n < 1 or m < 1:
         raise InvalidParamsError("need n >= 1 and m >= 1")
     value = math.factorial(2 * m + 2) * power_sum(n, 2 * m + 1)
-    modulus = n * n
-    params = {"n": n, "m": m}
-    if value % modulus == 0:
-        return make_report("faulhaber", params, PASS,
-                           elapsed_ms=_ms(t0))
-    return make_report("faulhaber", params, FAIL,
-                       witness=Witness(str(value), "0", str(value % modulus)),
-                       elapsed_ms=_ms(t0))
+    return integer_report("faulhaber", {"n": n, "m": m}, value, n * n)
 
 
 def conjecture_coefficient(m, k):
@@ -83,19 +74,12 @@ def check_conjecture(inst):
     vanishes and the instance passes trivially; such reports carry the
     vanishing-sum note so sweep output stays interpretable.
     """
-    t0 = time.perf_counter()
     if not isinstance(inst, ConjectureInstance):
         inst = ConjectureInstance(*inst)
     coeff = conjecture_coefficient(inst.m, inst.k)
     power = 2 * inst.m + 1
     lower = 2 * inst.k + 1
     total = sum(math.comb(h, lower) ** power for h in range(inst.n))
-    value = coeff * total
-    modulus = inst.n * inst.n
-    params = {"n": inst.n, "m": inst.m, "k": inst.k}
-    note = "vanishing-sum" if total == 0 else None
-    if value % modulus == 0:
-        return make_report("conjecture", params, PASS, elapsed_ms=_ms(t0), note=note)
-    return make_report("conjecture", params, FAIL,
-                       witness=Witness(str(value), "0", str(value % modulus)),
-                       elapsed_ms=_ms(t0))
+    return integer_report("conjecture", {"n": inst.n, "m": inst.m, "k": inst.k},
+                          coeff * total, inst.n * inst.n,
+                          note="vanishing-sum" if total == 0 else None)

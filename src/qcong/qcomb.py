@@ -12,10 +12,7 @@ Notation used throughout the package:
 
     prod_{i=0}^{k-1} (1 - q^(n-i))  /  prod_{i=1}^{k} (1 - q^i)
 
-with exact polynomial division.  ``q_binomial_oracle`` computes the same
-value by a structurally unrelated route (the Pascal-style recurrence
-gauss(n,k) = gauss(n-1,k-1) + q^k * gauss(n-1,k)) and exists purely as a
-cross-check; the two must agree everywhere.
+with exact polynomial division.
 
 ``BINOMIAL_MEMO`` is the package's one Gaussian-binomial memo: every
 checker in :mod:`qcong.theorems` asks it, never ``q_binomial`` directly.
@@ -70,21 +67,6 @@ def q_binomial(n, k):
 
 def _one_minus_q_pow(j):
     return IntPoly._make([1] + [0] * (j - 1) + [-1])
-
-
-def q_binomial_oracle(n, k):
-    """Gaussian binomial via the Pascal-style recurrence; cross-check only.
-
-    Shares no code with ``q_binomial``: the value is assembled bottom-up from
-    gauss(i,j) = gauss(i-1,j-1) + q^j * gauss(i-1,j) with gauss(0,0) = 1.
-    """
-    if k < 0 or n < 0 or k > n:
-        return ZERO
-    row = [ONE] + [ZERO] * k  # row[j] = gauss(i, j) as i advances
-    for i in range(1, n + 1):
-        for j in range(min(i, k), 0, -1):
-            row[j] = row[j - 1] + row[j].shift(j)
-    return row[k]
 
 
 def q_pochhammer_eval(x, q, k):

@@ -12,10 +12,11 @@ pure function of the config.  Random samples come from SplitMix64 (the
 sampling procedures are documented in the README so an independent
 implementation can reproduce instance sets from the seed alone.
 
-Reports are aggregated in (claim_id, params) order no matter how many
-worker processes ran the checks, so identical configs yield identical
-output; ``stable_output`` additionally zeroes elapsed_ms for byte-exact
-diffs.
+``run_instance`` is the one place that reads a clock: it times each
+check call and stamps the report's elapsed_ms.  Reports are aggregated in
+(claim_id, params) order no matter how many worker processes ran the
+checks, so identical configs yield identical output; ``stable_output``
+additionally zeroes elapsed_ms for byte-exact diffs.
 
 Exit codes: 0 all pass/skip, 1 a theorem or identity check failed (an
 implementation bug or a falsified theorem), 2 usage error (including a
@@ -31,8 +32,9 @@ import io
 import itertools
 import json
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -305,30 +307,33 @@ def enumerate_instances(config):
 # --- execution ---------------------------------------------------------------------
 
 def run_instance(item):
-    """Execute one (claim_id, params) instance; used directly and by workers."""
+    """Check and time one (claim_id, params) instance; used directly and by workers."""
     claim_id, params = item
-    return CLAIMS[claim_id].check(**dict(params))
+    t0 = time.perf_counter()
+    report = CLAIMS[claim_id].check(**dict(params))
+    elapsed_ms = round((time.perf_counter() - t0) * 1000)
+    if elapsed_ms == report.elapsed_ms:  # checkers report 0; most checks take < 0.5 ms
+        return report
+    return replace(report, elapsed_ms=elapsed_ms)
 
 
 def execute(instances, jobs=1, fail_fast=False):
     """Run instances, optionally across processes; results in submission order."""
     reports = []
-    if jobs <= 1:
-        for item in instances:
-            report = run_instance(item)
-            reports.append(report)
-            if fail_fast and report.status == FAIL:
-                break
-        return reports
-    pool = ProcessPoolExecutor(max_workers=jobs)
+    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
     try:
-        chunk = max(1, len(instances) // (jobs * 8))
-        for report in pool.map(run_instance, instances, chunksize=chunk):
+        if pool is None:
+            results = map(run_instance, instances)
+        else:
+            chunk = max(1, len(instances) // (jobs * 8))
+            results = pool.map(run_instance, instances, chunksize=chunk)
+        for report in results:
             reports.append(report)
             if fail_fast and report.status == FAIL:
                 break
     finally:
-        pool.shutdown(wait=False, cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
     return reports
 
 

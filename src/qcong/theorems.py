@@ -73,20 +73,16 @@ Every Gaussian binomial used here comes from the shared bounded memo
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .congruence import (
-    FAIL,
     PASS,
     SKIPPED,
-    Witness,
-    _ms,
-    congruence_witness,
-    divides,
-    identity_witness,
+    congruence_report,
+    identity_report,
+    integer_report,
     is_prime,
     make_report,
     residue_equal_mod,
@@ -207,22 +203,14 @@ def weighted_sum(n, a_list):
 
 def check_thm1(n, a_list):
     """Divisibility of the prefactored weighted sum by [n] (claim id thm1)."""
-    t0 = time.perf_counter()
     w = weighted_sum(n, a_list)
-    product = multinom_factor(a_list) * w
-    modulus = q_int(n)
-    params = _a_params("n", n, a_list)
-    note = VANISHING_SUM if w.is_zero else None
-    if divides(modulus, product):
-        return make_report("thm1", params, PASS, elapsed_ms=_ms(t0), note=note)
-    return make_report("thm1", params, FAIL,
-                       witness=congruence_witness(product, ZERO, modulus),
-                       elapsed_ms=_ms(t0))
+    return congruence_report("thm1", _a_params("n", n, a_list),
+                             multinom_factor(a_list) * w, ZERO, q_int(n),
+                             note=VANISHING_SUM if w.is_zero else None)
 
 
 def q1_check(n, a_list):
     """The q = 1 congruence of thm1, in pure integer arithmetic (claim id q1)."""
-    t0 = time.perf_counter()
     params_t = ThmParams(n, tuple(a_list))
     s = sum(params_t.a_list) + 1
     numer = math.factorial(s)
@@ -240,14 +228,8 @@ def q1_check(n, a_list):
             if term == 0:
                 break
         total += term
-    value = factor * total
-    params = _a_params("n", n, a_list)
-    note = VANISHING_SUM if total == 0 else None
-    if value % n == 0:
-        return make_report("q1", params, PASS, elapsed_ms=_ms(t0), note=note)
-    return make_report("q1", params, FAIL,
-                       witness=Witness(str(value), "0", str(value % n)),
-                       elapsed_ms=_ms(t0))
+    return integer_report("q1", _a_params("n", n, a_list), factor * total, n,
+                          note=VANISHING_SUM if total == 0 else None)
 
 
 # --- the quotient polynomial: two independent routes -------------------------------
@@ -303,23 +285,17 @@ def sum_quotient_recurrence(n, a_list):
 
 def check_sum_lemma(n, a):
     """sum_{h<n} q^h gauss(h,a) = gauss(n, a+1) q^a (claim id sum_lemma)."""
-    t0 = time.perf_counter()
     if n < 1 or a < 0:
         raise InvalidParamsError("need n >= 1 and a >= 0")
     lhs = ZERO
     for h in range(n):
         lhs = lhs + BINOMIAL_MEMO.binomial(h, a).shift(h)
     rhs = BINOMIAL_MEMO.binomial(n, a + 1).shift(a)
-    params = {"n": n, "a": a}
-    if lhs == rhs:
-        return make_report("sum_lemma", params, PASS, elapsed_ms=_ms(t0))
-    return make_report("sum_lemma", params, FAIL,
-                       witness=identity_witness(lhs, rhs), elapsed_ms=_ms(t0))
+    return identity_report("sum_lemma", {"n": n, "a": a}, lhs, rhs)
 
 
 def check_chu_vandermonde(a, b, n):
     """The q-Chu-Vandermonde convolution, in Laurent form (claim id chu_vandermonde)."""
-    t0 = time.perf_counter()
     if a < 0 or b < 0 or n < 0:
         raise InvalidParamsError("need a, b, n >= 0")
     lhs = LaurentPoly()
@@ -329,33 +305,21 @@ def check_chu_vandermonde(a, b, n):
             continue
         lhs = lhs + LaurentPoly(coeff, k * (b - n + k))
     rhs = LaurentPoly.from_poly(BINOMIAL_MEMO.binomial(a + b, n))
-    params = {"a": a, "b": b, "n": n}
-    if lhs == rhs:
-        return make_report("chu_vandermonde", params, PASS, elapsed_ms=_ms(t0))
-    return make_report("chu_vandermonde", params, FAIL,
-                       witness=identity_witness(lhs, rhs), elapsed_ms=_ms(t0))
+    return identity_report("chu_vandermonde", {"a": a, "b": b, "n": n}, lhs, rhs)
 
 
 def check_p_minus_one_lemma(p, j):
     """q^C(j+1,2) gauss(p-1, j) == (-1)^j (mod [p]) (claim id p_minus_one)."""
-    t0 = time.perf_counter()
     if not is_prime(p):
         raise InvalidParamsError("p must be prime, got %r" % (p,))
     if not 0 <= j <= p - 1:
         raise InvalidParamsError("need 0 <= j <= p-1")
-    modulus = q_int(p)
     lhs = BINOMIAL_MEMO.binomial(p - 1, j).shift(math.comb(j + 1, 2))
-    rhs = _sign(j) * ONE
-    params = {"p": p, "j": j}
-    if residue_equal_mod(lhs, rhs, modulus):
-        return make_report("p_minus_one", params, PASS, elapsed_ms=_ms(t0))
-    return make_report("p_minus_one", params, FAIL,
-                       witness=congruence_witness(lhs, rhs, modulus), elapsed_ms=_ms(t0))
+    return congruence_report("p_minus_one", {"p": p, "j": j}, lhs, _sign(j) * ONE, q_int(p))
 
 
 def check_residue_identity(a, b):
     """The alternating triple-product sum equal to (-1)^b q^(ab - C(a,2) - C(b,2))."""
-    t0 = time.perf_counter()
     if a < 0 or b < 0:
         raise InvalidParamsError("need a, b >= 0")
     lhs = LaurentPoly()
@@ -368,16 +332,11 @@ def check_residue_identity(a, b):
         lhs = lhs + LaurentPoly(_sign(k) * coeff, e)
     rhs = LaurentPoly(_sign(b) * ONE,
                       a * b - math.comb(a, 2) - math.comb(b, 2))
-    params = {"a": a, "b": b}
-    if lhs == rhs:
-        return make_report("residue_identity", params, PASS, elapsed_ms=_ms(t0))
-    return make_report("residue_identity", params, FAIL,
-                       witness=identity_witness(lhs, rhs), elapsed_ms=_ms(t0))
+    return identity_report("residue_identity", {"a": a, "b": b}, lhs, rhs)
 
 
 def check_symmetric_identity(a, b):
     """The a<->b symmetric alternating sum equal to (-1)^(a-b)."""
-    t0 = time.perf_counter()
     if a < 0 or b < 0:
         raise InvalidParamsError("need a, b >= 0")
     lhs = LaurentPoly()
@@ -390,11 +349,7 @@ def check_symmetric_identity(a, b):
         e = math.comb(k + 1, 2) + base - (k + 1) * (a + b)
         lhs = lhs + LaurentPoly(_sign(k) * coeff, e)
     rhs = LaurentPoly(_sign(a - b) * ONE, 0)
-    params = {"a": a, "b": b}
-    if lhs == rhs:
-        return make_report("symmetric_identity", params, PASS, elapsed_ms=_ms(t0))
-    return make_report("symmetric_identity", params, FAIL,
-                       witness=identity_witness(lhs, rhs), elapsed_ms=_ms(t0))
+    return identity_report("symmetric_identity", {"a": a, "b": b}, lhs, rhs)
 
 
 # --- the prime-squared refinement ----------------------------------------------------
@@ -406,7 +361,6 @@ def check_thm2(p, a, b):
     [0, p-1] and, independently, with denominators cleared by q^|e|; the two
     routes must agree (anything else is an InternalError).
     """
-    t0 = time.perf_counter()
     ThmParams(p, (a, b), p=p)  # validates primality and p > max(a, b)
     mod_p = q_int(p)
     mod_p2 = mod_p * mod_p
@@ -414,27 +368,21 @@ def check_thm2(p, a, b):
     sign = _sign(a - b)
     e = a * b - math.comb(a, 2) - math.comb(b, 2)
     rhs_norm = (sign * ONE).shift(e % p) * mod_p
-    ok_norm = residue_equal_mod(lhs, rhs_norm, mod_p2)
+    report = congruence_report("thm2", {"p": p, "a": a, "b": b}, lhs, rhs_norm, mod_p2)
     if e >= 0:
         ok_clear = residue_equal_mod(lhs, (sign * ONE).shift(e) * mod_p, mod_p2)
     else:
         ok_clear = residue_equal_mod(lhs.shift(-e), sign * mod_p, mod_p2)
-    if ok_norm != ok_clear:
+    if (report.status == PASS) != ok_clear:
         raise InternalError(
             "normalized and cleared checks disagree at p=%d a=%d b=%d" % (p, a, b))
-    params = {"p": p, "a": a, "b": b}
-    if ok_norm:
-        return make_report("thm2", params, PASS, elapsed_ms=_ms(t0))
-    return make_report("thm2", params, FAIL,
-                       witness=congruence_witness(lhs, rhs_norm, mod_p2),
-                       elapsed_ms=_ms(t0))
+    return report
 
 
 # --- the balanced 3phi2 summation at rational points ---------------------------------
 
 def check_pfaff_saalschutz(x, y, z, q, n):
     """Terminating balanced summation at exact rationals (claim id qpfaff)."""
-    t0 = time.perf_counter()
     if not isinstance(n, int) or n < 0:
         raise InvalidParamsError("n must be an integer >= 0")
     x, y, z, q = Fraction(x), Fraction(y), Fraction(z), Fraction(q)
@@ -448,13 +396,8 @@ def check_pfaff_saalschutz(x, y, z, q, n):
     try:
         lhs, rhs = _pfaff_sides(x, y, z, q, n)
     except SingularSpecialization as exc:
-        return make_report("qpfaff", params, SKIPPED,
-                           elapsed_ms=_ms(t0), note=str(exc))
-    if lhs == rhs:
-        return make_report("qpfaff", params, PASS, elapsed_ms=_ms(t0))
-    return make_report("qpfaff", params, FAIL,
-                       witness=Witness(str(lhs), str(rhs), str(lhs - rhs)),
-                       elapsed_ms=_ms(t0))
+        return make_report("qpfaff", params, SKIPPED, note=str(exc))
+    return identity_report("qpfaff", params, lhs, rhs)
 
 
 def _pfaff_sides(x, y, z, q, n):

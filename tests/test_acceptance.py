@@ -21,10 +21,11 @@ import random
 import time
 
 import pytest
+from oracles import q_binomial_oracle
 
 from qcong.faulhaber import check_conjecture, check_faulhaber_cong
 from qcong.poly import IntPoly
-from qcong.qcomb import q_binomial, q_binomial_oracle, q_int
+from qcong.qcomb import q_binomial, q_int
 from qcong.sweep import (
     SplitMix64,
     SweepConfig,

@@ -7,8 +7,10 @@ sampled instances.
 
 import hashlib
 import json
+import multiprocessing
 import os
 import re
+import time
 
 import pytest
 
@@ -25,6 +27,7 @@ from qcong.sweep import (
     exit_code_for,
     pfaff_sample_instances,
     render_report,
+    run_instance,
     run_suite,
 )
 import qcong.sweep as sweep_mod
@@ -257,6 +260,16 @@ class TestExecution:
         assert len(reports) == 1
         assert len(calls) == 1
 
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers see the patched CLAIMS row only when forked")
+    def test_fail_fast_stops_the_pool(self, monkeypatch):
+        _patch_check(monkeypatch, "sum_lemma",
+                     lambda n, a: make_report("sum_lemma", {"n": n, "a": a}, FAIL,
+                                              witness=Witness("1", "0", "1")))
+        instances = [("sum_lemma", (("n", i), ("a", 0))) for i in range(1, 41)]
+        assert len(execute(instances, jobs=2, fail_fast=True)) == 1
+        assert len(execute(instances, jobs=2)) == 40
+
     def test_parallel_matches_serial(self):
         cfg = _cfg(suite="identities", n_max=4, a_max=2, prime_set=(2,),
                    sample_count=0)
@@ -266,6 +279,27 @@ class TestExecution:
         key = lambda r: r.sort_key
         assert [(r.claim_id, r.params, r.status) for r in sorted(serial, key=key)] \
             == [(r.claim_id, r.params, r.status) for r in sorted(parallel, key=key)]
+
+
+class TestTiming:
+    def test_run_instance_times_the_check(self, monkeypatch):
+        def slow(n, m):
+            time.sleep(0.02)
+            return make_report("faulhaber", {"n": n, "m": m}, PASS)
+
+        _patch_check(monkeypatch, "faulhaber", slow)
+        r = run_instance(("faulhaber", (("n", 3), ("m", 1))))
+        assert r.elapsed_ms >= 15
+        assert (r.claim_id, r.params, r.status) == ("faulhaber", (("n", 3), ("m", 1)), PASS)
+
+    def test_direct_check_reports_zero(self):
+        # thm2 at p = 17 takes milliseconds, yet a direct call is not timed
+        assert CLAIMS["thm2"].check(p=17, a=16, b=15).elapsed_ms == 0
+        cfg = _cfg(suite="all", n_max=3, m_max=1, a_max=1, prime_set=(3,), sample_count=2)
+        first = dict(reversed(enumerate_instances(cfg)))  # each claim's first instance
+        assert set(first) == set(CLAIMS)
+        for claim_id, params in first.items():
+            assert CLAIMS[claim_id].check(**dict(params)).elapsed_ms == 0, claim_id
 
 
 class TestRunSuite:

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from qcong import faulhaber
 from qcong.errors import InvalidParamsError
 from qcong.faulhaber import (
     ConjectureInstance,
@@ -113,3 +114,28 @@ def test_conjecture_small_sweep_passes():
 
 def test_conjecture_accepts_tuple():
     assert check_conjecture((7, 2, 1)).status == "pass"
+
+
+def _power_sum_plus_one(monkeypatch):
+    power_sum_orig = faulhaber.power_sum
+    monkeypatch.setattr(faulhaber, "power_sum", lambda n, e: power_sum_orig(n, e) + 1)
+
+
+def _coefficient_plus_one(monkeypatch):
+    coeff_orig = faulhaber.conjecture_coefficient
+    monkeypatch.setattr(faulhaber, "conjecture_coefficient",
+                        lambda m, k: coeff_orig(m, k) + 1)
+
+
+@pytest.mark.parametrize("corrupt, check, witness", [
+    pytest.param(_power_sum_plus_one, lambda: check_faulhaber_cong(5, 1),
+                 ("2424", "0", "24"), id="faulhaber"),
+    pytest.param(_coefficient_plus_one, lambda: check_conjecture(ConjectureInstance(5, 1, 1)),
+                 ("1092065", "0", "15"), id="conjecture"),
+])
+def test_fail_branch_witness(monkeypatch, corrupt, check, witness):
+    corrupt(monkeypatch)
+    r = check()
+    assert r.status == "fail"
+    assert (r.witness.lhs, r.witness.rhs, r.witness.difference) == witness
+    assert r.note is None

@@ -4,13 +4,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from oracles import q_binomial_oracle
 
 from qcong.poly import ONE, ZERO, IntPoly
 from qcong.qcomb import (
     LaurentPoly,
     QBinomialCache,
     q_binomial,
-    q_binomial_oracle,
     q_factorial,
     q_int,
     q_pochhammer_eval,

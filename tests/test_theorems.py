@@ -3,10 +3,11 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from qcong import qcomb
+from qcong import qcomb, theorems
 from qcong.errors import InvalidParamsError
 from qcong.poly import ONE, ZERO, IntPoly
 from qcong.qcomb import LaurentPoly, q_binomial, q_factorial, q_int
@@ -368,8 +369,78 @@ def test_pfaff_validation():
         check_pfaff_saalschutz(2, 3, 5, 2, -1)
 
 
-# --- reports carry timing --------------------------------------------------------------------
+# --- every checker's fail branch, reached by corrupting one input ---------------------------
+
+class _BinomialsPlusOne:
+    """Stand-in for ``BINOMIAL_MEMO`` whose every Gaussian binomial is off by one."""
+
+    def binomial(self, n, k):
+        return qcomb.BINOMIAL_MEMO.binomial(n, k) + 1
+
+
+def _modulus_shifted(monkeypatch):
+    monkeypatch.setattr(theorems, "q_int", lambda n: q_int(n + 1))
+
+
+def _binomials_plus_one(monkeypatch):
+    monkeypatch.setattr(theorems, "BINOMIAL_MEMO", _BinomialsPlusOne())
+
+
+def _comb_row_zero_is_one(monkeypatch):
+    fake = SimpleNamespace(factorial=math.factorial,
+                           comb=lambda h, a: math.comb(h, a) + (h == 0))
+    monkeypatch.setattr(theorems, "math", fake)
+
+
+def _pfaff_lhs_plus_one(monkeypatch):
+    sides = theorems._pfaff_sides
+
+    def shifted(*args):
+        lhs, rhs = sides(*args)
+        return lhs + 1, rhs
+
+    monkeypatch.setattr(theorems, "_pfaff_sides", shifted)
+
+
+@pytest.fixture
+def fresh_product_cache():
+    """Keep products built from corrupted binomials out of later tests."""
+    theorems._PRODUCT_CACHE.clear()
+    yield
+    theorems._PRODUCT_CACHE.clear()
+
+
+@pytest.mark.parametrize("corrupt, check, witness", [
+    pytest.param(_modulus_shifted, lambda: check_thm1(3, [1]),
+                 ("q + 2*q^2 + 2*q^3 + q^4", "0", "-1 - q"), id="thm1"),
+    pytest.param(_comb_row_zero_is_one, lambda: q1_check(3, [1]),
+                 ("8", "0", "2"), id="q1"),
+    pytest.param(_modulus_shifted, lambda: check_thm2(3, 1, 0),
+                 ("q + 2*q^2 + 2*q^3 + q^4", "-1 - q - q^2 - q^3",
+                  "1 + 2*q + 3*q^2 + 3*q^3 + q^4"), id="thm2"),
+    pytest.param(_binomials_plus_one, lambda: check_sum_lemma(3, 1),
+                 ("1 + 2*q + 2*q^2 + q^3", "2*q + q^2 + q^3", "1 + q^2"), id="sum_lemma"),
+    pytest.param(_binomials_plus_one, lambda: check_chu_vandermonde(2, 1, 1),
+                 ("4 + 4*q + 2*q^2", "2 + q + q^2", "2 + 3*q + q^2"), id="chu_vandermonde"),
+    pytest.param(_modulus_shifted, lambda: check_p_minus_one_lemma(3, 1),
+                 ("q + q^2", "-1", "1 + q + q^2"), id="p_minus_one"),
+    pytest.param(_binomials_plus_one, lambda: check_residue_identity(1, 1),
+                 ("-4*q + 2*q^2", "-q", "-3*q + 2*q^2"), id="residue_identity"),
+    pytest.param(_binomials_plus_one, lambda: check_symmetric_identity(1, 1),
+                 ("4 - 2*q", "1", "3 - 2*q"), id="symmetric_identity"),
+    pytest.param(_pfaff_lhs_plus_one, lambda: check_pfaff_saalschutz(2, 3, 5, 2, 1),
+                 ("-1/2", "-3/2", "1"), id="qpfaff"),
+])
+def test_fail_branch_witness(monkeypatch, fresh_product_cache, corrupt, check, witness):
+    corrupt(monkeypatch)
+    r = check()
+    assert r.status == "fail"
+    assert (r.witness.lhs, r.witness.rhs, r.witness.difference) == witness
+    assert r.note is None
+
+
+# --- checkers do not time themselves; the sweep does ----------------------------------------
 
 def test_elapsed_nonnegative():
-    assert check_thm1(5, [2, 1]).elapsed_ms >= 0
+    assert check_thm1(5, [2, 1]).elapsed_ms == 0
     assert q_factorial(0) == ONE  # keep import exercised
