@@ -19,6 +19,7 @@ read no clock: ``sweep.run_instance`` stamps each report's ``elapsed_ms``."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import LeadingCoeffNotUnitError, NotDivisibleError
 from .poly import IntPoly
@@ -42,19 +43,64 @@ def divides(d, a):
         return False
 
 
+def _q_int_power(m):
+    """(n, e) when m is [n]^e for e in (1, 2), read off m's coefficients; else None."""
+    c = m.coeffs
+    if c and c.count(1) == len(c):
+        return len(c), 1
+    n = (len(c) + 1) // 2
+    if c == tuple(range(1, n + 1)) + tuple(range(n - 1, 0, -1)):
+        return n, 2
+    return None
+
+
+def fold(a, m):
+    """a reduced modulo (q^n - 1)^e when m = [n]^e, e in (1, 2); else a itself.
+
+    (q^n - 1)^e = (q - 1)^e [n]^e is a multiple of m, so the result is
+    congruent to a modulo m and has degree below e*n.  With y = q^n and
+    a = sum_j a_j y^j (deg a_j < n): for e = 1, y == 1 and the fold is the
+    sum A of the length-n blocks a_j; for e = 2, y^j == (1 - j) + j*y, so
+    a == (A - B) + q^n * B with B = sum_j j*a_j.
+    """
+    shape = _q_int_power(m)
+    if shape is None:
+        return a
+    n, e = shape
+    c = a.coeffs
+    if len(c) <= e * n:
+        return a
+    if e == 1:
+        return IntPoly._make([sum(c[i::n]) for i in range(n)])
+    low, high = [], []
+    for i in range(n):
+        blocks = c[i::n]
+        b = sum(map(mul, range(len(blocks)), blocks))
+        low.append(sum(blocks) - b)
+        high.append(b)
+    return IntPoly._make(low + high)
+
+
 def rem_mod(a, m):
-    """Euclidean remainder of a modulo m (m unit-leading)."""
-    _, rem = a.divrem(m)
+    """Euclidean remainder of a modulo m (m unit-leading).
+
+    The remainder is unique, so dividing ``fold(a, m)`` gives the same one.
+    """
+    _, rem = fold(a, m).divrem(m)
     return rem
 
 
 def residue_equal_mod(a, b, m):
-    """True iff a == b (mod m), i.e. m divides a - b; m unit-leading."""
+    """True iff a == b (mod m), i.e. m divides a - b; m unit-leading.
+
+    Decided by an exact division of ``fold(a - b, m)``, whose degree is at
+    most deg(m) + 1 when m is [n] or [n]^2.
+    """
     if m.is_zero:
         raise ZeroDivisionError("zero modulus")
     if m.coeffs[-1] not in (1, -1):
         raise LeadingCoeffNotUnitError("modulus must have unit leading coefficient")
-    return divides(m, a - b if b else a)  # against b == 0, skip copying a
+    return divides(m, fold(a - b if b else a, m))  # against b == 0, skip copying a
 
 
 def is_prime(n):

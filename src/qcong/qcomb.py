@@ -12,7 +12,9 @@ Notation used throughout the package:
 
     prod_{i=0}^{k-1} (1 - q^(n-i))  /  prod_{i=1}^{k} (1 - q^i)
 
-with exact polynomial division.
+one factor pair at a time: a shifted subtraction multiplies by 1 - q^m, and
+a running sum over the residues mod m divides exactly by 1 - q^m, so no
+long division is involved.
 
 ``BINOMIAL_MEMO`` is the package's one Gaussian-binomial memo: every
 checker in :mod:`qcong.theorems` asks it, never ``q_binomial`` directly.
@@ -27,8 +29,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from operator import sub
 
-from .errors import InternalError, NotDivisibleError
+from .errors import InternalError
 from .poly import ONE, ZERO, IntPoly, _format_terms
 
 
@@ -50,23 +54,36 @@ def q_factorial(n):
 
 
 def q_binomial(n, k):
-    """Gaussian binomial via the product formula; zero out of range."""
+    """Gaussian binomial via the product formula; zero out of range.
+
+    Built one row step at a time: gauss(n, i+1) = gauss(n, i) *
+    (1 - q^(n-i)) / (1 - q^(i+1)) for i below min(k, n-k).
+    """
     if k < 0 or n < 0 or k > n:
         return ZERO
-    num = ONE
-    den = ONE
-    for i in range(k):
-        num = num * _one_minus_q_pow(n - i)
-        den = den * _one_minus_q_pow(i + 1)
-    try:
-        return num.exact_div(den)
-    except NotDivisibleError as exc:  # mathematically impossible
-        raise InternalError("Gaussian binomial product not divisible "
-                            "for n=%d k=%d" % (n, k)) from exc
+    row = [1]
+    for i in range(min(k, n - k)):
+        m = n - i
+        stepped = row + [0] * m
+        stepped[m:] = map(sub, stepped[m:], row)  # times 1 - q^m
+        row = _div_one_minus_q_pow(stepped, i + 1)
+    return IntPoly._make(row)
 
 
-def _one_minus_q_pow(j):
-    return IntPoly._make([1] + [0] * (j - 1) + [-1])
+def _div_one_minus_q_pow(c, m):
+    """The coefficient list of c / (1 - q^m), raising InternalError unless exact.
+
+    The quotient satisfies out_i = c_i + out_(i-m), a running sum over each
+    residue class mod m.  Carried over the m top terms of c, which the
+    quotient drops, the sum must vanish: c_top == -out_(top-m).
+    """
+    out = list(c)
+    for r in range(m):
+        out[r::m] = accumulate(out[r::m])
+    size = max(len(c) - m, 0)
+    if any(out[size:]):
+        raise InternalError("not a multiple of 1 - q^%d" % m)
+    return out[:size]
 
 
 def q_pochhammer_eval(x, q, k):

@@ -21,8 +21,11 @@ thm2
         == (-1)^(a-b) * q^(ab - C(a,2) - C(b,2)) * [p]   (mod [p]^2),
     the right side's exponent reduced into [0, p-1]; the reduction is
     legitimate because (q^p - 1)[p] = (q - 1)[p]^2.  The checker also runs
-    the denominator-clearing variant (multiply both sides by q^|e| when the
-    raw exponent e is negative) and insists the two verdicts agree.
+    an independent route: with denominators cleared (both sides times q^|e|
+    when the raw exponent e is negative), the difference D of the sides is
+    divisible by [p]^2 exactly when [p] divides both D and its derivative
+    D', since [p] = Phi_p is irreducible and separable.  The two verdicts
+    must agree.
 
 sum_lemma
     sum_{h=0}^{n-1} q^h gauss(h,a) = gauss(n, a+1) * q^a.
@@ -90,11 +93,10 @@ from .congruence import (
 from .errors import (
     InternalError,
     InvalidParamsError,
-    NotDivisibleError,
     SingularSpecialization,
 )
 from .poly import ONE, ZERO, IntPoly
-from .qcomb import BINOMIAL_MEMO, LaurentPoly, q_factorial, q_int, q_pochhammer_eval
+from .qcomb import BINOMIAL_MEMO, LaurentPoly, q_int, q_pochhammer_eval
 
 VANISHING_SUM = "vanishing-sum"
 
@@ -136,19 +138,20 @@ def _a_params(n_name, n, a_list):
 # --- the weighted sum and its prefactor ------------------------------------------
 
 def multinom_factor(a_list):
-    """[a1+...+am+1]! / ([a1]! ... [am]!), an exact polynomial quotient."""
+    """[a1+...+am+1]! / ([a1]! ... [am]!), a product of Gaussian binomials."""
     params = ThmParams(1, tuple(a_list))
     return _multinom_factor_cached(params.a_list)
 
 
 @lru_cache(maxsize=4096)
 def _multinom_factor_cached(a_tuple):
-    out = q_factorial(sum(a_tuple) + 1)
-    for a in sorted(a_tuple, reverse=True):  # biggest divisor first, cheapest order
-        try:
-            out = out.exact_div(q_factorial(a))
-        except NotDivisibleError as exc:
-            raise InternalError("factorial quotient not exact for %r" % (a_tuple,)) from exc
+    # [s]!/prod[a_i]! telescopes into prod_i gauss(s_i, a_i), s_i the partial
+    # sums, taken here biggest a_i first; the last factor gauss(s+1, 1) is [s+1]
+    out = ONE
+    s = 0
+    for a in sorted(a_tuple, reverse=True) + [1]:
+        s += a
+        out = out * BINOMIAL_MEMO.binomial(s, a)
     return out
 
 
@@ -358,8 +361,11 @@ def check_thm2(p, a, b):
     """The mod [p]^2 refinement for pairs (claim id thm2).
 
     Verifies the congruence with the right-hand exponent normalized into
-    [0, p-1] and, independently, with denominators cleared by q^|e|; the two
-    routes must agree (anything else is an InternalError).
+    [0, p-1], and again by a second route: with denominators cleared by
+    q^|e|, the difference D of the two sides must satisfy [p] | D and
+    [p] | D'.  That is exact because [p] = Phi_p is irreducible and
+    separable.  The two routes must agree (anything else is an
+    InternalError).
     """
     ThmParams(p, (a, b), p=p)  # validates primality and p > max(a, b)
     mod_p = q_int(p)
@@ -370,9 +376,12 @@ def check_thm2(p, a, b):
     rhs_norm = (sign * ONE).shift(e % p) * mod_p
     report = congruence_report("thm2", {"p": p, "a": a, "b": b}, lhs, rhs_norm, mod_p2)
     if e >= 0:
-        ok_clear = residue_equal_mod(lhs, (sign * ONE).shift(e) * mod_p, mod_p2)
+        cleared = lhs - (sign * ONE).shift(e) * mod_p
     else:
-        ok_clear = residue_equal_mod(lhs.shift(-e), sign * mod_p, mod_p2)
+        cleared = lhs.shift(-e) - sign * mod_p
+    derivative = IntPoly._make([i * c for i, c in enumerate(cleared.coeffs)][1:])
+    ok_clear = (residue_equal_mod(cleared, ZERO, mod_p)
+                and residue_equal_mod(derivative, ZERO, mod_p))
     if (report.status == PASS) != ok_clear:
         raise InternalError(
             "normalized and cleared checks disagree at p=%d a=%d b=%d" % (p, a, b))

@@ -1,6 +1,7 @@
 """Slow reference routes that the tests compare the package against."""
 
 from qcong.poly import ONE, ZERO
+from qcong.qcomb import q_factorial
 
 
 def q_binomial_oracle(n, k):
@@ -17,3 +18,15 @@ def q_binomial_oracle(n, k):
         for j in range(min(i, k), 0, -1):
             row[j] = row[j - 1] + row[j].shift(j)
     return row[k]
+
+
+def multinom_factor_oracle(a_list):
+    """[a1+...+am+1]! / ([a1]! ... [am]!) by exact division of q-factorials.
+
+    Shares no code with ``theorems.multinom_factor`` (a product of Gaussian
+    binomials): the quotient is divided out of [s]! one factorial at a time.
+    """
+    out = q_factorial(sum(a_list) + 1)
+    for a in a_list:
+        out = out.exact_div(q_factorial(a))
+    return out

@@ -1,13 +1,17 @@
 """Congruence engine tests, including the exponent-period identity for [p]."""
 
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcong.congruence import (
     CongruenceReport,
     Witness,
     divides,
+    fold,
     is_prime,
     make_report,
     rem_mod,
@@ -85,6 +89,63 @@ def test_exponent_normalization_respects_period():
             for t in (t0, t0 + 1):
                 lifted = q_power(e + p * t) * q_int(p)
                 assert residue_equal_mod(q_power(norm) * q_int(p), lifted, msq), (p, e, t)
+
+
+# --- fold: reduction modulo (q^n - 1)^e before the division --------------------------
+
+BIG = 2 ** 200
+FOLDED = [q_int(n) ** e for n in range(1, 26) for e in (1, 2)]
+UNRECOGNISED = [IntPoly([1, 2, 0, 1]), IntPoly([-1, 0, 1])]  # 1 + 2q + q^3, -1 + q^2
+
+
+def _random_poly(rng, max_len=401):
+    coeffs = [rng.choice((rng.randint(-9, 9), rng.randint(-BIG, BIG), BIG, -BIG, 0))
+              for _ in range(rng.randrange(max_len))]
+    return IntPoly(coeffs)
+
+
+def test_fold_remainder_equals_divrem_seeded():
+    rng = random.Random(20150611)
+    for m in FOLDED + UNRECOGNISED:
+        for _ in range(12):
+            a = _random_poly(rng)
+            assert rem_mod(a, m) == a.divrem(m)[1], (m, a)
+            assert residue_equal_mod(a, ZERO, m) == a.divrem(m)[1].is_zero
+
+
+def test_fold_degree_and_congruence():
+    rng = random.Random(7)
+    for n in range(1, 26):
+        for e in (1, 2):
+            m = q_int(n) ** e
+            power = 1 if n == 1 else e  # [1]^2 = [1] reads as e = 1
+            period = (ONE.shift(n) - ONE) ** power
+            for _ in range(4):
+                a = _random_poly(rng)
+                folded = fold(a, m)
+                assert folded.degree < power * n
+                assert divides(period, a - folded), (n, e)
+
+
+def test_fold_leaves_unrecognised_moduli_alone():
+    a = IntPoly(list(range(-30, 31)))
+    for m in UNRECOGNISED + [IntPoly([1, 1, 2]), IntPoly([1, 2, 3, 2, 2]), -q_int(4)]:
+        assert fold(a, m) is a
+    assert fold(IntPoly([5, 6]), q_int(3)) == IntPoly([5, 6])  # already reduced
+
+
+def test_fold_known_values():
+    # q^5 == q^2 mod q^3 - 1; mod (q^2 - 1)^2, q^(2j) == (1 - j) + j q^2
+    assert fold(ONE.shift(5), q_int(3)) == ONE.shift(2)
+    assert fold(ONE.shift(6), q_int(2) * q_int(2)) == IntPoly([-2, 0, 3])
+
+
+@given(st.lists(st.integers(min_value=-BIG, max_value=BIG), max_size=400),
+       st.sampled_from(FOLDED + UNRECOGNISED))
+@settings(max_examples=300, deadline=None)
+def test_fold_remainder_equals_divrem_hypothesis(coeffs, m):
+    a = IntPoly(coeffs)
+    assert rem_mod(a, m) == a.divrem(m)[1]
 
 
 def test_is_prime_small():

@@ -1,15 +1,17 @@
-"""Kernel multiply and division checked against sympy's Poly over ZZ.
+"""Kernel multiply, division and folded remainders checked against sympy's Poly over ZZ.
 
 sympy is an independent implementation of the same ring arithmetic, so a
 shared bug in ``_mul_lists`` and its schoolbook reference would show here.
-It is not a declared dependency; the module is skipped without it.
+It is in the ``test`` extra; the module is skipped without it.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcong.congruence import rem_mod
 from qcong.poly import IntPoly
+from qcong.qcomb import q_int
 
 sympy = pytest.importorskip("sympy")
 
@@ -40,3 +42,15 @@ def test_divrem_matches_sympy(a, body, lead):
     b = IntPoly(body + [lead])
     quot, rem = to_sympy(a).div(to_sympy(b))
     assert a.divrem(b) == (from_sympy(quot), from_sympy(rem))
+
+
+MODULI = ([q_int(n) ** e for n in range(1, 26) for e in (1, 2)]
+          + [IntPoly([1, 2, 0, 1]), IntPoly([-1, 0, 1])])
+
+
+@given(st.lists(st.integers(min_value=-2 ** 200, max_value=2 ** 200), max_size=400),
+       st.sampled_from(MODULI))
+@settings(max_examples=200, deadline=None)
+def test_rem_mod_matches_sympy(coeffs, m):
+    a = IntPoly(coeffs)
+    assert rem_mod(a, m) == from_sympy(to_sympy(a).rem(to_sympy(m)))

@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 from oracles import q_binomial_oracle
 
+from qcong.errors import InternalError
 from qcong.poly import ONE, ZERO, IntPoly
 from qcong.qcomb import (
     LaurentPoly,
     QBinomialCache,
+    _div_one_minus_q_pow,
     q_binomial,
     q_factorial,
     q_int,
@@ -68,9 +70,15 @@ def test_q_binomial_edges():
 
 
 def test_q_binomial_matches_oracle():
-    for n in range(26):
-        for k in range(n + 1):
-            assert q_binomial(n, k) == q_binomial_oracle(n, k), (n, k)
+    cases = [(n, k) for n in range(26) for k in range(n + 1)]
+    for n, k in cases + [(80, 1), (80, 7), (80, 40), (80, 79)]:
+        assert q_binomial(n, k) == q_binomial_oracle(n, k), (n, k)
+
+
+def test_div_one_minus_q_pow_rejects_a_non_multiple():
+    for c, m in (([1, 1], 1), ([1, 0, 0, -2], 3), ([1, 2, 3], 4), ([1, 0, -1, 1], 2)):
+        with pytest.raises(InternalError):
+            _div_one_minus_q_pow(c, m)
 
 
 def test_q_binomial_structure():

@@ -1,14 +1,16 @@
 """Checker tests: frozen small cases first, then grids and cross-route agreement."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from oracles import multinom_factor_oracle
 
-from qcong import qcomb, theorems
-from qcong.errors import InvalidParamsError
+from qcong import congruence, qcomb, theorems
+from qcong.errors import InternalError, InvalidParamsError
 from qcong.poly import ONE, ZERO, IntPoly
 from qcong.qcomb import LaurentPoly, q_binomial, q_factorial, q_int
 from qcong.theorems import (
@@ -39,6 +41,12 @@ def test_multinom_factor_frozen():
 
 def test_multinom_factor_symmetric():
     assert multinom_factor([3, 1, 2]) == multinom_factor([1, 2, 3])
+
+
+def test_multinom_factor_matches_factorial_quotient():
+    for m in range(1, 4):
+        for a_list in itertools.product(range(7), repeat=m):
+            assert multinom_factor(a_list) == multinom_factor_oracle(a_list), a_list
 
 
 def test_weighted_sum_frozen():
@@ -299,6 +307,29 @@ def test_thm2_lhs_symmetric_in_a_b():
         assert lhs_ab == lhs_ba
 
 
+def test_thm2_cross_check_catches_a_fold_without_its_b_term(monkeypatch):
+    # a mutant fold that reduces mod [n]^2 as if y^j == 1 (dropping B) breaks
+    # the first route only; the derivative route folds mod [p] and must disagree
+    fold = congruence.fold
+
+    def without_b(a, m):
+        c = a.coeffs
+        n = (len(m.coeffs) + 1) // 2
+        if n > 1 and m == q_int(n) * q_int(n) and len(c) > 2 * n:
+            return IntPoly([sum(c[i::n]) for i in range(n)])
+        return fold(a, m)
+
+    monkeypatch.setattr(congruence, "fold", without_b)
+    raised = 0
+    for a in range(7):
+        for b in range(7):
+            try:
+                assert check_thm2(7, a, b).status == "pass"
+            except InternalError:
+                raised += 1
+    assert raised > 0
+
+
 def test_thm2_validation():
     with pytest.raises(InvalidParamsError):
         check_thm2(4, 1, 1)  # not prime
@@ -382,6 +413,14 @@ def _modulus_shifted(monkeypatch):
     monkeypatch.setattr(theorems, "q_int", lambda n: q_int(n + 1))
 
 
+def _weighted_sum_plus_modulus(monkeypatch):
+    # adds prefactor * [n]: off by a multiple of [p] but not of [p]^2, which
+    # only the derivative half of thm2's second route can see
+    weighted = theorems.weighted_sum
+    monkeypatch.setattr(theorems, "weighted_sum",
+                        lambda n, a_list: weighted(n, a_list) + q_int(n))
+
+
 def _binomials_plus_one(monkeypatch):
     monkeypatch.setattr(theorems, "BINOMIAL_MEMO", _BinomialsPlusOne())
 
@@ -404,10 +443,24 @@ def _pfaff_lhs_plus_one(monkeypatch):
 
 @pytest.fixture
 def fresh_product_cache():
-    """Keep products built from corrupted binomials out of later tests."""
+    """Keep products and prefactors built from corrupted binomials out of later tests."""
     theorems._PRODUCT_CACHE.clear()
+    theorems._multinom_factor_cached.cache_clear()
     yield
     theorems._PRODUCT_CACHE.clear()
+    theorems._multinom_factor_cached.cache_clear()
+
+
+# thm1 (7, [3, 2]) and thm2 (7, 3, 2) share this product; it is long enough
+# that the corrupted moduli [8] and [8]^2 fold it before dividing.
+_LHS_7_3_2 = (
+    "q^3 + 4*q^4 + 12*q^5 + 29*q^6 + 62*q^7 + 119*q^8 + 210*q^9"
+    " + 343*q^10 + 525*q^11 + 755*q^12 + 1027*q^13 + 1324*q^14"
+    " + 1623*q^15 + 1894*q^16 + 2108*q^17 + 2238*q^18 + 2268*q^19"
+    " + 2193*q^20 + 2022*q^21 + 1776*q^22 + 1483*q^23 + 1175*q^24"
+    " + 880*q^25 + 621*q^26 + 410*q^27 + 252*q^28 + 142*q^29 + 73*q^30"
+    " + 33*q^31 + 13*q^32 + 4*q^33 + q^34"
+)
 
 
 @pytest.mark.parametrize("corrupt, check, witness", [
@@ -418,6 +471,9 @@ def fresh_product_cache():
     pytest.param(_modulus_shifted, lambda: check_thm2(3, 1, 0),
                  ("q + 2*q^2 + 2*q^3 + q^4", "-1 - q - q^2 - q^3",
                   "1 + 2*q + 3*q^2 + 3*q^3 + q^4"), id="thm2"),
+    pytest.param(_weighted_sum_plus_modulus, lambda: check_thm2(3, 1, 0),
+                 ("1 + 3*q + 4*q^2 + 3*q^3 + q^4", "-1 - q - q^2",
+                  "1 + 2*q + 2*q^2 + q^3"), id="thm2-off-by-[p]"),
     pytest.param(_binomials_plus_one, lambda: check_sum_lemma(3, 1),
                  ("1 + 2*q + 2*q^2 + q^3", "2*q + q^2 + q^3", "1 + q^2"), id="sum_lemma"),
     pytest.param(_binomials_plus_one, lambda: check_chu_vandermonde(2, 1, 1),
@@ -430,6 +486,18 @@ def fresh_product_cache():
                  ("4 - 2*q", "1", "3 - 2*q"), id="symmetric_identity"),
     pytest.param(_pfaff_lhs_plus_one, lambda: check_pfaff_saalschutz(2, 3, 5, 2, 1),
                  ("-1/2", "-3/2", "1"), id="qpfaff"),
+    pytest.param(_modulus_shifted, lambda: check_thm1(7, [3, 2]),
+                 (_LHS_7_3_2, "0", "q + 2*q^2 + 3*q^3 + 3*q^4 + 2*q^5 + q^6"),
+                 id="thm1-folded"),
+    pytest.param(_modulus_shifted, lambda: check_thm2(7, 3, 2),
+                 (_LHS_7_3_2, "-q^2 - q^3 - q^4 - q^5 - q^6 - q^7 - q^8 - q^9",
+                  "-2 - 6*q - 15*q^2 - 26*q^3 - 39*q^4 - 47*q^5 - 53*q^6 - 54*q^7"
+                  " - 52*q^8 - 47*q^9 - 37*q^10 - 25*q^11 - 12*q^12 - 5*q^13"),
+                 id="thm2-folded"),
+    pytest.param(_modulus_shifted, lambda: check_p_minus_one_lemma(7, 3),
+                 ("q^6 + q^7 + 2*q^8 + 3*q^9 + 3*q^10 + 3*q^11 + 3*q^12 + 2*q^13"
+                  " + q^14 + q^15", "-1", "1 + q + q^2 + q^3 + q^4"),
+                 id="p_minus_one-folded"),
 ])
 def test_fail_branch_witness(monkeypatch, fresh_product_cache, corrupt, check, witness):
     corrupt(monkeypatch)
