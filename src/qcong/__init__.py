@@ -10,10 +10,8 @@ from .congruence import (
     SKIPPED,
     CongruenceReport,
     Witness,
-    divides,
     is_prime,
     rem_mod,
-    residue_equal_mod,
 )
 from .errors import (
     InternalError,
@@ -90,7 +88,6 @@ __all__ = [
     "check_thm1",
     "check_thm2",
     "conjecture_coefficient",
-    "divides",
     "enumerate_instances",
     "is_prime",
     "multinom_factor",
@@ -101,7 +98,6 @@ __all__ = [
     "q_int",
     "q_pochhammer_eval",
     "rem_mod",
-    "residue_equal_mod",
     "run_suite",
     "sum_quotient_direct",
     "sum_quotient_recurrence",

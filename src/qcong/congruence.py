@@ -1,4 +1,4 @@
-"""Exact congruence predicates over the polynomial ring, plus check reports.
+"""Exact congruence residues over the polynomial ring, plus check reports.
 
 A congruence a == b (mod m) here always means that m divides a - b exactly
 in the ring of integer polynomials; nothing is ever tested numerically.
@@ -8,20 +8,21 @@ Its JSON form has exactly the fields claim_id, params, status, witness,
 elapsed_ms; the optional ``note`` (e.g. the vanishing-sum marker on
 trivially-true instances) only appears in the human-readable text rendering.
 
-Every verdict is built by one of three deciders: ``congruence_report``
-(lhs == rhs modulo a polynomial), ``identity_report`` (lhs == rhs exactly:
-polynomials, Laurent polynomials or rationals) and ``integer_report`` (an
-integer divisible by a modulus).  Each returns ``pass`` with the optional
-note, or ``fail`` with a witness whose difference is the residue of
-lhs - rhs, lhs - rhs itself, or value % modulus respectively.  Checkers
-read no clock: ``sweep.run_instance`` stamps each report's ``elapsed_ms``."""
+Every verdict is built by one core, ``_verdict``, from one residue computed
+by one of three deciders: ``congruence_report`` (lhs == rhs modulo a
+polynomial; ``rem_mod(lhs - rhs, modulus)``), ``identity_report`` (lhs ==
+rhs exactly for polynomials, Laurent polynomials or rationals; lhs - rhs)
+and ``integer_report`` (an integer divisible by a modulus; value % modulus).
+A zero residue gives ``pass`` with the optional note; any other gives
+``fail`` with that residue as the witness's difference, so a verdict divides
+once.  Checkers read no clock: ``sweep.run_instance`` stamps each report's
+``elapsed_ms``."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
 
-from .errors import LeadingCoeffNotUnitError, NotDivisibleError
 from .poly import IntPoly
 
 PASS = "pass"
@@ -30,23 +31,12 @@ SKIPPED = "skipped"
 _STATUSES = (PASS, FAIL, SKIPPED)
 
 
-def divides(d, a):
-    """True iff d divides a exactly; d must be nonzero."""
-    if d.is_zero:
-        raise ZeroDivisionError("zero divisor")
-    if a.is_zero:
-        return True
-    try:
-        a.exact_div(d)
-        return True
-    except NotDivisibleError:
-        return False
-
-
 def _q_int_power(m):
     """(n, e) when m is [n]^e for e in (1, 2), read off m's coefficients; else None."""
     c = m.coeffs
-    if c and c.count(1) == len(c):
+    if not c:
+        return None
+    if c.count(1) == len(c):
         return len(c), 1
     n = (len(c) + 1) // 2
     if c == tuple(range(1, n + 1)) + tuple(range(n - 1, 0, -1)):
@@ -88,19 +78,6 @@ def rem_mod(a, m):
     """
     _, rem = fold(a, m).divrem(m)
     return rem
-
-
-def residue_equal_mod(a, b, m):
-    """True iff a == b (mod m), i.e. m divides a - b; m unit-leading.
-
-    Decided by an exact division of ``fold(a - b, m)``, whose degree is at
-    most deg(m) + 1 when m is [n] or [n]^2.
-    """
-    if m.is_zero:
-        raise ZeroDivisionError("zero modulus")
-    if m.coeffs[-1] not in (1, -1):
-        raise LeadingCoeffNotUnitError("modulus must have unit leading coefficient")
-    return divides(m, fold(a - b if b else a, m))  # against b == 0, skip copying a
 
 
 def is_prime(n):
@@ -189,35 +166,25 @@ def make_report(claim_id, params, status, witness=None, elapsed_ms=0, note=None)
                             witness=witness, elapsed_ms=elapsed_ms, note=note)
 
 
-def congruence_witness(lhs, rhs, modulus):
-    """Witness for a failed congruence: both sides plus the residue of lhs-rhs."""
-    return Witness(str(lhs), str(rhs), str(rem_mod(lhs - rhs, modulus)))
-
-
-def identity_witness(lhs, rhs):
-    """Witness for a failed exact identity (polynomial, Laurent or rational)."""
-    return Witness(str(lhs), str(rhs), str(lhs - rhs))
+def _verdict(claim_id, params, lhs, rhs, residue, note):
+    """``pass`` with the note when residue is zero, else ``fail`` showing it."""
+    if not residue:
+        return make_report(claim_id, params, PASS, note=note)
+    return make_report(claim_id, params, FAIL,
+                       witness=Witness(str(lhs), str(rhs), str(residue)))
 
 
 def congruence_report(claim_id, params, lhs, rhs, modulus, note=None):
-    """Report whether lhs == rhs (mod modulus) in Z[q]."""
-    if residue_equal_mod(lhs, rhs, modulus):
-        return make_report(claim_id, params, PASS, note=note)
-    return make_report(claim_id, params, FAIL,
-                       witness=congruence_witness(lhs, rhs, modulus))
+    """Report whether lhs == rhs (mod modulus) in Z[q]; modulus unit-leading."""
+    residue = rem_mod(lhs - rhs if rhs else lhs, modulus)  # rhs == 0: no copy of lhs
+    return _verdict(claim_id, params, lhs, rhs, residue, note)
 
 
 def identity_report(claim_id, params, lhs, rhs, note=None):
     """Report whether lhs == rhs exactly."""
-    if lhs == rhs:
-        return make_report(claim_id, params, PASS, note=note)
-    return make_report(claim_id, params, FAIL, witness=identity_witness(lhs, rhs))
+    return _verdict(claim_id, params, lhs, rhs, lhs - rhs, note)
 
 
 def integer_report(claim_id, params, value, modulus, note=None):
     """Report whether the integer value is divisible by modulus."""
-    residue = value % modulus
-    if residue == 0:
-        return make_report(claim_id, params, PASS, note=note)
-    return make_report(claim_id, params, FAIL,
-                       witness=Witness(str(value), "0", str(residue)))
+    return _verdict(claim_id, params, value, 0, value % modulus, note)

@@ -393,7 +393,7 @@ def render_report(reports, fmt, stable=False):
 
 
 def run_suite(config, out=None, err=None):
-    """Validate, enumerate, execute, render; returns the process exit code."""
+    """Validate, enumerate, execute, render, print every failure; returns the exit code."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     config.validate()
@@ -404,16 +404,14 @@ def run_suite(config, out=None, err=None):
     reports = execute(instances, jobs=config.jobs, fail_fast=config.fail_fast)
     reports = sorted(reports, key=lambda r: r.sort_key)
     out.write(render_report(reports, config.format, stable=config.stable_output))
-    code = exit_code_for(reports)
-    if code == 1:
-        for r in reports:
-            if r.status == FAIL and not _is_conjecture(r):
-                err.write("CHECK FAILED: %s %s\n  lhs: %s\n  rhs: %s\n  difference: %s\n"
-                          % (r.claim_id, _params_str(r), r.witness.lhs,
-                             r.witness.rhs, r.witness.difference))
-    elif code == 3:
-        for r in reports:
-            if r.status == FAIL and _is_conjecture(r):
-                err.write("CONJECTURE COUNTEREXAMPLE: %s\n  value: %s\n  residue: %s\n"
-                          % (_params_str(r), r.witness.lhs, r.witness.difference))
-    return code
+    for r in reports:
+        if r.status != FAIL:
+            continue
+        if _is_conjecture(r):
+            err.write("CONJECTURE COUNTEREXAMPLE: %s\n  value: %s\n  residue: %s\n"
+                      % (_params_str(r), r.witness.lhs, r.witness.difference))
+        else:
+            err.write("CHECK FAILED: %s %s\n  lhs: %s\n  rhs: %s\n  difference: %s\n"
+                      % (r.claim_id, _params_str(r), r.witness.lhs,
+                         r.witness.rhs, r.witness.difference))
+    return exit_code_for(reports)

@@ -382,6 +382,21 @@ class TestMain:
         assert "Traceback" in captured.err
         assert "InternalError: routes disagree" in captured.err
 
+    def test_failure_and_counterexample_both_reach_stderr(self, capsys, monkeypatch):
+        def broken_faulhaber(**d):
+            return make_report("faulhaber", d, FAIL, witness=Witness("9", "0", "1"))
+
+        def broken_conjecture(**d):
+            return make_report("conjecture", d, FAIL, witness=Witness("17", "0", "17"))
+
+        _patch_check(monkeypatch, "faulhaber", broken_faulhaber)
+        _patch_check(monkeypatch, "conjecture", broken_conjecture)
+        assert main(["--suite", "all", "--n-max", "2", "--m-max", "1", "--a-max", "1",
+                     "--primes", "2"]) == 1
+        err = capsys.readouterr().err
+        assert "CHECK FAILED: faulhaber n=1;m=1\n  lhs: 9\n  rhs: 0\n  difference: 1\n" in err
+        assert "CONJECTURE COUNTEREXAMPLE: n=1;m=1;k=1\n  value: 17\n  residue: 17\n" in err
+
     def test_bad_n_max_exits_two(self, capsys):
         assert main(["--suite", "thm1", "--n-max", "0"]) == 2
 

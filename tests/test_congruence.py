@@ -2,24 +2,28 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcong.congruence import (
+    FAIL,
+    PASS,
     CongruenceReport,
     Witness,
-    divides,
+    congruence_report,
     fold,
+    identity_report,
+    integer_report,
     is_prime,
     make_report,
     rem_mod,
-    residue_equal_mod,
 )
-from qcong.errors import LeadingCoeffNotUnitError
+from qcong.errors import LeadingCoeffNotUnitError, NotDivisibleError
 from qcong.poly import ONE, ZERO, IntPoly
-from qcong.qcomb import q_int
+from qcong.qcomb import LaurentPoly, q_int
 
 PRIMES_TO_13 = (2, 3, 5, 7, 11, 13)
 
@@ -28,22 +32,35 @@ def q_power(e):
     return ONE.shift(e)
 
 
-def test_divides_basic():
-    assert divides(q_int(2), q_int(4))
-    assert not divides(q_int(3), q_int(4))
-    assert divides(ONE, q_int(7))
-    assert divides(q_int(5), ZERO)
+def _exact_divides(d, a):
+    """Divisibility decided by exact division alone, with no fold."""
+    try:
+        a.exact_div(d)
+    except NotDivisibleError:
+        return False
+    return True
+
+
+def test_rem_mod_and_exact_div_decide_divisibility():
+    assert rem_mod(q_int(4), q_int(2)) == ZERO and _exact_divides(q_int(2), q_int(4))
+    assert rem_mod(q_int(4), q_int(3)) == ONE and not _exact_divides(q_int(3), q_int(4))
+    assert rem_mod(q_int(7), ONE) == ZERO and _exact_divides(ONE, q_int(7))
+    assert rem_mod(ZERO, q_int(5)) == ZERO and _exact_divides(q_int(5), ZERO)
     with pytest.raises(ZeroDivisionError):
-        divides(ZERO, q_int(2))
+        rem_mod(q_int(2), ZERO)
+    with pytest.raises(ZeroDivisionError):
+        q_int(2).exact_div(ZERO)
 
 
 def test_q_integer_divisibility_family():
-    # [n] divides [kn] whenever n, k >= 1
+    # [n] divides [kn] whenever n, k >= 1, with quotient sum_{j<k} q^(nj)
     for n in range(1, 61):
         for k in range(1, 61):
             if n * k > 60:
                 break
-            assert divides(q_int(n), q_int(n * k)), (n, k)
+            assert rem_mod(q_int(n * k), q_int(n)) == ZERO, (n, k)
+            quotient = IntPoly([1 if i % n == 0 else 0 for i in range(n * (k - 1) + 1)])
+            assert q_int(n * k).exact_div(q_int(n)) == quotient, (n, k)
 
 
 def test_rem_mod_examples():
@@ -57,18 +74,23 @@ def test_rem_mod_matches_divrem_contract():
     m = q_int(4)
     r = rem_mod(a, m)
     assert r.degree < m.degree
-    assert divides(m, a - r)
+    assert _exact_divides(m, a - r)
 
 
-def test_residue_equal_mod():
+def test_rem_mod_of_a_difference():
     m = q_int(5)
-    assert residue_equal_mod(q_power(5), ONE, m)
-    assert not residue_equal_mod(q_power(5), q_power(1), m)
-    assert residue_equal_mod(q_power(7), q_power(2), m)
+    assert rem_mod(q_power(5) - ONE, m) == ZERO
+    assert rem_mod(q_power(5) - q_power(1), m) == IntPoly([1, -1])
+    assert rem_mod(q_power(7) - q_power(2), m) == ZERO
     with pytest.raises(LeadingCoeffNotUnitError):
-        residue_equal_mod(ONE, ONE, IntPoly([1, 2]))
+        rem_mod(ONE - ONE, IntPoly([1, 2]))
     with pytest.raises(ZeroDivisionError):
-        residue_equal_mod(ONE, ONE, ZERO)
+        rem_mod(ONE - ONE, ZERO)
+    # the decider validates the modulus through rem_mod
+    with pytest.raises(LeadingCoeffNotUnitError):
+        congruence_report("t", {}, ONE, ONE, IntPoly([1, 2]))
+    with pytest.raises(ZeroDivisionError):
+        congruence_report("t", {}, ONE, ONE, ZERO)
 
 
 def test_qp_minus_one_times_qint_identity():
@@ -88,7 +110,7 @@ def test_exponent_normalization_respects_period():
             t0 = 0 if e >= 0 else -(e // p)  # smallest t with e + p*t >= 0
             for t in (t0, t0 + 1):
                 lifted = q_power(e + p * t) * q_int(p)
-                assert residue_equal_mod(q_power(norm) * q_int(p), lifted, msq), (p, e, t)
+                assert rem_mod(q_power(norm) * q_int(p) - lifted, msq) == ZERO, (p, e, t)
 
 
 # --- fold: reduction modulo (q^n - 1)^e before the division --------------------------
@@ -110,7 +132,7 @@ def test_fold_remainder_equals_divrem_seeded():
         for _ in range(12):
             a = _random_poly(rng)
             assert rem_mod(a, m) == a.divrem(m)[1], (m, a)
-            assert residue_equal_mod(a, ZERO, m) == a.divrem(m)[1].is_zero
+            assert (rem_mod(a, m) == ZERO) == _exact_divides(m, a), (m, a)
 
 
 def test_fold_degree_and_congruence():
@@ -124,12 +146,12 @@ def test_fold_degree_and_congruence():
                 a = _random_poly(rng)
                 folded = fold(a, m)
                 assert folded.degree < power * n
-                assert divides(period, a - folded), (n, e)
+                assert _exact_divides(period, a - folded), (n, e)
 
 
 def test_fold_leaves_unrecognised_moduli_alone():
     a = IntPoly(list(range(-30, 31)))
-    for m in UNRECOGNISED + [IntPoly([1, 1, 2]), IntPoly([1, 2, 3, 2, 2]), -q_int(4)]:
+    for m in UNRECOGNISED + [IntPoly([1, 1, 2]), IntPoly([1, 2, 3, 2, 2]), -q_int(4), ZERO]:
         assert fold(a, m) is a
     assert fold(IntPoly([5, 6]), q_int(3)) == IntPoly([5, 6])  # already reduced
 
@@ -157,6 +179,36 @@ def test_is_prime_small():
 
 
 # --- report record ---------------------------------------------------------------
+
+@pytest.mark.parametrize("decide, witness", [
+    (lambda note: identity_report("t", {}, q_int(3), q_int(3), note=note), None),
+    (lambda note: identity_report("t", {}, q_int(3), q_int(2), note=note),
+     ("1 + q + q^2", "1 + q", "q^2")),
+    (lambda note: identity_report("t", {}, LaurentPoly(q_int(2), -2),
+                                  LaurentPoly(q_int(2), -2), note=note), None),
+    (lambda note: identity_report("t", {}, LaurentPoly(q_int(2), -2), LaurentPoly(ONE, 0),
+                                  note=note), ("q^-2 + q^-1", "1", "q^-2 + q^-1 - 1")),
+    (lambda note: identity_report("t", {}, Fraction(1, 2), Fraction(2, 4), note=note), None),
+    (lambda note: identity_report("t", {}, Fraction(-1, 2), Fraction(-3, 2), note=note),
+     ("-1/2", "-3/2", "1")),
+    (lambda note: integer_report("t", {}, 12, 4, note=note), None),
+    (lambda note: integer_report("t", {}, 14, 4, note=note), ("14", "0", "2")),
+    (lambda note: congruence_report("t", {}, q_power(7), q_power(2), q_int(5), note=note),
+     None),
+    (lambda note: congruence_report("t", {}, q_power(5), q_power(1), q_int(5), note=note),
+     ("q^5", "q", "1 - q")),
+    (lambda note: congruence_report("t", {}, q_power(6), ZERO, q_int(5), note=note),
+     ("q^6", "0", "q")),
+])
+def test_deciders_share_one_verdict_core(decide, witness):
+    r = decide("marker")
+    if witness is None:
+        assert (r.status, r.witness, r.note) == (PASS, None, "marker")
+    else:
+        assert r.status == FAIL
+        assert (r.witness.lhs, r.witness.rhs, r.witness.difference) == witness
+        assert r.note is None
+
 
 def test_report_json_schema():
     r = make_report("thm1", {"n": 4, "a1": 1, "a2": 1}, "pass", elapsed_ms=12)

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 from oracles import multinom_factor_oracle
 
-from qcong import congruence, qcomb, theorems
+from qcong import congruence, poly, qcomb, theorems
 from qcong.errors import InternalError, InvalidParamsError
 from qcong.poly import ONE, ZERO, IntPoly
 from qcong.qcomb import LaurentPoly, q_binomial, q_factorial, q_int
@@ -505,6 +505,21 @@ def test_fail_branch_witness(monkeypatch, fresh_product_cache, corrupt, check, w
     assert r.status == "fail"
     assert (r.witness.lhs, r.witness.rhs, r.witness.difference) == witness
     assert r.note is None
+
+
+def test_failing_congruence_divides_once(monkeypatch, fresh_product_cache):
+    # the verdict and its witness come from one remainder: one long division
+    divisions = []
+    divrem_lists = poly._divrem_lists
+
+    def counted(*args, **kwargs):
+        divisions.append(args)
+        return divrem_lists(*args, **kwargs)
+
+    _modulus_shifted(monkeypatch)
+    monkeypatch.setattr(poly, "_divrem_lists", counted)
+    assert check_thm1(7, [3, 2]).status == "fail"
+    assert len(divisions) == 1
 
 
 # --- checkers do not time themselves; the sweep does ----------------------------------------
