@@ -28,6 +28,7 @@ from .poly import IntPoly
 PASS = "pass"
 FAIL = "fail"
 SKIPPED = "skipped"
+VANISHING_SUM = "vanishing-sum"
 _STATUSES = (PASS, FAIL, SKIPPED)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .congruence import integer_report
+from .congruence import VANISHING_SUM, integer_report
 from .errors import InternalError, InvalidParamsError
 
 
@@ -82,4 +82,4 @@ def check_conjecture(inst):
     total = sum(math.comb(h, lower) ** power for h in range(inst.n))
     return integer_report("conjecture", {"n": inst.n, "m": inst.m, "k": inst.k},
                           coeff * total, inst.n * inst.n,
-                          note="vanishing-sum" if total == 0 else None)
+                          note=VANISHING_SUM if total == 0 else None)

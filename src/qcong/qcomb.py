@@ -16,10 +16,12 @@ one factor pair at a time: a shifted subtraction multiplies by 1 - q^m, and
 a running sum over the residues mod m divides exactly by 1 - q^m, so no
 long division is involved.
 
-``BINOMIAL_MEMO`` is the package's one Gaussian-binomial memo: every
-checker in :mod:`qcong.theorems` asks it, never ``q_binomial`` directly.
-It is bounded, so a long sweep cannot grow it without limit, and each
-worker process of a sweep holds its own copy.
+``BINOMIAL_MEMO`` is the package's one memo for Gaussian binomials and
+their products: every checker in :mod:`qcong.theorems` asks it, never
+``q_binomial`` directly.  It keys a binomial on ``(n, k)`` and a product on
+the exact ordered tuple of its ``(n, k)`` pairs, in one table with one
+bound, so a long sweep cannot grow it without limit; each worker process
+of a sweep holds its own copy.
 
 ``LaurentPoly`` extends the kernel with negative powers of q for identities
 whose natural exponents dip below zero.
@@ -99,10 +101,13 @@ def q_pochhammer_eval(x, q, k):
 
 
 class QBinomialCache:
-    """Bounded memo for Gaussian binomials keyed by (n, k).
+    """Bounded memo for Gaussian binomials and products of them.
 
-    Eviction is insertion-ordered (oldest entry first).  Cached values are
-    immutable, so a hit is indistinguishable from a fresh computation.
+    A binomial gauss(n, k) is keyed on ``(n, k)``; a product of two or more
+    is keyed on the exact ordered tuple of its ``(n, k)`` pairs.  Both share
+    one table and one bound, with insertion-ordered eviction (oldest entry
+    first).  Cached values are immutable, so a hit is indistinguishable from
+    a fresh computation.
     """
 
     __slots__ = ("max_entries", "_table")
@@ -118,7 +123,27 @@ class QBinomialCache:
         hit = self._table.get(key)
         if hit is not None:
             return hit
-        value = q_binomial(n, k)
+        return self._store(key, q_binomial(n, k))
+
+    def product(self, pairs):
+        """prod gauss(n, k) over a nonempty tuple of (n, k) pairs.
+
+        Built off the entry for ``pairs[:-1]``, so products sharing a prefix
+        pay for each extension once; a zero factor ends the product without
+        a multiply.
+        """
+        if len(pairs) == 1:
+            return self.binomial(*pairs[0])
+        hit = self._table.get(pairs)
+        if hit is not None:
+            return hit
+        factor = self.binomial(*pairs[-1])
+        if factor.is_zero:
+            return self._store(pairs, ZERO)
+        prefix = self.product(pairs[:-1])
+        return self._store(pairs, ZERO if prefix.is_zero else prefix * factor)
+
+    def _store(self, key, value):
         if len(self._table) >= self.max_entries:
             self._table.pop(next(iter(self._table)))
         self._table[key] = value
@@ -131,7 +156,7 @@ class QBinomialCache:
         self._table.clear()
 
 
-BINOMIAL_MEMO = QBinomialCache(max_entries=8192)
+BINOMIAL_MEMO = QBinomialCache(max_entries=1 << 15)
 
 
 class LaurentPoly:

@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .congruence import FAIL, PASS, is_prime
+from .congruence import FAIL, PASS, SKIPPED, is_prime
 from .faulhaber import ConjectureInstance, check_conjecture, check_faulhaber_cong
 from .theorems import (
     check_chu_vandermonde,
@@ -381,11 +381,11 @@ def render_report(reports, fmt, stable=False):
     widths = [max(len(row[i]) for row in rows) for i in range(5)]
     lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
              for row in rows]
-    counts = {PASS: 0, FAIL: 0, "skipped": 0}
+    counts = {PASS: 0, FAIL: 0, SKIPPED: 0}
     for r in reports:
         counts[r.status] += 1
     lines.append("summary: %d pass, %d fail, %d skipped"
-                 % (counts[PASS], counts[FAIL], counts["skipped"]))
+                 % (counts[PASS], counts[FAIL], counts[SKIPPED]))
     if any(_is_conjecture(r) for r in reports) and counts[FAIL] == 0:
         lines.append("conjecture sweep: no counterexample in the swept range "
                      "(evidence only, not proof)")

@@ -69,8 +69,12 @@ computed here by ``sum_quotient_recurrence`` with memoization keyed on the
 exact ordered tuple (the recurrence is only stated for ordered lists, so no
 sorting is ever applied to memo keys).
 
-Every Gaussian binomial used here comes from the shared bounded memo
-``qcomb.BINOMIAL_MEMO``; no checker takes a cache argument.
+Every Gaussian binomial used here, and every product of them that recurs
+(the thm1 prefactor and each row prod_i gauss(h, a_i) of the weighted sum),
+comes from the one shared bounded memo ``qcomb.BINOMIAL_MEMO``; no checker
+takes a cache argument.  Product keys are ordered tuples of (n, k) pairs,
+so a caller sorts the pairs itself where their order does not matter.  The
+recurrence's own memo is local to one call.
 """
 
 from __future__ import annotations
@@ -78,11 +82,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from itertools import accumulate, repeat
 
 from .congruence import (
     PASS,
     SKIPPED,
+    VANISHING_SUM,
     congruence_report,
     identity_report,
     integer_report,
@@ -97,8 +102,6 @@ from .errors import (
 )
 from .poly import ONE, ZERO, IntPoly
 from .qcomb import BINOMIAL_MEMO, LaurentPoly, q_int, q_pochhammer_eval
-
-VANISHING_SUM = "vanishing-sum"
 
 
 @dataclass(frozen=True)
@@ -138,49 +141,14 @@ def _a_params(n_name, n, a_list):
 # --- the weighted sum and its prefactor ------------------------------------------
 
 def multinom_factor(a_list):
-    """[a1+...+am+1]! / ([a1]! ... [am]!), a product of Gaussian binomials."""
+    """[a1+...+am+1]! / ([a1]! ... [am]!), a product of Gaussian binomials.
+
+    [s]!/prod[a_i]! telescopes into prod_i gauss(s_i, a_i), s_i the partial
+    sums, taken here biggest a_i first; the last factor gauss(s+1, 1) is [s+1].
+    """
     params = ThmParams(1, tuple(a_list))
-    return _multinom_factor_cached(params.a_list)
-
-
-@lru_cache(maxsize=4096)
-def _multinom_factor_cached(a_tuple):
-    # [s]!/prod[a_i]! telescopes into prod_i gauss(s_i, a_i), s_i the partial
-    # sums, taken here biggest a_i first; the last factor gauss(s+1, 1) is [s+1]
-    out = ONE
-    s = 0
-    for a in sorted(a_tuple, reverse=True) + [1]:
-        s += a
-        out = out * BINOMIAL_MEMO.binomial(s, a)
-    return out
-
-
-# Bounded memo of prod_i gauss(h, a_i) keyed by (h, sorted a-multiset); the
-# product is permutation-invariant, so the sorted key is safe.
-_PRODUCT_CACHE = {}
-_PRODUCT_CACHE_MAX = 1 << 15
-
-
-def _binomial_product(h, a_sorted):
-    # built tail-recursively off the (h, prefix) entry so distinct a-tuples
-    # sharing a sorted prefix pay for each extension only once
-    key = (h, a_sorted)
-    hit = _PRODUCT_CACHE.get(key)
-    if hit is not None:
-        return hit
-    if not a_sorted:
-        out = ONE
-    else:
-        factor = BINOMIAL_MEMO.binomial(h, a_sorted[-1])
-        if factor.is_zero:
-            out = ZERO
-        else:
-            prefix = _binomial_product(h, a_sorted[:-1])
-            out = ZERO if prefix.is_zero else prefix * factor
-    if len(_PRODUCT_CACHE) >= _PRODUCT_CACHE_MAX:
-        _PRODUCT_CACHE.pop(next(iter(_PRODUCT_CACHE)))
-    _PRODUCT_CACHE[key] = out
-    return out
+    a_desc = sorted(params.a_list, reverse=True) + [1]
+    return BINOMIAL_MEMO.product(tuple(zip(accumulate(a_desc), a_desc)))
 
 
 def weighted_sum(n, a_list):
@@ -190,10 +158,14 @@ def weighted_sum(n, a_list):
     convention, so the loop starts there.
     """
     params = ThmParams(n, tuple(a_list))
-    a_sorted = tuple(sorted(params.a_list))
+    # the product does not depend on the order of the a_i, so sorting lets
+    # every permutation of one a-list share its memo entries
+    a_sorted = sorted(params.a_list)
     total = []
-    for h in range(a_sorted[-1], n):
-        part = _binomial_product(h, a_sorted)
+    hs = range(a_sorted[-1], n)
+    rows = zip(*[zip(hs, repeat(a)) for a in a_sorted])  # the pairs (h, a_i) per h
+    for h, pairs in zip(hs, rows):
+        part = BINOMIAL_MEMO.product(pairs)
         if part.is_zero:
             continue
         coeffs = part.coeffs

@@ -137,6 +137,21 @@ def test_cache_transparency():
     for n in range(12):
         for k in range(n + 1):
             assert cache.binomial(n, k) == q_binomial(n, k)
+    # products of three pairs on a table too small to keep their prefixes
+    small = QBinomialCache(max_entries=4)
+    for _ in range(2):
+        for n in range(1, 9):
+            pairs = ((n + 2, 3), (n, 1), (n + 1, n))
+            direct = q_binomial(n + 2, 3) * q_binomial(n, 1) * q_binomial(n + 1, n)
+            assert small.product(pairs) == direct
+    # a zero factor anywhere makes the product zero
+    assert small.product(((3, 5), (6, 2))) == ZERO
+    assert small.product(((6, 2), (3, 5), (4, 1))) == ZERO
+    # one pair is the binomial itself and adds no entry of its own
+    fresh = QBinomialCache(max_entries=4)
+    single = fresh.product(((5, 2),))
+    assert single is fresh.binomial(5, 2) and single == q_binomial(5, 2)
+    assert len(fresh) == 1
 
 
 def test_cache_eviction_bounded():
@@ -146,6 +161,12 @@ def test_cache_eviction_bounded():
         assert len(cache) <= 4
     # evicted entries recompute correctly
     assert cache.binomial(0, 1) == q_binomial(0, 1)
+    # binomials and products share the one bound
+    for n in range(2, 10):
+        pairs = ((n, 1), (n, 2), (n + 1, 2))
+        direct = q_binomial(n, 1) * q_binomial(n, 2) * q_binomial(n + 1, 2)
+        assert cache.product(pairs) == direct
+        assert len(cache) <= 4
 
 
 def test_cache_rejects_nonpositive_bound():

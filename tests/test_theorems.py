@@ -97,6 +97,10 @@ def test_weighted_sum_cache_transparent():
     (check_residue_identity, (2, 3)),
     (check_symmetric_identity, (3, 2)),
     (sum_quotient_recurrence, (6, [2, 1])),
+    (check_thm1, (7, [3, 2])),
+    (check_thm2, (7, 3, 2)),
+    (weighted_sum, (6, [2, 1])),
+    (multinom_factor, ([3, 1],)),
 ])
 def test_checker_draws_binomials_from_the_shared_memo(monkeypatch, check, args):
     calls = []
@@ -402,8 +406,12 @@ def test_pfaff_validation():
 
 # --- every checker's fail branch, reached by corrupting one input ---------------------------
 
-class _BinomialsPlusOne:
-    """Stand-in for ``BINOMIAL_MEMO`` whose every Gaussian binomial is off by one."""
+class _BinomialsPlusOne(qcomb.QBinomialCache):
+    """Stand-in for ``BINOMIAL_MEMO`` whose every Gaussian binomial is off by one.
+
+    Its products are built from those corrupted binomials and stay in its
+    own table, so nothing corrupted reaches the shared memo.
+    """
 
     def binomial(self, n, k):
         return qcomb.BINOMIAL_MEMO.binomial(n, k) + 1
@@ -439,16 +447,6 @@ def _pfaff_lhs_plus_one(monkeypatch):
         return lhs + 1, rhs
 
     monkeypatch.setattr(theorems, "_pfaff_sides", shifted)
-
-
-@pytest.fixture
-def fresh_product_cache():
-    """Keep products and prefactors built from corrupted binomials out of later tests."""
-    theorems._PRODUCT_CACHE.clear()
-    theorems._multinom_factor_cached.cache_clear()
-    yield
-    theorems._PRODUCT_CACHE.clear()
-    theorems._multinom_factor_cached.cache_clear()
 
 
 # thm1 (7, [3, 2]) and thm2 (7, 3, 2) share this product; it is long enough
@@ -499,7 +497,7 @@ _LHS_7_3_2 = (
                   " + q^14 + q^15", "-1", "1 + q + q^2 + q^3 + q^4"),
                  id="p_minus_one-folded"),
 ])
-def test_fail_branch_witness(monkeypatch, fresh_product_cache, corrupt, check, witness):
+def test_fail_branch_witness(monkeypatch, corrupt, check, witness):
     corrupt(monkeypatch)
     r = check()
     assert r.status == "fail"
@@ -507,7 +505,7 @@ def test_fail_branch_witness(monkeypatch, fresh_product_cache, corrupt, check, w
     assert r.note is None
 
 
-def test_failing_congruence_divides_once(monkeypatch, fresh_product_cache):
+def test_failing_congruence_divides_once(monkeypatch):
     # the verdict and its witness come from one remainder: one long division
     divisions = []
     divrem_lists = poly._divrem_lists
