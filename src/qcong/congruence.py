@@ -15,12 +15,16 @@ rhs exactly for polynomials, Laurent polynomials or rationals; lhs - rhs)
 and ``integer_report`` (an integer divisible by a modulus; value % modulus).
 A zero residue gives ``pass`` with the optional note; any other gives
 ``fail`` with that residue as the witness's difference, so a verdict divides
-once.  Checkers read no clock: ``sweep.run_instance`` stamps each report's
+once.  ``congruence_report`` also takes lhs as a tuple of factors: it folds
+each one modulo (q^n - 1)^e before multiplying them (thm1's prefactor and
+weighted sum), and builds their full product only for a fail witness.
+Checkers read no clock: ``sweep.run_instance`` stamps each report's
 ``elapsed_ms``."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from operator import mul
 
 from .poly import IntPoly
@@ -176,8 +180,18 @@ def _verdict(claim_id, params, lhs, rhs, residue, note):
 
 
 def congruence_report(claim_id, params, lhs, rhs, modulus, note=None):
-    """Report whether lhs == rhs (mod modulus) in Z[q]; modulus unit-leading."""
+    """Report whether lhs == rhs (mod modulus) in Z[q]; modulus unit-leading.
+
+    lhs may be a tuple of factors.  Each is folded before they are
+    multiplied, so a pass never builds their full product; a fail builds it
+    for the witness.
+    """
+    factors = lhs if isinstance(lhs, tuple) else None
+    if factors:
+        lhs = reduce(mul, [fold(f, modulus) for f in factors])
     residue = rem_mod(lhs - rhs if rhs else lhs, modulus)  # rhs == 0: no copy of lhs
+    if factors and residue:
+        lhs = reduce(mul, factors)
     return _verdict(claim_id, params, lhs, rhs, residue, note)
 
 

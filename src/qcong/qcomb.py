@@ -16,12 +16,14 @@ one factor pair at a time: a shifted subtraction multiplies by 1 - q^m, and
 a running sum over the residues mod m divides exactly by 1 - q^m, so no
 long division is involved.
 
-``BINOMIAL_MEMO`` is the package's one memo for Gaussian binomials and
-their products: every checker in :mod:`qcong.theorems` asks it, never
-``q_binomial`` directly.  It keys a binomial on ``(n, k)`` and a product on
-the exact ordered tuple of its ``(n, k)`` pairs, in one table with one
-bound, so a long sweep cannot grow it without limit; each worker process
-of a sweep holds its own copy.
+``BINOMIAL_MEMO`` is the package's one memo for Gaussian binomials, their
+products and the weighted sums W(n) = sum_{h<n} q^h prod_i gauss(h, a_i):
+every checker in :mod:`qcong.theorems` asks it, never ``q_binomial``
+directly.  It keys a binomial on ``(n, k)``, a product on the exact ordered
+tuple of its ``(n, k)`` pairs and W(n) on ``(n, a_sorted)``, in one table
+with one bound, so a long sweep cannot grow it without limit; each worker
+process of a sweep holds its own copy.  W(n) is extended from the largest
+smaller n held for the same a-list, one row per missing h.
 
 ``LaurentPoly`` extends the kernel with negative powers of q for identities
 whose natural exponents dip below zero.
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import sub
 
 from .errors import InternalError
@@ -101,13 +103,13 @@ def q_pochhammer_eval(x, q, k):
 
 
 class QBinomialCache:
-    """Bounded memo for Gaussian binomials and products of them.
+    """Bounded memo for Gaussian binomials, products of them and weighted sums.
 
     A binomial gauss(n, k) is keyed on ``(n, k)``; a product of two or more
-    is keyed on the exact ordered tuple of its ``(n, k)`` pairs.  Both share
-    one table and one bound, with insertion-ordered eviction (oldest entry
-    first).  Cached values are immutable, so a hit is indistinguishable from
-    a fresh computation.
+    is keyed on the exact ordered tuple of its ``(n, k)`` pairs; a weighted
+    sum on ``(n, a_sorted)``.  All share one table and one bound, with
+    insertion-ordered eviction (oldest entry first).  Cached values are
+    immutable, so a hit is indistinguishable from a fresh computation.
     """
 
     __slots__ = ("max_entries", "_table")
@@ -142,6 +144,40 @@ class QBinomialCache:
             return self._store(pairs, ZERO)
         prefix = self.product(pairs[:-1])
         return self._store(pairs, ZERO if prefix.is_zero else prefix * factor)
+
+    def weighted_sum(self, n, a_sorted):
+        """W(n) = sum_{h<n} q^h prod_i gauss(h, a_i) over a sorted tuple of a_i.
+
+        Keyed on ``(n, a_sorted)``.  Built off the entry for the largest
+        n' < n with the same a-list, adding only the rows n' <= h < n; the
+        partial sums on the way are not stored.  Rows with h below max(a_i)
+        vanish, so n <= max(a_i) gives ZERO and stores nothing.
+        """
+        start = a_sorted[-1]
+        if n <= start:
+            return ZERO
+        key = (n, a_sorted)
+        hit = self._table.get(key)
+        if hit is not None:
+            return hit
+        total = []
+        for below in range(n - 1, start, -1):
+            base = self._table.get((below, a_sorted))
+            if base is not None:
+                start, total = below, list(base.coeffs)
+                break
+        hs = range(start, n)
+        rows = zip(*[zip(hs, repeat(a)) for a in a_sorted])  # the pairs (h, a_i) per h
+        for h, pairs in zip(hs, rows):
+            part = self.product(pairs)
+            if part.is_zero:
+                continue
+            coeffs = part.coeffs
+            end = h + len(coeffs)
+            if len(total) < end:
+                total.extend([0] * (end - len(total)))
+            total[h:end] = [x + c for x, c in zip(total[h:end], coeffs)]
+        return self._store(key, IntPoly._make(total))
 
     def _store(self, key, value):
         if len(self._table) >= self.max_entries:

@@ -69,12 +69,18 @@ computed here by ``sum_quotient_recurrence`` with memoization keyed on the
 exact ordered tuple (the recurrence is only stated for ordered lists, so no
 sorting is ever applied to memo keys).
 
-Every Gaussian binomial used here, and every product of them that recurs
-(the thm1 prefactor and each row prod_i gauss(h, a_i) of the weighted sum),
-comes from the one shared bounded memo ``qcomb.BINOMIAL_MEMO``; no checker
-takes a cache argument.  Product keys are ordered tuples of (n, k) pairs,
-so a caller sorts the pairs itself where their order does not matter.  The
-recurrence's own memo is local to one call.
+Every Gaussian binomial used here, every product of them that recurs (the
+thm1 prefactor and each row prod_i gauss(h, a_i) of the weighted sum) and
+the weighted sum itself come from the one shared bounded memo
+``qcomb.BINOMIAL_MEMO``; no checker takes a cache argument.  Product keys
+are ordered tuples of (n, k) pairs, so a caller sorts the pairs itself
+where their order does not matter.  The recurrence's own memo is local to
+one call.
+
+thm1 hands its prefactor and weighted sum to ``congruence_report`` as two
+factors, each folded modulo q^n - 1 before they are multiplied; the full
+product is built only for a fail witness.  thm2 multiplies in full, since
+its derivative cross-check reads the whole denominator-cleared difference.
 """
 
 from __future__ import annotations
@@ -82,7 +88,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate
 
 from .congruence import (
     PASS,
@@ -152,35 +158,20 @@ def multinom_factor(a_list):
 
 
 def weighted_sum(n, a_list):
-    """sum_{h=0}^{n-1} q^h * prod_i gauss(h, a_i).
+    """sum_{h=0}^{n-1} q^h * prod_i gauss(h, a_i), from ``BINOMIAL_MEMO``.
 
-    Terms with h below max(a_i) vanish through the out-of-range binomial
-    convention, so the loop starts there.
+    The sum does not depend on the order of the a_i, so the memo is asked
+    with them sorted and every permutation of one a-list shares its entries.
     """
     params = ThmParams(n, tuple(a_list))
-    # the product does not depend on the order of the a_i, so sorting lets
-    # every permutation of one a-list share its memo entries
-    a_sorted = sorted(params.a_list)
-    total = []
-    hs = range(a_sorted[-1], n)
-    rows = zip(*[zip(hs, repeat(a)) for a in a_sorted])  # the pairs (h, a_i) per h
-    for h, pairs in zip(hs, rows):
-        part = BINOMIAL_MEMO.product(pairs)
-        if part.is_zero:
-            continue
-        coeffs = part.coeffs
-        end = h + len(coeffs)
-        if len(total) < end:
-            total.extend([0] * (end - len(total)))
-        total[h:end] = [x + c for x, c in zip(total[h:end], coeffs)]
-    return IntPoly._make(total)
+    return BINOMIAL_MEMO.weighted_sum(n, tuple(sorted(params.a_list)))
 
 
 def check_thm1(n, a_list):
     """Divisibility of the prefactored weighted sum by [n] (claim id thm1)."""
     w = weighted_sum(n, a_list)
     return congruence_report("thm1", _a_params("n", n, a_list),
-                             multinom_factor(a_list) * w, ZERO, q_int(n),
+                             (multinom_factor(a_list), w), ZERO, q_int(n),
                              note=VANISHING_SUM if w.is_zero else None)
 
 

@@ -1,7 +1,7 @@
 """Slow reference routes that the tests compare the package against."""
 
 from qcong.poly import ONE, ZERO
-from qcong.qcomb import q_factorial
+from qcong.qcomb import q_binomial, q_factorial
 
 
 def q_binomial_oracle(n, k):
@@ -30,3 +30,18 @@ def multinom_factor_oracle(a_list):
     for a in a_list:
         out = out.exact_div(q_factorial(a))
     return out
+
+
+def weighted_sum_oracle(n, a_list):
+    """sum_{h<n} q^h prod_i gauss(h, a_i), term by term from ``q_binomial``.
+
+    Touches no memo: every binomial is rebuilt, and every row is summed
+    from h = 0, so no smaller n's sum is reused.
+    """
+    total = ZERO
+    for h in range(n):
+        term = ONE.shift(h)
+        for a in a_list:
+            term = term * q_binomial(h, a)
+        total = total + term
+    return total

@@ -31,6 +31,8 @@ from qcong.sweep import (
     run_suite,
 )
 import qcong.sweep as sweep_mod
+from qcong import qcomb, theorems
+from qcong.qcomb import q_int
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "README.md")
@@ -279,6 +281,24 @@ class TestExecution:
         key = lambda r: r.sort_key
         assert [(r.claim_id, r.params, r.status) for r in sorted(serial, key=key)] \
             == [(r.claim_id, r.params, r.status) for r in sorted(parallel, key=key)]
+
+    @pytest.mark.parametrize("corrupt", [False, True], ids=["true", "shifted-modulus"])
+    def test_memo_state_cannot_change_a_verdict(self, monkeypatch, corrupt):
+        # each W(n) is built off whatever smaller n the memo holds, so running the
+        # instances backwards leaves different entries behind; the sorted stable
+        # output must not change.  With the modulus shifted to [n+1] every thm1
+        # and thm2 instance that fails prints its full left side.
+        if corrupt:
+            monkeypatch.setattr(theorems, "q_int", lambda n: q_int(n + 1))
+        instances = (enumerate_instances(_cfg(suite="thm1", n_max=9, m_max=3, a_max=3))
+                     + enumerate_instances(_cfg(suite="thm2", prime_set=(5, 7))))
+        outs = []
+        for order in (instances, instances[::-1]):
+            qcomb.BINOMIAL_MEMO.clear()
+            reports = sorted(execute(order, jobs=1), key=lambda r: r.sort_key)
+            outs.append(render_report(reports, "json", stable=True))
+        assert outs[0] == outs[1]
+        assert ('"status": "fail"' in outs[0]) == corrupt
 
 
 class TestTiming:

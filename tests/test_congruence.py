@@ -3,6 +3,8 @@
 import json
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -168,6 +170,56 @@ def test_fold_known_values():
 def test_fold_remainder_equals_divrem_hypothesis(coeffs, m):
     a = IntPoly(coeffs)
     assert rem_mod(a, m) == a.divrem(m)[1]
+
+
+# --- congruence_report on a tuple of factors ---------------------------------------------
+
+def _assert_factor_form_agrees(factors, rhs, m):
+    """The tuple form gives the same verdict and witness as the one-polynomial form."""
+    whole = reduce(mul, factors)
+    by_factors = congruence_report("t", {}, factors, rhs, m)
+    by_product = congruence_report("t", {}, whole, rhs, m)
+    assert by_factors == by_product, (factors, rhs, m)
+    return by_factors.status
+
+
+def test_factor_form_matches_product_form_seeded():
+    rng = random.Random(1509)
+    moduli = [q_int(n) ** e for n in (1, 2, 3, 5, 8, 13) for e in (1, 2)] + UNRECOGNISED
+    statuses = set()
+    for m in moduli:
+        for _ in range(20):
+            factors = tuple(_random_poly(rng, max_len=rng.choice((4, 40)))
+                            for _ in range(rng.choice((2, 3))))
+            rhs = rng.choice((ZERO, _random_poly(rng, max_len=30)))
+            statuses.add(_assert_factor_form_agrees(factors, rhs, m))
+            # a multiple of m as one factor: the product is congruent to 0
+            multiple = (factors[0] * m,) + factors[1:]
+            statuses.add(_assert_factor_form_agrees(multiple, ZERO, m))
+            # a zero factor, and factors shorter than the modulus
+            statuses.add(_assert_factor_form_agrees((factors[0], ZERO), rhs, m))
+            short = tuple(IntPoly([rng.randint(-3, 3) for _ in range(len(m.coeffs) // 2)])
+                          for _ in range(2))
+            statuses.add(_assert_factor_form_agrees(short, rhs, m))
+    assert statuses == {PASS, FAIL}
+
+
+@given(st.lists(st.lists(st.integers(min_value=-50, max_value=50), max_size=60),
+                min_size=2, max_size=3),
+       st.lists(st.integers(min_value=-50, max_value=50), max_size=20),
+       st.sampled_from([q_int(n) ** e for n in (1, 2, 4, 7, 11) for e in (1, 2)]
+                       + UNRECOGNISED))
+@settings(max_examples=300, deadline=None)
+def test_factor_form_matches_product_form_hypothesis(factors, rhs, m):
+    _assert_factor_form_agrees(tuple(IntPoly(f) for f in factors), IntPoly(rhs), m)
+
+
+def test_factor_form_fail_renders_the_full_product():
+    factors = (q_int(4), q_int(3).shift(2))  # [4] q^2 [3], not divisible by [5]
+    r = congruence_report("t", {}, factors, ZERO, q_int(5))
+    assert r.status == FAIL
+    assert r.witness.lhs == str(q_int(4) * q_int(3).shift(2))
+    assert congruence_report("t", {}, (q_int(5), q_int(3)), ZERO, q_int(5)).status == PASS
 
 
 def test_is_prime_small():

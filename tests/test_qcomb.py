@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from oracles import q_binomial_oracle
+from oracles import q_binomial_oracle, weighted_sum_oracle
 
 from qcong.errors import InternalError
 from qcong.poly import ONE, ZERO, IntPoly
@@ -167,6 +167,62 @@ def test_cache_eviction_bounded():
         direct = q_binomial(n, 1) * q_binomial(n, 2) * q_binomial(n + 1, 2)
         assert cache.product(pairs) == direct
         assert len(cache) <= 4
+
+
+class _CountingProducts(QBinomialCache):
+    """A memo that records the row index h of every product it is asked for."""
+
+    def __init__(self, max_entries=4096):
+        super().__init__(max_entries)
+        self.calls = []
+
+    def product(self, pairs):
+        self.calls.append(pairs[0][0])
+        return super().product(pairs)
+
+    def rows(self):
+        """The distinct rows asked for since the last call, in ascending order."""
+        rows = sorted(set(self.calls))
+        del self.calls[:]
+        return rows
+
+
+def test_weighted_sum_extends_the_largest_cached_n():
+    cache = _CountingProducts()
+    assert cache.weighted_sum(5, (1, 2)) == weighted_sum_oracle(5, (1, 2))
+    assert cache.rows() == [2, 3, 4]  # rows below max(a_i) vanish and are skipped
+    assert cache.weighted_sum(8, (1, 2)) == weighted_sum_oracle(8, (1, 2))
+    assert cache.rows() == [5, 6, 7]  # built off W(5)
+    assert cache.weighted_sum(6, (1, 2)) == weighted_sum_oracle(6, (1, 2))
+    assert cache.rows() == [5]  # W(8) is not below 6, so W(5) is the base
+    assert cache.weighted_sum(8, (1, 2)) == weighted_sum_oracle(8, (1, 2))
+    assert cache.rows() == []  # a hit
+    # clear() drops the sums with the binomials and products
+    cache.clear()
+    assert len(cache) == 0
+    assert cache.weighted_sum(7, (1, 2)) == weighted_sum_oracle(7, (1, 2))
+    assert cache.rows() == [2, 3, 4, 5, 6]
+
+
+def test_weighted_sum_stores_only_its_own_n():
+    cache = QBinomialCache()
+    cache.weighted_sum(6, (1,))
+    assert len(cache) == 5 + 1  # gauss(h, 1) for h = 1..5, then W(6) alone
+    # n <= max(a_i): every row vanishes, and nothing is stored
+    fresh = QBinomialCache()
+    assert fresh.weighted_sum(3, (1, 3)) == ZERO
+    assert fresh.weighted_sum(3, (3,)) == ZERO
+    assert len(fresh) == 0
+
+
+def test_weighted_sum_evicting_mid_build():
+    # a table of four entries evicts rows, products and earlier sums while
+    # one sum is being built; every value must still match the oracle
+    small = QBinomialCache(max_entries=4)
+    for n in list(range(1, 12)) + list(range(11, 0, -1)):
+        for a_sorted in ((0, 2), (1, 1, 3), (2, 2, 2)):
+            assert small.weighted_sum(n, a_sorted) == weighted_sum_oracle(n, a_sorted)
+            assert len(small) <= 4
 
 
 def test_cache_rejects_nonpositive_bound():

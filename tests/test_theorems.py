@@ -7,7 +7,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from oracles import multinom_factor_oracle
+from oracles import multinom_factor_oracle, weighted_sum_oracle
 
 from qcong import congruence, poly, qcomb, theorems
 from qcong.errors import InternalError, InvalidParamsError
@@ -81,13 +81,21 @@ def test_weighted_sum_cache_transparent():
     # the memoized sum must equal one built from uncached product-formula binomials
     for n in (1, 3, 6):
         for a_list in ([0], [1, 1], [2, 0, 1]):
-            direct = ZERO
-            for h in range(n):
-                term = ONE.shift(h)
-                for a in a_list:
-                    term = term * q_binomial(h, a)
-                direct = direct + term
-            assert weighted_sum(n, a_list) == direct
+            assert weighted_sum(n, a_list) == weighted_sum_oracle(n, a_list)
+
+
+def test_weighted_sum_independent_of_visit_order():
+    # each W(n) is built off whichever smaller n of the same a-list is cached,
+    # so visit n ascending, descending and shuffled, each from a cleared memo
+    a_lists = ([3], [2, 1], [1, 2], [0, 2, 1], [2, 2, 0], [1, 0, 2])
+    expected = {(n, tuple(a)): weighted_sum_oracle(n, a)
+                for n in range(1, 11) for a in a_lists}
+    shuffled = list(expected)
+    random.Random(9).shuffle(shuffled)
+    for order in (sorted(expected), sorted(expected, reverse=True), shuffled):
+        qcomb.BINOMIAL_MEMO.clear()
+        for n, a_list in order:
+            assert weighted_sum(n, a_list) == expected[n, a_list], (n, a_list)
 
 
 @pytest.mark.parametrize("check, args", [
@@ -450,7 +458,9 @@ def _pfaff_lhs_plus_one(monkeypatch):
 
 
 # thm1 (7, [3, 2]) and thm2 (7, 3, 2) share this product; it is long enough
-# that the corrupted moduli [8] and [8]^2 fold it before dividing.
+# that the corrupted moduli [8] and [8]^2 fold it before dividing.  thm1 folds
+# each of its two factors (lengths 12 and 24) before multiplying them, and
+# renders this full product only for the witness.
 _LHS_7_3_2 = (
     "q^3 + 4*q^4 + 12*q^5 + 29*q^6 + 62*q^7 + 119*q^8 + 210*q^9"
     " + 343*q^10 + 525*q^11 + 755*q^12 + 1027*q^13 + 1324*q^14"
@@ -458,6 +468,14 @@ _LHS_7_3_2 = (
     " + 2193*q^20 + 2022*q^21 + 1776*q^22 + 1483*q^23 + 1175*q^24"
     " + 880*q^25 + 621*q^26 + 410*q^27 + 252*q^28 + 142*q^29 + 73*q^30"
     " + 33*q^31 + 13*q^32 + 4*q^33 + q^34"
+)
+
+# thm1 (5, [2, 2]) under the corrupted modulus [6]: both factors, the prefactor
+# (length 9) and W(5) (length 13), are longer than the modulus.
+_LHS_5_2_2 = (
+    "q^2 + 3*q^3 + 9*q^4 + 20*q^5 + 40*q^6 + 67*q^7 + 102*q^8 + 136*q^9"
+    " + 166*q^10 + 180*q^11 + 179*q^12 + 158*q^13 + 127*q^14 + 89*q^15"
+    " + 56*q^16 + 29*q^17 + 13*q^18 + 4*q^19 + q^20"
 )
 
 
@@ -487,6 +505,8 @@ _LHS_7_3_2 = (
     pytest.param(_modulus_shifted, lambda: check_thm1(7, [3, 2]),
                  (_LHS_7_3_2, "0", "q + 2*q^2 + 3*q^3 + 3*q^4 + 2*q^5 + q^6"),
                  id="thm1-folded"),
+    pytest.param(_modulus_shifted, lambda: check_thm1(5, [2, 2]),
+                 (_LHS_5_2_2, "0", "3 + 2*q^2 - q^3 + 2*q^4"), id="thm1-both-factors-folded"),
     pytest.param(_modulus_shifted, lambda: check_thm2(7, 3, 2),
                  (_LHS_7_3_2, "-q^2 - q^3 - q^4 - q^5 - q^6 - q^7 - q^8 - q^9",
                   "-2 - 6*q - 15*q^2 - 26*q^3 - 39*q^4 - 47*q^5 - 53*q^6 - 54*q^7"
@@ -518,6 +538,24 @@ def test_failing_congruence_divides_once(monkeypatch):
     monkeypatch.setattr(poly, "_divrem_lists", counted)
     assert check_thm1(7, [3, 2]).status == "fail"
     assert len(divisions) == 1
+
+
+def test_thm1_pass_multiplies_only_folded_factors(monkeypatch):
+    # a pass folds the prefactor and W(n) modulo q^n - 1 first, so no multiply
+    # sees an operand longer than n; the full product is never built
+    n, a_list = 9, [3, 2, 2]
+    assert len(multinom_factor(a_list).coeffs) > n  # both factors are long, and
+    assert len(weighted_sum(n, a_list).coeffs) > n  # now memoized
+    lengths = []
+    mul = poly.IntPoly.__mul__
+
+    def counted(self, other):
+        lengths.append((len(self.coeffs), len(other.coeffs)))
+        return mul(self, other)
+
+    monkeypatch.setattr(poly.IntPoly, "__mul__", counted)
+    assert check_thm1(n, a_list).status == "pass"
+    assert lengths and max(map(max, lengths)) <= n
 
 
 # --- checkers do not time themselves; the sweep does ----------------------------------------
