@@ -9,15 +9,21 @@ elapsed_ms; the optional ``note`` (e.g. the vanishing-sum marker on
 trivially-true instances) only appears in the human-readable text rendering.
 
 Every verdict is built by one core, ``_verdict``, from one residue computed
-by one of three deciders: ``congruence_report`` (lhs == rhs modulo a
-polynomial; ``rem_mod(lhs - rhs, modulus)``), ``identity_report`` (lhs ==
+by one of three deciders: ``congruence_report`` (a product of factors ==
+rhs modulo [n]^e; ``rem_mod(lhs - rhs, n, e)``), ``identity_report`` (lhs ==
 rhs exactly for polynomials, Laurent polynomials or rationals; lhs - rhs)
 and ``integer_report`` (an integer divisible by a modulus; value % modulus).
 A zero residue gives ``pass`` with the optional note; any other gives
 ``fail`` with that residue as the witness's difference, so a verdict divides
-once.  ``congruence_report`` also takes lhs as a tuple of factors: it folds
-each one modulo (q^n - 1)^e before multiplying them (thm1's prefactor and
-weighted sum), and builds their full product only for a fail witness.
+once.
+
+Every polynomial modulus in the paper is a power of a q-integer: [n] for
+thm1 and the p - 1 lemma, [p]^2 for thm2.  So a caller names it by the pair
+(n, e), e in (1, 2), and ``fold`` reduces a residue modulo (q^n - 1)^e, a
+multiple of [n]^e, before ``rem_mod`` divides.  ``congruence_report`` folds
+each factor before multiplying them (thm1's prefactor and weighted sum), and
+builds their full product only for a fail witness.
+
 Checkers read no clock: ``sweep.run_instance`` stamps each report's
 ``elapsed_ms``."""
 
@@ -36,32 +42,18 @@ VANISHING_SUM = "vanishing-sum"
 _STATUSES = (PASS, FAIL, SKIPPED)
 
 
-def _q_int_power(m):
-    """(n, e) when m is [n]^e for e in (1, 2), read off m's coefficients; else None."""
-    c = m.coeffs
-    if not c:
-        return None
-    if c.count(1) == len(c):
-        return len(c), 1
-    n = (len(c) + 1) // 2
-    if c == tuple(range(1, n + 1)) + tuple(range(n - 1, 0, -1)):
-        return n, 2
-    return None
+def fold(a, n, e):
+    """a reduced modulo (q^n - 1)^e, for n >= 1 and e in (1, 2).
 
-
-def fold(a, m):
-    """a reduced modulo (q^n - 1)^e when m = [n]^e, e in (1, 2); else a itself.
-
-    (q^n - 1)^e = (q - 1)^e [n]^e is a multiple of m, so the result is
-    congruent to a modulo m and has degree below e*n.  With y = q^n and
+    (q^n - 1)^e = (q - 1)^e [n]^e is a multiple of [n]^e, so the result is
+    congruent to a modulo [n]^e and has degree below e*n.  With y = q^n and
     a = sum_j a_j y^j (deg a_j < n): for e = 1, y == 1 and the fold is the
     sum A of the length-n blocks a_j; for e = 2, y^j == (1 - j) + j*y, so
     a == (A - B) + q^n * B with B = sum_j j*a_j.
     """
-    shape = _q_int_power(m)
-    if shape is None:
-        return a
-    n, e = shape
+    if n < 1 or e not in (1, 2):
+        raise ValueError("the modulus [n]^e needs n >= 1 and e in (1, 2), got n=%r e=%r"
+                         % (n, e))
     c = a.coeffs
     if len(c) <= e * n:
         return a
@@ -76,12 +68,14 @@ def fold(a, m):
     return IntPoly._make(low + high)
 
 
-def rem_mod(a, m):
-    """Euclidean remainder of a modulo m (m unit-leading).
+def rem_mod(a, n, e=1):
+    """Euclidean remainder of a modulo [n]^e, for n >= 1 and e in (1, 2).
 
-    The remainder is unique, so dividing ``fold(a, m)`` gives the same one.
+    The remainder is unique, so dividing ``fold(a, n, e)`` gives the same one.
     """
-    _, rem = fold(a, m).divrem(m)
+    folded = fold(a, n, e)  # validates (n, e) before [n] is built
+    q_n = IntPoly._make([1] * n)
+    _, rem = folded.divrem(q_n * q_n if e == 2 else q_n)
     return rem
 
 
@@ -179,18 +173,15 @@ def _verdict(claim_id, params, lhs, rhs, residue, note):
                        witness=Witness(str(lhs), str(rhs), str(residue)))
 
 
-def congruence_report(claim_id, params, lhs, rhs, modulus, note=None):
-    """Report whether lhs == rhs (mod modulus) in Z[q]; modulus unit-leading.
+def congruence_report(claim_id, params, factors, rhs, n, e=1, note=None):
+    """Report whether prod(factors) == rhs (mod [n]^e) in Z[q].
 
-    lhs may be a tuple of factors.  Each is folded before they are
-    multiplied, so a pass never builds their full product; a fail builds it
-    for the witness.
+    Each factor is folded before they are multiplied, so a pass never builds
+    their full product; a fail builds it for the witness.
     """
-    factors = lhs if isinstance(lhs, tuple) else None
-    if factors:
-        lhs = reduce(mul, [fold(f, modulus) for f in factors])
-    residue = rem_mod(lhs - rhs if rhs else lhs, modulus)  # rhs == 0: no copy of lhs
-    if factors and residue:
+    lhs = reduce(mul, [fold(f, n, e) for f in factors])
+    residue = rem_mod(lhs - rhs if rhs else lhs, n, e)  # rhs == 0: no copy of lhs
+    if residue:
         lhs = reduce(mul, factors)
     return _verdict(claim_id, params, lhs, rhs, residue, note)
 

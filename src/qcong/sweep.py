@@ -333,7 +333,7 @@ def execute(instances, jobs=1, fail_fast=False):
                 break
     finally:
         if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+            pool.shutdown(cancel_futures=True)  # waits: no worker outlives the call
     return reports
 
 

@@ -77,6 +77,8 @@ are ordered tuples of (n, k) pairs, so a caller sorts the pairs itself
 where their order does not matter.  The recurrence's own memo is local to
 one call.
 
+Each congruence names its modulus [n]^e by the pair (n, e): thm1 and the
+p - 1 lemma take (n, 1), thm2 takes (p, 2) and its cross-check (p, 1).
 thm1 hands its prefactor and weighted sum to ``congruence_report`` as two
 factors, each folded modulo q^n - 1 before they are multiplied; the full
 product is built only for a fail witness.  thm2 multiplies in full, since
@@ -171,7 +173,7 @@ def check_thm1(n, a_list):
     """Divisibility of the prefactored weighted sum by [n] (claim id thm1)."""
     w = weighted_sum(n, a_list)
     return congruence_report("thm1", _a_params("n", n, a_list),
-                             (multinom_factor(a_list), w), ZERO, q_int(n),
+                             (multinom_factor(a_list), w), ZERO, n,
                              note=VANISHING_SUM if w.is_zero else None)
 
 
@@ -281,7 +283,7 @@ def check_p_minus_one_lemma(p, j):
     if not 0 <= j <= p - 1:
         raise InvalidParamsError("need 0 <= j <= p-1")
     lhs = BINOMIAL_MEMO.binomial(p - 1, j).shift(math.comb(j + 1, 2))
-    return congruence_report("p_minus_one", {"p": p, "j": j}, lhs, _sign(j) * ONE, q_int(p))
+    return congruence_report("p_minus_one", {"p": p, "j": j}, (lhs,), _sign(j) * ONE, p)
 
 
 def check_residue_identity(a, b):
@@ -332,18 +334,17 @@ def check_thm2(p, a, b):
     """
     ThmParams(p, (a, b), p=p)  # validates primality and p > max(a, b)
     mod_p = q_int(p)
-    mod_p2 = mod_p * mod_p
     lhs = multinom_factor((a, b)) * weighted_sum(p, (a, b))
     sign = _sign(a - b)
     e = a * b - math.comb(a, 2) - math.comb(b, 2)
     rhs_norm = (sign * ONE).shift(e % p) * mod_p
-    report = congruence_report("thm2", {"p": p, "a": a, "b": b}, lhs, rhs_norm, mod_p2)
+    report = congruence_report("thm2", {"p": p, "a": a, "b": b}, (lhs,), rhs_norm, p, 2)
     if e >= 0:
         cleared = lhs - (sign * ONE).shift(e) * mod_p
     else:
         cleared = lhs.shift(-e) - sign * mod_p
     derivative = IntPoly._make([i * c for i, c in enumerate(cleared.coeffs)][1:])
-    ok_clear = not rem_mod(cleared, mod_p) and not rem_mod(derivative, mod_p)
+    ok_clear = not rem_mod(cleared, p) and not rem_mod(derivative, p)
     if (report.status == PASS) != ok_clear:
         raise InternalError(
             "normalized and cleared checks disagree at p=%d a=%d b=%d" % (p, a, b))

@@ -1,7 +1,10 @@
-"""Slow reference routes that the tests compare the package against."""
+"""Slow reference routes that the tests compare the package against, and the
+corrupted modulus that both the checker and the sweep tests use to reach
+every fail branch."""
 
+from qcong import theorems
 from qcong.poly import ONE, ZERO
-from qcong.qcomb import q_binomial, q_factorial
+from qcong.qcomb import q_binomial, q_factorial, q_int
 
 
 def q_binomial_oracle(n, k):
@@ -45,3 +48,19 @@ def weighted_sum_oracle(n, a_list):
             term = term * q_binomial(h, a)
         total = total + term
     return total
+
+
+def modulus_shifted(monkeypatch):
+    """Corrupt every modulus the checkers name: [n]^e becomes [n+1]^e.
+
+    Shifts the n that ``theorems`` hands to ``congruence_report`` and
+    ``rem_mod``, and ``theorems.q_int``, which thm2's right side reads.
+    """
+    report, rem = theorems.congruence_report, theorems.rem_mod
+
+    def shifted_report(claim_id, params, factors, rhs, n, e=1, note=None):
+        return report(claim_id, params, factors, rhs, n + 1, e, note)
+
+    monkeypatch.setattr(theorems, "q_int", lambda n: q_int(n + 1))
+    monkeypatch.setattr(theorems, "congruence_report", shifted_report)
+    monkeypatch.setattr(theorems, "rem_mod", lambda a, n, e=1: rem(a, n + 1, e))

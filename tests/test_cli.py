@@ -13,6 +13,7 @@ import re
 import time
 
 import pytest
+from oracles import modulus_shifted
 
 from qcong.congruence import FAIL, PASS, Witness, make_report
 from qcong.cli import build_parser, main
@@ -31,8 +32,7 @@ from qcong.sweep import (
     run_suite,
 )
 import qcong.sweep as sweep_mod
-from qcong import qcomb, theorems
-from qcong.qcomb import q_int
+from qcong import qcomb
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "README.md")
@@ -270,7 +270,14 @@ class TestExecution:
                                               witness=Witness("1", "0", "1")))
         instances = [("sum_lemma", (("n", i), ("a", 0))) for i in range(1, 41)]
         assert len(execute(instances, jobs=2, fail_fast=True)) == 1
+        assert multiprocessing.active_children() == []
         assert len(execute(instances, jobs=2)) == 40
+
+    @pytest.mark.parametrize("fail_fast", [False, True])
+    def test_pool_workers_are_gone_when_execute_returns(self, fail_fast):
+        instances = enumerate_instances(_cfg(n_max=6))
+        assert len(execute(instances, jobs=2, fail_fast=fail_fast)) == len(instances)
+        assert multiprocessing.active_children() == []
 
     def test_parallel_matches_serial(self):
         cfg = _cfg(suite="identities", n_max=4, a_max=2, prime_set=(2,),
@@ -289,7 +296,7 @@ class TestExecution:
         # output must not change.  With the modulus shifted to [n+1] every thm1
         # and thm2 instance that fails prints its full left side.
         if corrupt:
-            monkeypatch.setattr(theorems, "q_int", lambda n: q_int(n + 1))
+            modulus_shifted(monkeypatch)
         instances = (enumerate_instances(_cfg(suite="thm1", n_max=9, m_max=3, a_max=3))
                      + enumerate_instances(_cfg(suite="thm2", prime_set=(5, 7))))
         outs = []

@@ -23,7 +23,7 @@ from qcong.congruence import (
     make_report,
     rem_mod,
 )
-from qcong.errors import LeadingCoeffNotUnitError, NotDivisibleError
+from qcong.errors import NotDivisibleError
 from qcong.poly import ONE, ZERO, IntPoly
 from qcong.qcomb import LaurentPoly, q_int
 
@@ -44,12 +44,10 @@ def _exact_divides(d, a):
 
 
 def test_rem_mod_and_exact_div_decide_divisibility():
-    assert rem_mod(q_int(4), q_int(2)) == ZERO and _exact_divides(q_int(2), q_int(4))
-    assert rem_mod(q_int(4), q_int(3)) == ONE and not _exact_divides(q_int(3), q_int(4))
-    assert rem_mod(q_int(7), ONE) == ZERO and _exact_divides(ONE, q_int(7))
-    assert rem_mod(ZERO, q_int(5)) == ZERO and _exact_divides(q_int(5), ZERO)
-    with pytest.raises(ZeroDivisionError):
-        rem_mod(q_int(2), ZERO)
+    assert rem_mod(q_int(4), 2) == ZERO and _exact_divides(q_int(2), q_int(4))
+    assert rem_mod(q_int(4), 3) == ONE and not _exact_divides(q_int(3), q_int(4))
+    assert rem_mod(q_int(7), 1) == ZERO and _exact_divides(ONE, q_int(7))
+    assert rem_mod(ZERO, 5) == ZERO and _exact_divides(q_int(5), ZERO)
     with pytest.raises(ZeroDivisionError):
         q_int(2).exact_div(ZERO)
 
@@ -60,39 +58,41 @@ def test_q_integer_divisibility_family():
         for k in range(1, 61):
             if n * k > 60:
                 break
-            assert rem_mod(q_int(n * k), q_int(n)) == ZERO, (n, k)
+            assert rem_mod(q_int(n * k), n) == ZERO, (n, k)
             quotient = IntPoly([1 if i % n == 0 else 0 for i in range(n * (k - 1) + 1)])
             assert q_int(n * k).exact_div(q_int(n)) == quotient, (n, k)
 
 
 def test_rem_mod_examples():
     # q^3 mod [3]: q^3 - 1 = (q-1)(1+q+q^2), so q^3 == 1
-    assert rem_mod(q_power(3), q_int(3)) == ONE
-    assert rem_mod(q_int(3), q_int(3)) == ZERO
+    assert rem_mod(q_power(3), 3) == ONE
+    assert rem_mod(q_int(3), 3) == ZERO
 
 
 def test_rem_mod_matches_divrem_contract():
     a = IntPoly([3, 1, 4, 1, 5, 9, 2, 6])
-    m = q_int(4)
-    r = rem_mod(a, m)
-    assert r.degree < m.degree
-    assert _exact_divides(m, a - r)
+    r = rem_mod(a, 4)
+    assert r.degree < 3
+    assert _exact_divides(q_int(4), a - r)
 
 
 def test_rem_mod_of_a_difference():
-    m = q_int(5)
-    assert rem_mod(q_power(5) - ONE, m) == ZERO
-    assert rem_mod(q_power(5) - q_power(1), m) == IntPoly([1, -1])
-    assert rem_mod(q_power(7) - q_power(2), m) == ZERO
-    with pytest.raises(LeadingCoeffNotUnitError):
-        rem_mod(ONE - ONE, IntPoly([1, 2]))
-    with pytest.raises(ZeroDivisionError):
-        rem_mod(ONE - ONE, ZERO)
-    # the decider validates the modulus through rem_mod
-    with pytest.raises(LeadingCoeffNotUnitError):
-        congruence_report("t", {}, ONE, ONE, IntPoly([1, 2]))
-    with pytest.raises(ZeroDivisionError):
-        congruence_report("t", {}, ONE, ONE, ZERO)
+    assert rem_mod(q_power(5) - ONE, 5) == ZERO
+    assert rem_mod(q_power(5) - q_power(1), 5) == IntPoly([1, -1])
+    assert rem_mod(q_power(7) - q_power(2), 5) == ZERO
+
+
+@pytest.mark.parametrize("n, e", [(0, 1), (-1, 1), (0, 2), (3, 0), (3, 3), (3, -1)])
+def test_modulus_must_be_a_q_integer_or_its_square(n, e):
+    # the modulus is [n]^e with n >= 1 and e in (1, 2); fold, rem_mod and the
+    # decider all refuse anything else
+    a = q_int(7)
+    with pytest.raises(ValueError):
+        fold(a, n, e)
+    with pytest.raises(ValueError):
+        rem_mod(a, n, e)
+    with pytest.raises(ValueError):
+        congruence_report("t", {}, (a,), ONE, n, e)
 
 
 def test_qp_minus_one_times_qint_identity():
@@ -106,20 +106,18 @@ def test_qp_minus_one_times_qint_identity():
 def test_exponent_normalization_respects_period():
     # q^(e mod p) * [p] == q^(e + p*t) * [p]  (mod [p]^2) for t lifting e >= 0
     for p in PRIMES_TO_13:
-        msq = q_int(p) * q_int(p)
         for e in range(-20, 21):
             norm = e % p
             t0 = 0 if e >= 0 else -(e // p)  # smallest t with e + p*t >= 0
             for t in (t0, t0 + 1):
                 lifted = q_power(e + p * t) * q_int(p)
-                assert rem_mod(q_power(norm) * q_int(p) - lifted, msq) == ZERO, (p, e, t)
+                assert rem_mod(q_power(norm) * q_int(p) - lifted, p, 2) == ZERO, (p, e, t)
 
 
 # --- fold: reduction modulo (q^n - 1)^e before the division --------------------------
 
 BIG = 2 ** 200
-FOLDED = [q_int(n) ** e for n in range(1, 26) for e in (1, 2)]
-UNRECOGNISED = [IntPoly([1, 2, 0, 1]), IntPoly([-1, 0, 1])]  # 1 + 2q + q^3, -1 + q^2
+MODULI = [(n, e) for n in range(1, 26) for e in (1, 2)]  # [n]^e as (n, e)
 
 
 def _random_poly(rng, max_len=401):
@@ -130,96 +128,88 @@ def _random_poly(rng, max_len=401):
 
 def test_fold_remainder_equals_divrem_seeded():
     rng = random.Random(20150611)
-    for m in FOLDED + UNRECOGNISED:
+    for n, e in MODULI:
+        m = q_int(n) ** e
         for _ in range(12):
             a = _random_poly(rng)
-            assert rem_mod(a, m) == a.divrem(m)[1], (m, a)
-            assert (rem_mod(a, m) == ZERO) == _exact_divides(m, a), (m, a)
+            assert rem_mod(a, n, e) == a.divrem(m)[1], (n, e, a)
+            assert (rem_mod(a, n, e) == ZERO) == _exact_divides(m, a), (n, e, a)
 
 
 def test_fold_degree_and_congruence():
     rng = random.Random(7)
-    for n in range(1, 26):
-        for e in (1, 2):
-            m = q_int(n) ** e
-            power = 1 if n == 1 else e  # [1]^2 = [1] reads as e = 1
-            period = (ONE.shift(n) - ONE) ** power
-            for _ in range(4):
-                a = _random_poly(rng)
-                folded = fold(a, m)
-                assert folded.degree < power * n
-                assert _exact_divides(period, a - folded), (n, e)
-
-
-def test_fold_leaves_unrecognised_moduli_alone():
-    a = IntPoly(list(range(-30, 31)))
-    for m in UNRECOGNISED + [IntPoly([1, 1, 2]), IntPoly([1, 2, 3, 2, 2]), -q_int(4), ZERO]:
-        assert fold(a, m) is a
-    assert fold(IntPoly([5, 6]), q_int(3)) == IntPoly([5, 6])  # already reduced
+    for n, e in MODULI:
+        period = (ONE.shift(n) - ONE) ** e
+        for _ in range(4):
+            a = _random_poly(rng)
+            folded = fold(a, n, e)
+            assert folded.degree < e * n
+            assert _exact_divides(period, a - folded), (n, e)
 
 
 def test_fold_known_values():
     # q^5 == q^2 mod q^3 - 1; mod (q^2 - 1)^2, q^(2j) == (1 - j) + j q^2
-    assert fold(ONE.shift(5), q_int(3)) == ONE.shift(2)
-    assert fold(ONE.shift(6), q_int(2) * q_int(2)) == IntPoly([-2, 0, 3])
+    assert fold(ONE.shift(5), 3, 1) == ONE.shift(2)
+    assert fold(ONE.shift(6), 2, 2) == IntPoly([-2, 0, 3])
+    assert fold(IntPoly([5, 6]), 3, 1) == IntPoly([5, 6])  # already reduced
 
 
 @given(st.lists(st.integers(min_value=-BIG, max_value=BIG), max_size=400),
-       st.sampled_from(FOLDED + UNRECOGNISED))
+       st.sampled_from(MODULI))
 @settings(max_examples=300, deadline=None)
-def test_fold_remainder_equals_divrem_hypothesis(coeffs, m):
+def test_fold_remainder_equals_divrem_hypothesis(coeffs, modulus):
     a = IntPoly(coeffs)
-    assert rem_mod(a, m) == a.divrem(m)[1]
+    n, e = modulus
+    assert rem_mod(a, n, e) == a.divrem(q_int(n) ** e)[1]
 
 
 # --- congruence_report on a tuple of factors ---------------------------------------------
 
-def _assert_factor_form_agrees(factors, rhs, m):
-    """The tuple form gives the same verdict and witness as the one-polynomial form."""
+def _assert_factor_form_agrees(factors, rhs, n, e):
+    """Several factors give the same verdict and witness as their product alone."""
     whole = reduce(mul, factors)
-    by_factors = congruence_report("t", {}, factors, rhs, m)
-    by_product = congruence_report("t", {}, whole, rhs, m)
-    assert by_factors == by_product, (factors, rhs, m)
+    by_factors = congruence_report("t", {}, factors, rhs, n, e)
+    by_product = congruence_report("t", {}, (whole,), rhs, n, e)
+    assert by_factors == by_product, (factors, rhs, n, e)
     return by_factors.status
 
 
 def test_factor_form_matches_product_form_seeded():
     rng = random.Random(1509)
-    moduli = [q_int(n) ** e for n in (1, 2, 3, 5, 8, 13) for e in (1, 2)] + UNRECOGNISED
     statuses = set()
-    for m in moduli:
+    for n, e in [(n, e) for n in (1, 2, 3, 5, 8, 13) for e in (1, 2)]:
+        m = q_int(n) ** e
         for _ in range(20):
             factors = tuple(_random_poly(rng, max_len=rng.choice((4, 40)))
                             for _ in range(rng.choice((2, 3))))
             rhs = rng.choice((ZERO, _random_poly(rng, max_len=30)))
-            statuses.add(_assert_factor_form_agrees(factors, rhs, m))
+            statuses.add(_assert_factor_form_agrees(factors, rhs, n, e))
             # a multiple of m as one factor: the product is congruent to 0
             multiple = (factors[0] * m,) + factors[1:]
-            statuses.add(_assert_factor_form_agrees(multiple, ZERO, m))
+            statuses.add(_assert_factor_form_agrees(multiple, ZERO, n, e))
             # a zero factor, and factors shorter than the modulus
-            statuses.add(_assert_factor_form_agrees((factors[0], ZERO), rhs, m))
+            statuses.add(_assert_factor_form_agrees((factors[0], ZERO), rhs, n, e))
             short = tuple(IntPoly([rng.randint(-3, 3) for _ in range(len(m.coeffs) // 2)])
                           for _ in range(2))
-            statuses.add(_assert_factor_form_agrees(short, rhs, m))
+            statuses.add(_assert_factor_form_agrees(short, rhs, n, e))
     assert statuses == {PASS, FAIL}
 
 
 @given(st.lists(st.lists(st.integers(min_value=-50, max_value=50), max_size=60),
                 min_size=2, max_size=3),
        st.lists(st.integers(min_value=-50, max_value=50), max_size=20),
-       st.sampled_from([q_int(n) ** e for n in (1, 2, 4, 7, 11) for e in (1, 2)]
-                       + UNRECOGNISED))
+       st.sampled_from([(n, e) for n in (1, 2, 4, 7, 11) for e in (1, 2)]))
 @settings(max_examples=300, deadline=None)
-def test_factor_form_matches_product_form_hypothesis(factors, rhs, m):
-    _assert_factor_form_agrees(tuple(IntPoly(f) for f in factors), IntPoly(rhs), m)
+def test_factor_form_matches_product_form_hypothesis(factors, rhs, modulus):
+    _assert_factor_form_agrees(tuple(IntPoly(f) for f in factors), IntPoly(rhs), *modulus)
 
 
 def test_factor_form_fail_renders_the_full_product():
     factors = (q_int(4), q_int(3).shift(2))  # [4] q^2 [3], not divisible by [5]
-    r = congruence_report("t", {}, factors, ZERO, q_int(5))
+    r = congruence_report("t", {}, factors, ZERO, 5)
     assert r.status == FAIL
     assert r.witness.lhs == str(q_int(4) * q_int(3).shift(2))
-    assert congruence_report("t", {}, (q_int(5), q_int(3)), ZERO, q_int(5)).status == PASS
+    assert congruence_report("t", {}, (q_int(5), q_int(3)), ZERO, 5).status == PASS
 
 
 def test_is_prime_small():
@@ -245,11 +235,11 @@ def test_is_prime_small():
      ("-1/2", "-3/2", "1")),
     (lambda note: integer_report("t", {}, 12, 4, note=note), None),
     (lambda note: integer_report("t", {}, 14, 4, note=note), ("14", "0", "2")),
-    (lambda note: congruence_report("t", {}, q_power(7), q_power(2), q_int(5), note=note),
+    (lambda note: congruence_report("t", {}, (q_power(7),), q_power(2), 5, note=note),
      None),
-    (lambda note: congruence_report("t", {}, q_power(5), q_power(1), q_int(5), note=note),
+    (lambda note: congruence_report("t", {}, (q_power(5),), q_power(1), 5, note=note),
      ("q^5", "q", "1 - q")),
-    (lambda note: congruence_report("t", {}, q_power(6), ZERO, q_int(5), note=note),
+    (lambda note: congruence_report("t", {}, (q_power(6),), ZERO, 5, note=note),
      ("q^6", "0", "q")),
 ])
 def test_deciders_share_one_verdict_core(decide, witness):

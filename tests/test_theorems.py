@@ -7,7 +7,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from oracles import multinom_factor_oracle, weighted_sum_oracle
+from oracles import modulus_shifted, multinom_factor_oracle, weighted_sum_oracle
 
 from qcong import congruence, poly, qcomb, theorems
 from qcong.errors import InternalError, InvalidParamsError
@@ -324,12 +324,11 @@ def test_thm2_cross_check_catches_a_fold_without_its_b_term(monkeypatch):
     # the first route only; the derivative route folds mod [p] and must disagree
     fold = congruence.fold
 
-    def without_b(a, m):
+    def without_b(a, n, e):
         c = a.coeffs
-        n = (len(m.coeffs) + 1) // 2
-        if n > 1 and m == q_int(n) * q_int(n) and len(c) > 2 * n:
+        if e == 2 and n > 1 and len(c) > 2 * n:
             return IntPoly([sum(c[i::n]) for i in range(n)])
-        return fold(a, m)
+        return fold(a, n, e)
 
     monkeypatch.setattr(congruence, "fold", without_b)
     raised = 0
@@ -425,10 +424,6 @@ class _BinomialsPlusOne(qcomb.QBinomialCache):
         return qcomb.BINOMIAL_MEMO.binomial(n, k) + 1
 
 
-def _modulus_shifted(monkeypatch):
-    monkeypatch.setattr(theorems, "q_int", lambda n: q_int(n + 1))
-
-
 def _weighted_sum_plus_modulus(monkeypatch):
     # adds prefactor * [n]: off by a multiple of [p] but not of [p]^2, which
     # only the derivative half of thm2's second route can see
@@ -480,11 +475,11 @@ _LHS_5_2_2 = (
 
 
 @pytest.mark.parametrize("corrupt, check, witness", [
-    pytest.param(_modulus_shifted, lambda: check_thm1(3, [1]),
+    pytest.param(modulus_shifted, lambda: check_thm1(3, [1]),
                  ("q + 2*q^2 + 2*q^3 + q^4", "0", "-1 - q"), id="thm1"),
     pytest.param(_comb_row_zero_is_one, lambda: q1_check(3, [1]),
                  ("8", "0", "2"), id="q1"),
-    pytest.param(_modulus_shifted, lambda: check_thm2(3, 1, 0),
+    pytest.param(modulus_shifted, lambda: check_thm2(3, 1, 0),
                  ("q + 2*q^2 + 2*q^3 + q^4", "-1 - q - q^2 - q^3",
                   "1 + 2*q + 3*q^2 + 3*q^3 + q^4"), id="thm2"),
     pytest.param(_weighted_sum_plus_modulus, lambda: check_thm2(3, 1, 0),
@@ -494,7 +489,7 @@ _LHS_5_2_2 = (
                  ("1 + 2*q + 2*q^2 + q^3", "2*q + q^2 + q^3", "1 + q^2"), id="sum_lemma"),
     pytest.param(_binomials_plus_one, lambda: check_chu_vandermonde(2, 1, 1),
                  ("4 + 4*q + 2*q^2", "2 + q + q^2", "2 + 3*q + q^2"), id="chu_vandermonde"),
-    pytest.param(_modulus_shifted, lambda: check_p_minus_one_lemma(3, 1),
+    pytest.param(modulus_shifted, lambda: check_p_minus_one_lemma(3, 1),
                  ("q + q^2", "-1", "1 + q + q^2"), id="p_minus_one"),
     pytest.param(_binomials_plus_one, lambda: check_residue_identity(1, 1),
                  ("-4*q + 2*q^2", "-q", "-3*q + 2*q^2"), id="residue_identity"),
@@ -502,17 +497,17 @@ _LHS_5_2_2 = (
                  ("4 - 2*q", "1", "3 - 2*q"), id="symmetric_identity"),
     pytest.param(_pfaff_lhs_plus_one, lambda: check_pfaff_saalschutz(2, 3, 5, 2, 1),
                  ("-1/2", "-3/2", "1"), id="qpfaff"),
-    pytest.param(_modulus_shifted, lambda: check_thm1(7, [3, 2]),
+    pytest.param(modulus_shifted, lambda: check_thm1(7, [3, 2]),
                  (_LHS_7_3_2, "0", "q + 2*q^2 + 3*q^3 + 3*q^4 + 2*q^5 + q^6"),
                  id="thm1-folded"),
-    pytest.param(_modulus_shifted, lambda: check_thm1(5, [2, 2]),
+    pytest.param(modulus_shifted, lambda: check_thm1(5, [2, 2]),
                  (_LHS_5_2_2, "0", "3 + 2*q^2 - q^3 + 2*q^4"), id="thm1-both-factors-folded"),
-    pytest.param(_modulus_shifted, lambda: check_thm2(7, 3, 2),
+    pytest.param(modulus_shifted, lambda: check_thm2(7, 3, 2),
                  (_LHS_7_3_2, "-q^2 - q^3 - q^4 - q^5 - q^6 - q^7 - q^8 - q^9",
                   "-2 - 6*q - 15*q^2 - 26*q^3 - 39*q^4 - 47*q^5 - 53*q^6 - 54*q^7"
                   " - 52*q^8 - 47*q^9 - 37*q^10 - 25*q^11 - 12*q^12 - 5*q^13"),
                  id="thm2-folded"),
-    pytest.param(_modulus_shifted, lambda: check_p_minus_one_lemma(7, 3),
+    pytest.param(modulus_shifted, lambda: check_p_minus_one_lemma(7, 3),
                  ("q^6 + q^7 + 2*q^8 + 3*q^9 + 3*q^10 + 3*q^11 + 3*q^12 + 2*q^13"
                   " + q^14 + q^15", "-1", "1 + q + q^2 + q^3 + q^4"),
                  id="p_minus_one-folded"),
@@ -534,7 +529,7 @@ def test_failing_congruence_divides_once(monkeypatch):
         divisions.append(args)
         return divrem_lists(*args, **kwargs)
 
-    _modulus_shifted(monkeypatch)
+    modulus_shifted(monkeypatch)
     monkeypatch.setattr(poly, "_divrem_lists", counted)
     assert check_thm1(7, [3, 2]).status == "fail"
     assert len(divisions) == 1
