@@ -21,7 +21,6 @@ from .errors import (
     SingularSpecialization,
 )
 from .faulhaber import (
-    ConjectureInstance,
     check_conjecture,
     check_faulhaber_cong,
     conjecture_coefficient,
@@ -58,7 +57,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CongruenceReport",
-    "ConjectureInstance",
     "FAIL",
     "IntPoly",
     "InternalError",

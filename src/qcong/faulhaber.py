@@ -18,26 +18,9 @@ conjecture (claim id)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .congruence import VANISHING_SUM, integer_report
 from .errors import InternalError, InvalidParamsError
-
-
-@dataclass(frozen=True)
-class ConjectureInstance:
-    """One conjecture instance: sum bound n, outer power index m, inner index k."""
-
-    n: int
-    m: int
-    k: int
-
-    def __post_init__(self):
-        if not (isinstance(self.n, int) and isinstance(self.m, int)
-                and isinstance(self.k, int)):
-            raise InvalidParamsError("n, m, k must be integers")
-        if self.n < 1 or self.k < 1 or self.m < self.k:
-            raise InvalidParamsError("need n >= 1 and m >= k >= 1")
 
 
 def power_sum(n, e):
@@ -67,19 +50,16 @@ def conjecture_coefficient(m, k):
     return coeff
 
 
-def check_conjecture(inst):
+def check_conjecture(n, m, k):
     """Divisibility by n^2 of the prefactored binomial power sum (claim id conjecture).
 
     The sum is sum_{h<n} C(h, 2k+1)^(2m+1).  When 2k+1 > n-1 every term
     vanishes and the instance passes trivially; such reports carry the
     vanishing-sum note so sweep output stays interpretable.
     """
-    if not isinstance(inst, ConjectureInstance):
-        inst = ConjectureInstance(*inst)
-    coeff = conjecture_coefficient(inst.m, inst.k)
-    power = 2 * inst.m + 1
-    lower = 2 * inst.k + 1
-    total = sum(math.comb(h, lower) ** power for h in range(inst.n))
-    return integer_report("conjecture", {"n": inst.n, "m": inst.m, "k": inst.k},
-                          coeff * total, inst.n * inst.n,
+    if n < 1:
+        raise InvalidParamsError("need n >= 1")
+    coeff = conjecture_coefficient(m, k)
+    total = sum(math.comb(h, 2 * k + 1) ** (2 * m + 1) for h in range(n))
+    return integer_report("conjecture", {"n": n, "m": m, "k": k}, coeff * total, n * n,
                           note=VANISHING_SUM if total == 0 else None)

@@ -39,8 +39,9 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .congruence import FAIL, PASS, SKIPPED, is_prime
-from .faulhaber import ConjectureInstance, check_conjecture, check_faulhaber_cong
+from .faulhaber import check_conjecture, check_faulhaber_cong
 from .theorems import (
+    a_params,
     check_chu_vandermonde,
     check_p_minus_one_lemma,
     check_pfaff_saalschutz,
@@ -77,10 +78,6 @@ def _pfaff_check(n, **f):
     return check_pfaff_saalschutz(x, y, z, q, n)
 
 
-def _conjecture_check(n, m, k):
-    return check_conjecture(ConjectureInstance(n, m, k))
-
-
 CLAIMS = {
     "thm1": Claim(_a_list_check(check_thm1), "thm1"),
     "q1": Claim(_a_list_check(q1_check), "thm1"),
@@ -91,7 +88,7 @@ CLAIMS = {
     "residue_identity": Claim(check_residue_identity, "identities"),
     "symmetric_identity": Claim(check_symmetric_identity, "identities"),
     "qpfaff": Claim(_pfaff_check, "identities"),
-    "conjecture": Claim(_conjecture_check, "conjecture", conjecture=True),
+    "conjecture": Claim(check_conjecture, "conjecture", conjecture=True),
     "faulhaber": Claim(check_faulhaber_cong, "faulhaber"),
 }
 
@@ -172,19 +169,13 @@ def _params(**kw):
     return tuple(kw.items())
 
 
-def _a_tuple_params(n, a_list):
-    items = [("n", n)]
-    items.extend(("a%d" % (i + 1), a) for i, a in enumerate(a_list))
-    return tuple(items)
-
-
 def thm1_grid_instances(n_max, m_max, a_max):
     """Exhaustive (n, a-list) grid, each emitted as a thm1 and a q1 instance."""
     out = []
     for n in range(1, n_max + 1):
         for m in range(1, m_max + 1):
             for a_list in itertools.product(range(a_max + 1), repeat=m):
-                params = _a_tuple_params(n, a_list)
+                params = tuple(a_params(n, a_list).items())
                 out.append(("thm1", params))
                 out.append(("q1", params))
     return out
@@ -198,7 +189,7 @@ def thm1_sample_instances(count, seed, n_max, m_max, a_max):
         n = 1 + rng.below(n_max)
         m = 1 + rng.below(m_max)
         a_list = tuple(rng.below(a_max + 1) for _ in range(m))
-        params = _a_tuple_params(n, a_list)
+        params = tuple(a_params(n, a_list).items())
         out.append(("thm1", params))
         out.append(("q1", params))
     return out

@@ -139,8 +139,9 @@ def _sign(e):
     return 1 if e % 2 == 0 else -1
 
 
-def _a_params(n_name, n, a_list):
-    params = {n_name: n}
+def a_params(n, a_list):
+    """The params of a thm1/q1 instance: n, then a1, ..., am in list order."""
+    params = {"n": n}
     for i, a in enumerate(a_list):
         params["a%d" % (i + 1)] = a
     return params
@@ -172,7 +173,7 @@ def weighted_sum(n, a_list):
 def check_thm1(n, a_list):
     """Divisibility of the prefactored weighted sum by [n] (claim id thm1)."""
     w = weighted_sum(n, a_list)
-    return congruence_report("thm1", _a_params("n", n, a_list),
+    return congruence_report("thm1", a_params(n, a_list),
                              (multinom_factor(a_list), w), ZERO, n,
                              note=VANISHING_SUM if w.is_zero else None)
 
@@ -196,7 +197,7 @@ def q1_check(n, a_list):
             if term == 0:
                 break
         total += term
-    return integer_report("q1", _a_params("n", n, a_list), factor * total, n,
+    return integer_report("q1", a_params(n, a_list), factor * total, n,
                           note=VANISHING_SUM if total == 0 else None)
 
 
@@ -335,14 +336,11 @@ def check_thm2(p, a, b):
     ThmParams(p, (a, b), p=p)  # validates primality and p > max(a, b)
     mod_p = q_int(p)
     lhs = multinom_factor((a, b)) * weighted_sum(p, (a, b))
-    sign = _sign(a - b)
     e = a * b - math.comb(a, 2) - math.comb(b, 2)
-    rhs_norm = (sign * ONE).shift(e % p) * mod_p
-    report = congruence_report("thm2", {"p": p, "a": a, "b": b}, (lhs,), rhs_norm, p, 2)
-    if e >= 0:
-        cleared = lhs - (sign * ONE).shift(e) * mod_p
-    else:
-        cleared = lhs.shift(-e) - sign * mod_p
+    signed = mod_p if _sign(a - b) > 0 else -mod_p
+    report = congruence_report("thm2", {"p": p, "a": a, "b": b}, (lhs,),
+                               signed.shift(e % p), p, 2)
+    cleared = lhs.shift(max(-e, 0)) - signed.shift(max(e, 0))
     derivative = IntPoly._make([i * c for i, c in enumerate(cleared.coeffs)][1:])
     ok_clear = not rem_mod(cleared, p) and not rem_mod(derivative, p)
     if (report.status == PASS) != ok_clear:

@@ -5,6 +5,7 @@ so any independent implementation seeded identically enumerates the same
 sampled instances.
 """
 
+import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -32,7 +33,7 @@ from qcong.sweep import (
     run_suite,
 )
 import qcong.sweep as sweep_mod
-from qcong import qcomb
+from qcong import cli, qcomb
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "README.md")
@@ -424,8 +425,19 @@ class TestMain:
         assert "CHECK FAILED: faulhaber n=1;m=1\n  lhs: 9\n  rhs: 0\n  difference: 1\n" in err
         assert "CONJECTURE COUNTEREXAMPLE: n=1;m=1;k=1\n  value: 17\n  residue: 17\n" in err
 
-    def test_bad_n_max_exits_two(self, capsys):
-        assert main(["--suite", "thm1", "--n-max", "0"]) == 2
+    @pytest.mark.parametrize("flag, value", [
+        ("--n-max", "0"), ("--m-max", "0"), ("--a-max", "0"),
+        ("--samples", "-1"), ("--jobs", "0"), ("--primes", "9"),
+    ])
+    def test_bad_n_max_exits_two(self, capsys, flag, value):
+        assert main(["--suite", "thm1", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    def test_parser_dests_are_config_fields(self):
+        dests = {a.dest for a in build_parser()._actions} - {"help"}
+        assert dests == {f.name for f in dataclasses.fields(SweepConfig)}
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -440,23 +452,12 @@ class TestMain:
         assert len(objs) == 16
         assert {o["claim_id"] for o in objs} == {"faulhaber"}
 
-    def test_jobs_env_default(self, capsys, monkeypatch):
+    def test_jobs_env_default(self, monkeypatch):
         monkeypatch.setenv("QCONG_JOBS", "2")
-        code = main(["--suite", "faulhaber", "--n-max", "4", "--m-max", "1",
-                     "--format", "csv", "--stable-output"])
-        assert code == 0
-        assert len(capsys.readouterr().out.splitlines()) == 5
-
-    def test_jobs_env_invalid_exits_two(self, capsys, monkeypatch):
-        monkeypatch.setenv("QCONG_JOBS", "many")
-        assert main(["--suite", "faulhaber", "--n-max", "2"]) == 2
-        assert "QCONG_JOBS" in capsys.readouterr().err
-
-    def test_explicit_jobs_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("QCONG_JOBS", "junk")
-        code = main(["--suite", "faulhaber", "--n-max", "2", "--m-max", "1",
-                     "--jobs", "1", "--format", "csv"])
-        assert code == 0
+        seen = []
+        monkeypatch.setattr(cli, "run_suite", lambda config: seen.append(config) or 0)
+        assert main(["--suite", "faulhaber"]) == 0
+        assert seen[0].jobs == 1
 
 
 class TestClaimTable:

@@ -7,7 +7,6 @@ import pytest
 from qcong import faulhaber
 from qcong.errors import InvalidParamsError
 from qcong.faulhaber import (
-    ConjectureInstance,
     check_conjecture,
     check_faulhaber_cong,
     conjecture_coefficient,
@@ -93,13 +92,13 @@ def test_conjecture_coefficient_validation():
 
 def test_conjecture_instance_validation():
     with pytest.raises(InvalidParamsError):
-        ConjectureInstance(0, 1, 1)
+        check_conjecture(0, 1, 1)
     with pytest.raises(InvalidParamsError):
-        ConjectureInstance(5, 1, 2)
+        check_conjecture(5, 1, 2)
 
 
 def test_conjecture_trivial_zero_sum_annotated():
-    r = check_conjecture(ConjectureInstance(2, 1, 1))  # 2k+1 = 3 > n-1 = 1
+    r = check_conjecture(2, 1, 1)  # 2k+1 = 3 > n-1 = 1
     assert r.status == "pass"
     assert r.note == "vanishing-sum"
 
@@ -108,12 +107,8 @@ def test_conjecture_small_sweep_passes():
     for m in range(1, 4):
         for k in range(1, m + 1):
             for n in range(1, 30):
-                r = check_conjecture(ConjectureInstance(n, m, k))
+                r = check_conjecture(n, m, k)
                 assert r.status == "pass", (n, m, k)
-
-
-def test_conjecture_accepts_tuple():
-    assert check_conjecture((7, 2, 1)).status == "pass"
 
 
 def _power_sum_plus_one(monkeypatch):
@@ -130,7 +125,7 @@ def _coefficient_plus_one(monkeypatch):
 @pytest.mark.parametrize("corrupt, check, witness", [
     pytest.param(_power_sum_plus_one, lambda: check_faulhaber_cong(5, 1),
                  ("2424", "0", "24"), id="faulhaber"),
-    pytest.param(_coefficient_plus_one, lambda: check_conjecture(ConjectureInstance(5, 1, 1)),
+    pytest.param(_coefficient_plus_one, lambda: check_conjecture(5, 1, 1),
                  ("1092065", "0", "15"), id="conjecture"),
 ])
 def test_fail_branch_witness(monkeypatch, corrupt, check, witness):
