@@ -37,7 +37,6 @@ from .qcomb import (
 )
 from .sweep import SplitMix64, SweepConfig, UsageError, enumerate_instances, run_suite
 from .theorems import (
-    ThmParams,
     check_chu_vandermonde,
     check_p_minus_one_lemma,
     check_pfaff_saalschutz,
@@ -71,7 +70,6 @@ __all__ = [
     "SingularSpecialization",
     "SplitMix64",
     "SweepConfig",
-    "ThmParams",
     "UsageError",
     "Witness",
     "ZERO",

@@ -3,7 +3,8 @@
 Usage:
     qcong --suite thm1 --n-max 20 --samples 100 --seed 7 --format json
 
-The parser only parses: each flag's dest is a ``SweepConfig`` field, and
+The parser only parses: each flag's dest is a ``SweepConfig`` field whose
+default it takes from the dataclass (the help text prints those values), and
 ``SweepConfig.validate`` judges every value, so an out-of-range flag is a
 usage error that names the field.
 
@@ -18,8 +19,9 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
+from dataclasses import MISSING, fields
 
-from .sweep import DEFAULT_PRIMES, FORMATS, SUITES, SweepConfig, UsageError, run_suite
+from .sweep import FORMATS, SUITES, SweepConfig, UsageError, run_suite
 
 
 def _prime_list(text):
@@ -31,32 +33,33 @@ def _prime_list(text):
 
 
 def build_parser():
+    defaults = {f.name: f.default for f in fields(SweepConfig) if f.default is not MISSING}
     parser = argparse.ArgumentParser(
         prog="qcong",
         description="Exact-arithmetic verification sweeps for q-binomial "
                     "congruences and power-sum divisibilities.")
+    parser.set_defaults(**defaults)
     parser.add_argument("--suite", required=True, choices=SUITES,
                         help="which family of checks to run")
-    parser.add_argument("--n-max", type=int, default=10,
-                        help="largest modulus index n (default 10)")
-    parser.add_argument("--m-max", type=int, default=2,
-                        help="largest tuple length / exponent index (default 2)")
-    parser.add_argument("--a-max", type=int, default=4,
-                        help="largest entry in the a-tuples (default 4)")
+    parser.add_argument("--n-max", type=int,
+                        help="largest modulus index n (default %(default)s)")
+    parser.add_argument("--m-max", type=int,
+                        help="largest tuple length / exponent index (default %(default)s)")
+    parser.add_argument("--a-max", type=int,
+                        help="largest entry in the a-tuples (default %(default)s)")
     parser.add_argument("--primes", dest="prime_set", type=_prime_list,
-                        default=DEFAULT_PRIMES, metavar="P1,P2,...",
-                        help="primes for the prime-indexed suites "
-                             "(default 2,3,5,7,11,13)")
-    parser.add_argument("--samples", dest="sample_count", type=int, default=0,
-                        metavar="SAMPLES",
-                        help="number of extra seeded random instances (default 0)")
-    parser.add_argument("--seed", dest="rng_seed", type=int, default=0,
-                        metavar="SEED",
-                        help="SplitMix64 seed for sampled instances (default 0)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (default 1)")
-    parser.add_argument("--format", choices=FORMATS, default="text",
-                        help="report format (default text)")
+                        metavar="P1,P2,...",
+                        help="primes for the prime-indexed suites (default %s)"
+                             % ",".join(map(str, defaults["prime_set"])))
+    parser.add_argument("--samples", dest="sample_count", type=int, metavar="SAMPLES",
+                        help="number of extra seeded random instances "
+                             "(default %(default)s)")
+    parser.add_argument("--seed", dest="rng_seed", type=int, metavar="SEED",
+                        help="SplitMix64 seed for sampled instances (default %(default)s)")
+    parser.add_argument("--jobs", type=int,
+                        help="worker processes (default %(default)s)")
+    parser.add_argument("--format", choices=FORMATS,
+                        help="report format (default %(default)s)")
     parser.add_argument("--fail-fast", action="store_true",
                         help="stop at the first failing check")
     parser.add_argument("--stable-output", action="store_true",

@@ -136,9 +136,6 @@ class CongruenceReport:
     def sort_key(self):
         return (self.claim_id, self.params)
 
-    def params_dict(self):
-        return dict(self.params)
-
     def to_json_obj(self, stable=False):
         """Plain dict in the exact report schema (note intentionally absent)."""
         return {

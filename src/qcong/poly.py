@@ -85,23 +85,19 @@ def _mul_lists(a, b):
     return [int.from_bytes(buf[i:i + k], "little") - bias for i in range(0, n * k, k)]
 
 
-def _divrem_lists(a, b, exact):
+def _divrem_lists(a, b):
     """Long division of coefficient lists over the integers.
 
-    With ``exact=True`` the division insists on an integer quotient and zero
-    remainder, raising NotDivisibleError (carrying the remainder it was left
-    with) as soon as either fails.  Otherwise the divisor's leading
-    coefficient must be a unit and (quotient, remainder) is returned with
-    deg(remainder) < deg(divisor).
+    Returns (quotient, remainder) with deg(remainder) < deg(divisor).  A
+    leading coefficient that the divisor's leading coefficient does not
+    divide raises NotDivisibleError carrying the remainder reached so far;
+    that cannot happen when the divisor's leading coefficient is a unit.
     """
     if not a:
         return [], []
     la, lb = len(a), len(b)
     blead = b[-1]
     if la < lb:
-        if exact:
-            raise NotDivisibleError("dividend degree below divisor degree",
-                                    IntPoly._make(list(a)))
         return [], list(a)
     rem = list(a)
     quot = [0] * (la - lb + 1)
@@ -112,8 +108,6 @@ def _divrem_lists(a, b, exact):
         if lead:
             c, r = divmod(lead, blead)
             if r:
-                if not exact:  # unreachable when blead is a unit
-                    raise AssertionError("non-unit leading coefficient slipped through")
                 raise NotDivisibleError(
                     "leading coefficient %d not divisible by %d" % (lead, blead),
                     IntPoly._make(_strip(rem)))
@@ -121,10 +115,7 @@ def _divrem_lists(a, b, exact):
             rem[i + lbody] = 0
             if c:
                 rem[i:i + lbody] = [x - c * bj for x, bj in zip(rem[i:i + lbody], body)]
-    _strip(rem)
-    if exact and rem:
-        raise NotDivisibleError("nonzero remainder", IntPoly._make(rem))
-    return _strip(quot), rem
+    return _strip(quot), _strip(rem)
 
 
 def _format_terms(terms):
@@ -262,7 +253,7 @@ class IntPoly:
         if other._coeffs[-1] not in (1, -1):
             raise LeadingCoeffNotUnitError(
                 "leading coefficient %d is not a unit" % other._coeffs[-1])
-        quot, rem = _divrem_lists(self._coeffs, other._coeffs, exact=False)
+        quot, rem = _divrem_lists(self._coeffs, other._coeffs)
         return IntPoly._make(quot), IntPoly._make(rem)
 
     def exact_div(self, other):
@@ -276,7 +267,9 @@ class IntPoly:
             raise TypeError("divisor must be IntPoly or int")
         if not other._coeffs:
             raise ZeroDivisionError("polynomial division by zero")
-        quot, _ = _divrem_lists(self._coeffs, other._coeffs, exact=True)
+        quot, rem = _divrem_lists(self._coeffs, other._coeffs)
+        if rem:
+            raise NotDivisibleError("nonzero remainder", IntPoly._make(rem))
         return IntPoly._make(quot)
 
     def __eq__(self, other):

@@ -95,8 +95,6 @@ CLAIMS = {
 SUITES = tuple(dict.fromkeys(c.suite for c in CLAIMS.values())) + ("all",)
 FORMATS = ("text", "json", "csv")
 
-DEFAULT_PRIMES = (2, 3, 5, 7, 11, 13)
-
 _MASK64 = (1 << 64) - 1
 PFAFF_MAX_N = 8
 
@@ -135,7 +133,7 @@ class SweepConfig:
     n_max: int = 10
     m_max: int = 2
     a_max: int = 4
-    prime_set: tuple = DEFAULT_PRIMES
+    prime_set: tuple = (2, 3, 5, 7, 11, 13)
     sample_count: int = 0
     rng_seed: int = 0
     jobs: int = 1

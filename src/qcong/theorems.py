@@ -88,7 +88,6 @@ its derivative cross-check reads the whole denominator-cleared difference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
@@ -112,27 +111,16 @@ from .poly import ONE, ZERO, IntPoly
 from .qcomb import BINOMIAL_MEMO, LaurentPoly, q_int, q_pochhammer_eval
 
 
-@dataclass(frozen=True)
-class ThmParams:
-    """Validated parameter bundle: modulus index n, exponent list, optional prime p."""
-
-    n: int
-    a_list: tuple
-    p: int | None = None
-
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise InvalidParamsError("n must be an integer >= 1, got %r" % (self.n,))
-        if not self.a_list:
-            raise InvalidParamsError("a_list must be nonempty")
-        for a in self.a_list:
-            if not isinstance(a, int) or a < 0:
-                raise InvalidParamsError("a_list entries must be integers >= 0")
-        if self.p is not None:
-            if not is_prime(self.p):
-                raise InvalidParamsError("p must be prime, got %r" % (self.p,))
-            if self.p <= max(self.a_list):
-                raise InvalidParamsError("p must exceed every a_i")
+def _a_tuple(n, a_list):
+    """``a_list`` as a tuple, once n >= 1 (unless n is None) and every a_i >= 0 hold."""
+    if n is not None and (not isinstance(n, int) or n < 1):
+        raise InvalidParamsError("n must be an integer >= 1, got %r" % (n,))
+    a_tuple = tuple(a_list)
+    if not a_tuple:
+        raise InvalidParamsError("a_list must be nonempty")
+    if not all(isinstance(a, int) and a >= 0 for a in a_tuple):
+        raise InvalidParamsError("a_list entries must be integers >= 0")
+    return a_tuple
 
 
 def _sign(e):
@@ -155,8 +143,7 @@ def multinom_factor(a_list):
     [s]!/prod[a_i]! telescopes into prod_i gauss(s_i, a_i), s_i the partial
     sums, taken here biggest a_i first; the last factor gauss(s+1, 1) is [s+1].
     """
-    params = ThmParams(1, tuple(a_list))
-    a_desc = sorted(params.a_list, reverse=True) + [1]
+    a_desc = sorted(_a_tuple(None, a_list), reverse=True) + [1]
     return BINOMIAL_MEMO.product(tuple(zip(accumulate(a_desc), a_desc)))
 
 
@@ -166,8 +153,7 @@ def weighted_sum(n, a_list):
     The sum does not depend on the order of the a_i, so the memo is asked
     with them sorted and every permutation of one a-list shares its entries.
     """
-    params = ThmParams(n, tuple(a_list))
-    return BINOMIAL_MEMO.weighted_sum(n, tuple(sorted(params.a_list)))
+    return BINOMIAL_MEMO.weighted_sum(n, tuple(sorted(_a_tuple(n, a_list))))
 
 
 def check_thm1(n, a_list):
@@ -180,11 +166,11 @@ def check_thm1(n, a_list):
 
 def q1_check(n, a_list):
     """The q = 1 congruence of thm1, in pure integer arithmetic (claim id q1)."""
-    params_t = ThmParams(n, tuple(a_list))
-    s = sum(params_t.a_list) + 1
+    a_tuple = _a_tuple(n, a_list)
+    s = sum(a_tuple) + 1
     numer = math.factorial(s)
     denom = 1
-    for a in params_t.a_list:
+    for a in a_tuple:
         denom *= math.factorial(a)
     factor, rem = divmod(numer, denom)
     if rem:
@@ -192,7 +178,7 @@ def q1_check(n, a_list):
     total = 0
     for h in range(n):
         term = 1
-        for a in params_t.a_list:
+        for a in a_tuple:
             term *= math.comb(h, a)
             if term == 0:
                 break
@@ -219,7 +205,6 @@ def sum_quotient_recurrence(n, a_list):
     Memoized on the exact ordered tuple of remaining exponents; the
     recurrence consumes the list from the right.
     """
-    params = ThmParams(n, tuple(a_list))
     memo = {}
 
     def rec(a_tuple):
@@ -247,18 +232,20 @@ def sum_quotient_recurrence(n, a_list):
         memo[a_tuple] = out
         return out
 
-    return rec(params.a_list)
+    return rec(_a_tuple(n, a_list))
 
 
 # --- support identities -------------------------------------------------------------
 
 def check_sum_lemma(n, a):
-    """sum_{h<n} q^h gauss(h,a) = gauss(n, a+1) q^a (claim id sum_lemma)."""
+    """sum_{h<n} q^h gauss(h,a) = gauss(n, a+1) q^a (claim id sum_lemma).
+
+    The lhs is the memo's W(n) for the a-list (a,), the entry thm1 reads, so
+    the identity also checks the memo's W-extension against a closed form.
+    """
     if n < 1 or a < 0:
         raise InvalidParamsError("need n >= 1 and a >= 0")
-    lhs = ZERO
-    for h in range(n):
-        lhs = lhs + BINOMIAL_MEMO.binomial(h, a).shift(h)
+    lhs = BINOMIAL_MEMO.weighted_sum(n, (a,))
     rhs = BINOMIAL_MEMO.binomial(n, a + 1).shift(a)
     return identity_report("sum_lemma", {"n": n, "a": a}, lhs, rhs)
 
@@ -333,7 +320,10 @@ def check_thm2(p, a, b):
     separable.  The two routes must agree (anything else is an
     InternalError).
     """
-    ThmParams(p, (a, b), p=p)  # validates primality and p > max(a, b)
+    if not is_prime(p):
+        raise InvalidParamsError("p must be prime, got %r" % (p,))
+    if p <= max(a, b):
+        raise InvalidParamsError("p must exceed a and b")
     mod_p = q_int(p)
     lhs = multinom_factor((a, b)) * weighted_sum(p, (a, b))
     e = a * b - math.comb(a, 2) - math.comb(b, 2)

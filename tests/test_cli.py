@@ -439,6 +439,28 @@ class TestMain:
         dests = {a.dest for a in build_parser()._actions} - {"help"}
         assert dests == {f.name for f in dataclasses.fields(SweepConfig)}
 
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_parser_defaults_are_config_defaults(self, suite):
+        args = build_parser().parse_args(["--suite", suite])
+        assert SweepConfig(**vars(args)) == SweepConfig(suite=suite)
+
+    def test_help_prints_config_defaults(self):
+        parser = build_parser()
+        defaults = {f.name: f.default for f in dataclasses.fields(SweepConfig)}
+        # one chunk per option: a line opening with "  -" starts the next one
+        chunks = re.split(r"\n(?=  -)", parser.format_help())
+        printed = {}
+        for chunk in chunks:
+            flag = chunk.split()[0]
+            match = re.search(r"\(default ([^)]*)\)", " ".join(chunk.split()))
+            if match:
+                action = parser._option_string_actions[flag]
+                parse = action.type or str
+                printed[action.dest] = parse(match.group(1))
+        assert printed == {name: defaults[name] for name in printed}
+        assert set(printed) == {"n_max", "m_max", "a_max", "prime_set", "sample_count",
+                                "rng_seed", "jobs", "format"}
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "--suite" in capsys.readouterr().out

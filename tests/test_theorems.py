@@ -14,7 +14,6 @@ from qcong.errors import InternalError, InvalidParamsError
 from qcong.poly import ONE, ZERO, IntPoly
 from qcong.qcomb import LaurentPoly, q_binomial, q_factorial, q_int
 from qcong.theorems import (
-    ThmParams,
     check_chu_vandermonde,
     check_p_minus_one_lemma,
     check_pfaff_saalschutz,
@@ -72,9 +71,13 @@ def test_params_validation():
     with pytest.raises(InvalidParamsError):
         weighted_sum(3, [-1])
     with pytest.raises(InvalidParamsError):
-        ThmParams(3, (1,), p=4)
+        check_thm2(4, 1, 0)  # p not prime
     with pytest.raises(InvalidParamsError):
-        ThmParams(3, (3, 1), p=3)
+        check_thm2(3, 3, 1)  # p <= max(a, b)
+    with pytest.raises(InvalidParamsError):
+        multinom_factor([])
+    with pytest.raises(InvalidParamsError):
+        q1_check(0, [1])
 
 
 def test_weighted_sum_cache_transparent():
@@ -400,7 +403,7 @@ def test_pfaff_singular_specialization_skipped():
 
 def test_pfaff_params_encode_rationals():
     r = check_pfaff_saalschutz(Fraction(1, 2), 3, 5, 2, 1)
-    d = r.params_dict()
+    d = dict(r.params)
     assert d["x_num"] == 1 and d["x_den"] == 2
     assert d["q_num"] == 2 and d["q_den"] == 1
     assert d["n"] == 1
@@ -486,7 +489,7 @@ _LHS_5_2_2 = (
                  ("1 + 3*q + 4*q^2 + 3*q^3 + q^4", "-1 - q - q^2",
                   "1 + 2*q + 2*q^2 + q^3"), id="thm2-off-by-[p]"),
     pytest.param(_binomials_plus_one, lambda: check_sum_lemma(3, 1),
-                 ("1 + 2*q + 2*q^2 + q^3", "2*q + q^2 + q^3", "1 + q^2"), id="sum_lemma"),
+                 ("2*q + 2*q^2 + q^3", "2*q + q^2 + q^3", "q^2"), id="sum_lemma"),
     pytest.param(_binomials_plus_one, lambda: check_chu_vandermonde(2, 1, 1),
                  ("4 + 4*q + 2*q^2", "2 + q + q^2", "2 + 3*q + q^2"), id="chu_vandermonde"),
     pytest.param(modulus_shifted, lambda: check_p_minus_one_lemma(3, 1),
