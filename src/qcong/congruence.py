@@ -73,15 +73,18 @@ def rem_mod(a, n, e=1):
 
     The remainder is unique, so dividing ``fold(a, n, e)`` gives the same one.
     """
-    folded = fold(a, n, e)  # validates (n, e) before [n] is built
-    q_n = IntPoly._make([1] * n)
-    _, rem = folded.divrem(q_n * q_n if e == 2 else q_n)
+    folded = fold(a, n, e)  # validates (n, e) before [n]^e is built
+    if e == 1:
+        modulus = [1] * n
+    else:  # [n]^2 = 1 + 2q + ... + n*q^(n-1) + ... + 2q^(2n-3) + q^(2n-2)
+        modulus = list(range(1, n + 1)) + list(range(n - 1, 0, -1))
+    _, rem = folded.divrem(IntPoly._make(modulus))
     return rem
 
 
 def is_prime(n):
-    """Deterministic trial-division primality check."""
-    if n < 2:
+    """Deterministic trial-division primality check; False for a non-integer."""
+    if not isinstance(n, int) or n < 2:
         return False
     if n < 4:
         return True

@@ -8,13 +8,22 @@ to pickle into worker processes.
 
 Multiplication is Kronecker substitution: each operand is packed into one
 integer and the two are multiplied once by the interpreter's big-integer
-multiply.  Schoolbook convolution (``_mul_schoolbook``) is kept only as the
-reference the kernel tests compare against.
+multiply.  Slots of 1, 2, 4 or 8 bytes are machine words: each operand is
+packed, and the product read back, by one ``array`` call in native byte
+order.  Wider slots go through bytes, one ``to_bytes``/``from_bytes`` per
+coefficient.  Schoolbook convolution (``_mul_schoolbook``) is kept only as
+the reference the kernel tests compare against.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
+
 from .errors import LeadingCoeffNotUnitError, NotDivisibleError
+
+# Signed array typecode of each machine-word slot width, in bytes.
+_WORDS = {array(t).itemsize: t for t in "bhilq"}
 
 
 def _strip(coeffs):
@@ -70,19 +79,38 @@ def _mul_lists(a, b):
     min(len a, len b) < 2^(8k-1) = bias, so c + bias fills a k-byte slot
     without sign or overflow.  Each operand is packed into one integer, the
     two are multiplied once, and the product plus bias in every slot is read
-    back slot by slot.  The result has len(a) + len(b) - 1 entries, exactly
-    as ``_mul_schoolbook`` returns them.
+    back.  The result has len(a) + len(b) - 1 entries, exactly as
+    ``_mul_schoolbook`` returns them.
+
+    A k of at most 8 is rounded up to a word of 1, 2, 4 or 8 bytes, which
+    only widens the slots.  ``array`` then packs each operand as signed
+    words, slot i holding u_i = c_i mod 2^(8k); since c_i = u_i - 2*(u_i &
+    bias), the packed integer U stands for the operand U - 2*(U & biases),
+    biases holding bias in every slot.  Read back, c + bias and c mod 2^(8k)
+    differ in the bias bit alone, so one XOR turns the biased product into
+    signed words.  On a big-endian host every operand and the product are
+    read slot-reversed, and the reversal of a product is the product of the
+    reversals.  A wider k packs and reads back slot by slot through bytes.
     """
     if not a or not b:
         return []
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     k = bound.bit_length() // 8 + 1
-    bias = 1 << (8 * k - 1)
     n = len(a) + len(b) - 1
-    biased = _pack(a, k, bias) * _pack(b, k, bias) + int.from_bytes(
-        bias.to_bytes(k, "little") * n, "little")
-    buf = biased.to_bytes(n * k, "little")
-    return [int.from_bytes(buf[i:i + k], "little") - bias for i in range(0, n * k, k)]
+    if k > 8:
+        bias = 1 << (8 * k - 1)
+        biased = _pack(a, k, bias) * _pack(b, k, bias) + int.from_bytes(
+            bias.to_bytes(k, "little") * n, "little")
+        buf = biased.to_bytes(n * k, "little")
+        return [int.from_bytes(buf[i:i + k], "little") - bias
+                for i in range(0, n * k, k)]
+    k = 1 << (k - 1).bit_length()
+    word, order = _WORDS[k], sys.byteorder
+    biases = int.from_bytes((1 << (8 * k - 1)).to_bytes(k, order) * n, order)
+    ua = int.from_bytes(array(word, a), order)
+    ub = int.from_bytes(array(word, b), order)
+    product = (ua - ((ua & biases) << 1)) * (ub - ((ub & biases) << 1))
+    return array(word, ((product + biases) ^ biases).to_bytes(n * k, order)).tolist()
 
 
 def _divrem_lists(a, b):

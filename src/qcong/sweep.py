@@ -149,7 +149,7 @@ class SweepConfig:
             if not isinstance(getattr(self, name), int) or getattr(self, name) < 1:
                 raise UsageError("%s must be a positive integer" % name)
         for p in self.prime_set:
-            if not isinstance(p, int) or not is_prime(p):
+            if not is_prime(p):
                 raise UsageError("prime_set entry %r is not prime" % (p,))
         if not isinstance(self.sample_count, int) or self.sample_count < 0:
             raise UsageError("sample_count must be >= 0")

@@ -111,6 +111,11 @@ from .poly import ONE, ZERO, IntPoly
 from .qcomb import BINOMIAL_MEMO, LaurentPoly, q_int, q_pochhammer_eval
 
 
+def _naturals(*values):
+    """True when every value is an integer >= 0."""
+    return all(isinstance(v, int) and v >= 0 for v in values)
+
+
 def _a_tuple(n, a_list):
     """``a_list`` as a tuple, once n >= 1 (unless n is None) and every a_i >= 0 hold."""
     if n is not None and (not isinstance(n, int) or n < 1):
@@ -118,7 +123,7 @@ def _a_tuple(n, a_list):
     a_tuple = tuple(a_list)
     if not a_tuple:
         raise InvalidParamsError("a_list must be nonempty")
-    if not all(isinstance(a, int) and a >= 0 for a in a_tuple):
+    if not _naturals(*a_tuple):
         raise InvalidParamsError("a_list entries must be integers >= 0")
     return a_tuple
 
@@ -243,8 +248,8 @@ def check_sum_lemma(n, a):
     The lhs is the memo's W(n) for the a-list (a,), the entry thm1 reads, so
     the identity also checks the memo's W-extension against a closed form.
     """
-    if n < 1 or a < 0:
-        raise InvalidParamsError("need n >= 1 and a >= 0")
+    if not _naturals(n, a) or n < 1:
+        raise InvalidParamsError("need integers n >= 1 and a >= 0")
     lhs = BINOMIAL_MEMO.weighted_sum(n, (a,))
     rhs = BINOMIAL_MEMO.binomial(n, a + 1).shift(a)
     return identity_report("sum_lemma", {"n": n, "a": a}, lhs, rhs)
@@ -252,8 +257,8 @@ def check_sum_lemma(n, a):
 
 def check_chu_vandermonde(a, b, n):
     """The q-Chu-Vandermonde convolution, in Laurent form (claim id chu_vandermonde)."""
-    if a < 0 or b < 0 or n < 0:
-        raise InvalidParamsError("need a, b, n >= 0")
+    if not _naturals(a, b, n):
+        raise InvalidParamsError("need integers a, b, n >= 0")
     lhs = LaurentPoly()
     for k in range(n + 1):
         coeff = BINOMIAL_MEMO.binomial(a, k) * BINOMIAL_MEMO.binomial(b, n - k)
@@ -268,16 +273,16 @@ def check_p_minus_one_lemma(p, j):
     """q^C(j+1,2) gauss(p-1, j) == (-1)^j (mod [p]) (claim id p_minus_one)."""
     if not is_prime(p):
         raise InvalidParamsError("p must be prime, got %r" % (p,))
-    if not 0 <= j <= p - 1:
-        raise InvalidParamsError("need 0 <= j <= p-1")
+    if not _naturals(j) or j > p - 1:
+        raise InvalidParamsError("need an integer 0 <= j <= p-1")
     lhs = BINOMIAL_MEMO.binomial(p - 1, j).shift(math.comb(j + 1, 2))
     return congruence_report("p_minus_one", {"p": p, "j": j}, (lhs,), _sign(j) * ONE, p)
 
 
 def check_residue_identity(a, b):
     """The alternating triple-product sum equal to (-1)^b q^(ab - C(a,2) - C(b,2))."""
-    if a < 0 or b < 0:
-        raise InvalidParamsError("need a, b >= 0")
+    if not _naturals(a, b):
+        raise InvalidParamsError("need integers a, b >= 0")
     lhs = LaurentPoly()
     for k in range(b + 1):
         coeff = (BINOMIAL_MEMO.binomial(a + b + 1, b - k)
@@ -293,8 +298,8 @@ def check_residue_identity(a, b):
 
 def check_symmetric_identity(a, b):
     """The a<->b symmetric alternating sum equal to (-1)^(a-b)."""
-    if a < 0 or b < 0:
-        raise InvalidParamsError("need a, b >= 0")
+    if not _naturals(a, b):
+        raise InvalidParamsError("need integers a, b >= 0")
     lhs = LaurentPoly()
     base = math.comb(a + 1, 2) + math.comb(b + 1, 2)
     for k in range(a, a + b + 1):
@@ -322,8 +327,8 @@ def check_thm2(p, a, b):
     """
     if not is_prime(p):
         raise InvalidParamsError("p must be prime, got %r" % (p,))
-    if p <= max(a, b):
-        raise InvalidParamsError("p must exceed a and b")
+    if not _naturals(a, b) or p <= max(a, b):
+        raise InvalidParamsError("need integers 0 <= a, b < p")
     mod_p = q_int(p)
     lhs = multinom_factor((a, b)) * weighted_sum(p, (a, b))
     e = a * b - math.comb(a, 2) - math.comb(b, 2)

@@ -69,6 +69,13 @@ def test_rem_mod_examples():
     assert rem_mod(q_int(3), 3) == ZERO
 
 
+def test_rem_mod_divides_by_the_closed_form_square():
+    # [n]^2 is monic of degree 2n - 2, so q^(2n-2) leaves exactly q^(2n-2) - [n]^2
+    for n in range(1, 61):
+        top = q_power(2 * n - 2)
+        assert rem_mod(top, n, 2) == top - q_int(n) * q_int(n), n
+
+
 def test_rem_mod_matches_divrem_contract():
     a = IntPoly([3, 1, 4, 1, 5, 9, 2, 6])
     r = rem_mod(a, 4)
@@ -218,6 +225,7 @@ def test_is_prime_small():
         assert is_prime(n) == (n in known)
     assert is_prime(7919)
     assert not is_prime(7917)
+    assert not is_prime(3.0) and not is_prime(3.5) and not is_prime("7")
 
 
 # --- report record ---------------------------------------------------------------

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcong import poly
 from qcong.errors import LeadingCoeffNotUnitError, NotDivisibleError
 from qcong.poly import ONE, ZERO, IntPoly, _mul_lists, _mul_schoolbook
+from qcong.qcomb import q_binomial
 
 BIG = 2 ** 256
 
@@ -219,12 +221,30 @@ def _kronecker_cases():
         for length in (1, 2, 3, 4, 400):
             for sign_a, sign_b in ((1, 1), (1, -1), (-1, -1)):
                 cases.append(([sign_a * m] * length, [sign_b * m] * length))
+    # Word-width edges: bound = max|a| * max|b| * min(len) one below and at
+    # 2^7, 2^15, 2^31, 2^63, where the slot grows 1 -> 2 -> 4 -> 8 bytes and
+    # then leaves the word path; the extreme product coefficient is +-bound.
+    for t in (7, 15, 31, 63):
+        for length in (1, 2, 400):
+            signs = [(-1) ** i for i in range(length)]
+            for m in ((1 << t) - 1) // length, -(-(1 << t) // length):
+                if m >= 1:
+                    cases.append(([m] * length, [1] * length))
+                    cases.append(([-m * s for s in signs], signs))
     return cases
 
 
 def test_kronecker_equals_schoolbook_seeded():
     for a, b in _kronecker_cases():
         assert _mul_lists(a, b) == _mul_schoolbook(a, b)
+
+
+def test_word_slots_never_pack_through_bytes(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a product with k <= 8 went through _pack")
+    monkeypatch.setattr(poly, "_pack", refuse)
+    a, b = q_binomial(30, 15), q_binomial(24, 12)  # bound has 45 bits: k = 6
+    assert (a * b).coeffs == tuple(_mul_schoolbook(a.coeffs, b.coeffs))
 
 
 @given(poly_st, poly_st)

@@ -78,6 +78,18 @@ def test_params_validation():
         multinom_factor([])
     with pytest.raises(InvalidParamsError):
         q1_check(0, [1])
+    # every checker rejects a non-integer or negative argument as the a-list
+    # checkers do
+    for check, args in [
+            (check_sum_lemma, (3, 1.5)), (check_sum_lemma, ("3", 1)),
+            (check_sum_lemma, (0, 1)),
+            (check_chu_vandermonde, (2, 1.5, 1)), (check_chu_vandermonde, (2, 1, "1")),
+            (check_residue_identity, (1.5, 1)), (check_residue_identity, (1, "2")),
+            (check_symmetric_identity, (2, 0.5)), (check_symmetric_identity, ("1", 1)),
+            (check_p_minus_one_lemma, (5.0, 1)), (check_p_minus_one_lemma, (5, 1.5)),
+            (check_thm2, (5.0, 1, 1)), (check_thm2, (5, "1", 1)), (check_thm2, (5, 1, -1))]:
+        with pytest.raises(InvalidParamsError):
+            check(*args)
 
 
 def test_weighted_sum_cache_transparent():
