@@ -155,10 +155,14 @@ class CongruenceReport:
 
 
 def make_report(claim_id, params, status, witness=None, elapsed_ms=0, note=None):
-    """Build a report from a plain mapping of parameter names to integers."""
+    """Build a report from a plain mapping of parameter names to integers.
+
+    A ``bool`` is refused like any other non-integer: the JSON report writes
+    params with ``%d``, which prints ``1`` where ``json`` prints ``true``.
+    """
     items = []
     for name, value in params.items():
-        if not isinstance(value, int):
+        if not isinstance(value, int) or isinstance(value, bool):
             raise TypeError("param %r must be int, got %r" % (name, value))
         items.append((name, value))
     return CongruenceReport(claim_id, tuple(items), status,

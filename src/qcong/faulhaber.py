@@ -23,6 +23,11 @@ from .congruence import VANISHING_SUM, integer_report
 from .errors import InternalError, InvalidParamsError
 
 
+def _ints(*values):
+    """True when every value is an integer."""
+    return all(isinstance(v, int) for v in values)
+
+
 def power_sum(n, e):
     """sum_{h=0}^{n-1} h^e with the 0^0 = 1 convention."""
     if n < 0 or e < 0:
@@ -32,16 +37,16 @@ def power_sum(n, e):
 
 def check_faulhaber_cong(n, m):
     """(2m+2)! * power_sum(n, 2m+1) == 0 (mod n^2) (claim id faulhaber)."""
-    if n < 1 or m < 1:
-        raise InvalidParamsError("need n >= 1 and m >= 1")
+    if not _ints(n, m) or n < 1 or m < 1:
+        raise InvalidParamsError("need integers n >= 1 and m >= 1")
     value = math.factorial(2 * m + 2) * power_sum(n, 2 * m + 1)
     return integer_report("faulhaber", {"n": n, "m": m}, value, n * n)
 
 
 def conjecture_coefficient(m, k):
     """((2k+1)(2m+1)+1)! / ((2k+1)!)^(2m+1), an exact positive integer."""
-    if k < 1 or m < k:
-        raise InvalidParamsError("need m >= k >= 1")
+    if not _ints(m, k) or k < 1 or m < k:
+        raise InvalidParamsError("need integers m >= k >= 1")
     numer = math.factorial((2 * k + 1) * (2 * m + 1) + 1)
     denom = math.factorial(2 * k + 1) ** (2 * m + 1)
     coeff, rem = divmod(numer, denom)
@@ -57,8 +62,8 @@ def check_conjecture(n, m, k):
     vanishes and the instance passes trivially; such reports carry the
     vanishing-sum note so sweep output stays interpretable.
     """
-    if n < 1:
-        raise InvalidParamsError("need n >= 1")
+    if not _ints(n) or n < 1:
+        raise InvalidParamsError("need an integer n >= 1")
     coeff = conjecture_coefficient(m, k)
     total = sum(math.comb(h, 2 * k + 1) ** (2 * m + 1) for h in range(n))
     return integer_report("conjecture", {"n": n, "m": m, "k": k}, coeff * total, n * n,

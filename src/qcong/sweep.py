@@ -18,6 +18,11 @@ check call and stamps the report's elapsed_ms.  Reports are aggregated in
 checks, so identical configs yield identical output; ``stable_output``
 additionally zeroes elapsed_ms for byte-exact diffs.
 
+The json format is the list of ``CongruenceReport.to_json_obj`` objects in
+the layout of ``json.dumps(objs, indent=2)`` plus a newline, written by a
+fixed template per report; strings are escaped by the encoder's own
+``encode_basestring_ascii``.  The tests pin the bytes to ``json.dumps``.
+
 Exit codes: 0 all pass/skip, 1 a theorem or identity check failed (an
 implementation bug or a falsified theorem), 2 usage error (including a
 config that selects no instances), 3 the open conjecture produced a
@@ -30,12 +35,12 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, NamedTuple
 
 from .congruence import FAIL, PASS, SKIPPED, is_prime
@@ -348,11 +353,29 @@ def _params_str(report):
     return ";".join("%s=%d" % (k, v) for k, v in report.params)
 
 
+_JSON_REPORT = ('  {\n    "claim_id": %s,\n    "params": %s,\n    "status": %s,\n'
+                '    "witness": %s,\n    "elapsed_ms": %d\n  }')
+_JSON_WITNESS = '{\n      "lhs": %s,\n      "rhs": %s,\n      "difference": %s\n    }'
+
+
+def _json_report(r, stable):
+    """One report in the layout ``json.dumps(r.to_json_obj(stable), indent=2)``
+    takes as an element of the top-level list."""
+    params = ("{\n%s\n    }" % ",\n".join("      %s: %d" % (_quote(k), v) for k, v in r.params)
+              if r.params else "{}")
+    w = r.witness
+    witness = ("null" if w is None else
+               _JSON_WITNESS % (_quote(w.lhs), _quote(w.rhs), _quote(w.difference)))
+    return _JSON_REPORT % (_quote(r.claim_id), params, _quote(r.status), witness,
+                           0 if stable else r.elapsed_ms)
+
+
 def render_report(reports, fmt, stable=False):
     """Render sorted reports as text, json, or csv; returns a string."""
     if fmt == "json":
-        objs = [r.to_json_obj(stable=stable) for r in reports]
-        return json.dumps(objs, indent=2) + "\n"
+        if not reports:
+            return "[]\n"
+        return "[\n%s\n]\n" % ",\n".join([_json_report(r, stable) for r in reports])
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

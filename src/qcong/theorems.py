@@ -53,7 +53,10 @@ qpfaff
     sum_{k=0}^{n} (x;q)_k (y;q)_k (q^-n;q)_k q^k
                   / ((q;q)_k (z;q)_k (xy q^(1-n)/z;q)_k)
     = (z/x;q)_n (z/y;q)_n / ((z;q)_n (z/(xy);q)_n).
-    Specializations that zero a denominator are reported skipped.
+    Specializations that zero a denominator are reported skipped.  The
+    left side is summed in one pass: term k+1 is term k times
+    (1-xq^k)(1-yq^k)(1-q^(k-n)) q / ((1-q^(k+1))(1-zq^k)(1-xy q^(1-n+k)/z)),
+    with q^k carried along; the right side is a product of Pochhammers.
 
 The quotient polynomial sum_quotient(n, a_list), the thm1 product divided
 by [n], has a closed base case and a contiguous recurrence:
@@ -373,21 +376,25 @@ def _pfaff_sides(x, y, z, q, n):
     w = x * y * q ** (1 - n) / z
     # A zero factor persists in every later Pochhammer, so vanishing of any
     # (t;q)_k with k <= n is equivalent to vanishing of (t;q)_n.
-    if q_pochhammer_eval(z, q, n) == 0:
+    z_n = q_pochhammer_eval(z, q, n)
+    if z_n == 0:
         raise SingularSpecialization("(z;q)_n vanishes")
     if q_pochhammer_eval(w, q, n) == 0:
         raise SingularSpecialization("(xy q^(1-n)/z;q)_n vanishes")
-    if q_pochhammer_eval(z / (x * y), q, n) == 0:
+    zxy_n = q_pochhammer_eval(z / (x * y), q, n)
+    if zxy_n == 0:
         raise SingularSpecialization("(z/(xy);q)_n vanishes")
     if q_pochhammer_eval(q, q, n) == 0:  # unreachable for rational q outside {0,+-1}
         raise SingularSpecialization("(q;q)_n vanishes")
-    lhs = Fraction(0)
-    for k in range(n + 1):
-        numer = (q_pochhammer_eval(x, q, k) * q_pochhammer_eval(y, q, k)
-                 * q_pochhammer_eval(q ** -n, q, k) * q ** k)
-        denom = (q_pochhammer_eval(q, q, k) * q_pochhammer_eval(z, q, k)
-                 * q_pochhammer_eval(w, q, k))
-        lhs += numer / denom
-    rhs = (q_pochhammer_eval(z / x, q, n) * q_pochhammer_eval(z / y, q, n)
-           / (q_pochhammer_eval(z, q, n) * q_pochhammer_eval(z / (x * y), q, n)))
+    # Term k+1 is term k times the ratio below; the checks above keep each
+    # divisor nonzero for k < n.
+    lhs = term = Fraction(1)
+    qk, qkn = Fraction(1), q ** -n  # q^k and q^(k-n)
+    for _ in range(n):
+        qk1 = qk * q
+        term = (term * ((1 - x * qk) * (1 - y * qk) * (1 - qkn) * q)
+                / ((1 - qk1) * (1 - z * qk) * (1 - w * qk)))
+        lhs += term
+        qk, qkn = qk1, qkn * q
+    rhs = q_pochhammer_eval(z / x, q, n) * q_pochhammer_eval(z / y, q, n) / (z_n * zxy_n)
     return lhs, rhs

@@ -2,9 +2,12 @@
 corrupted modulus that both the checker and the sweep tests use to reach
 every fail branch."""
 
+import json
+from fractions import Fraction
+
 from qcong import theorems
 from qcong.poly import ONE, ZERO
-from qcong.qcomb import q_binomial, q_factorial, q_int
+from qcong.qcomb import q_binomial, q_factorial, q_int, q_pochhammer_eval
 
 
 def q_binomial_oracle(n, k):
@@ -48,6 +51,30 @@ def weighted_sum_oracle(n, a_list):
             term = term * q_binomial(h, a)
         total = total + term
     return total
+
+
+def pfaff_lhs_oracle(x, y, z, q, n):
+    """The left side of the balanced 3phi2 sum, every term from its Pochhammers.
+
+    Shares no code with the left side of ``theorems._pfaff_sides`` (one
+    pass, each term the previous one times a ratio): term k is rebuilt from
+    six ``q_pochhammer_eval`` calls, O(n^2) products in all.
+    """
+    w = x * y * q ** (1 - n) / z
+    lhs = Fraction(0)
+    for k in range(n + 1):
+        numer = (q_pochhammer_eval(x, q, k) * q_pochhammer_eval(y, q, k)
+                 * q_pochhammer_eval(q ** -n, q, k) * q ** k)
+        denom = (q_pochhammer_eval(q, q, k) * q_pochhammer_eval(z, q, k)
+                 * q_pochhammer_eval(w, q, k))
+        lhs += numer / denom
+    return lhs
+
+
+def json_report_oracle(reports, stable=False):
+    """The JSON report through the standard encoder; ``sweep.render_report``
+    writes the same bytes from a fixed template."""
+    return json.dumps([r.to_json_obj(stable) for r in reports], indent=2) + "\n"
 
 
 def modulus_shifted(monkeypatch):

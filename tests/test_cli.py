@@ -14,7 +14,7 @@ import re
 import time
 
 import pytest
-from oracles import modulus_shifted
+from oracles import json_report_oracle, modulus_shifted
 
 from qcong.congruence import FAIL, PASS, Witness, make_report
 from qcong.cli import build_parser, main
@@ -233,6 +233,30 @@ class TestRendering:
     def test_json_stable_zeroes_elapsed(self):
         objs = json.loads(render_report(self._reports(), "json", stable=True))
         assert [o["elapsed_ms"] for o in objs] == [0, 0]
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_json_matches_encoder_on_every_suite(self, suite):
+        # seed 2 draws one qpfaff point that skips at these bounds
+        config = _cfg(suite=suite, n_max=3, sample_count=12, rng_seed=2)
+        reports = sorted(execute(enumerate_instances(config)), key=lambda r: r.sort_key)
+        if suite in ("identities", "all"):
+            assert any(r.status == "skipped" for r in reports)
+        for stable in (False, True):
+            assert render_report(reports, "json", stable) == json_report_oracle(reports, stable)
+
+    def test_json_matches_encoder_on_edge_reports(self):
+        odd = make_report('say "q\\', {"n": 2, "a1": -3}, FAIL, elapsed_ms=7,
+                          witness=Witness("q^-2 + 1", '"\\"', "q^-2 \u00e9 \u2603"))
+        bare = make_report("qpfaff", {}, "skipped", elapsed_ms=12345)
+        for reports in ([], [odd], [bare], self._reports() + [odd, bare]):
+            for stable in (False, True):
+                assert (render_report(reports, "json", stable)
+                        == json_report_oracle(reports, stable)), (reports, stable)
+        assert render_report([], "json") == "[]\n"
+
+    def test_bool_param_rejected(self):
+        with pytest.raises(TypeError):
+            make_report("thm1", {"n": True}, PASS)
 
     def test_csv_layout(self):
         lines = render_report(self._reports(), "csv").splitlines()

@@ -63,6 +63,16 @@ def test_faulhaber_validation():
         check_faulhaber_cong(0, 1)
     with pytest.raises(InvalidParamsError):
         check_faulhaber_cong(5, 0)
+    with pytest.raises(InvalidParamsError):
+        check_faulhaber_cong(3, 1.5)
+    with pytest.raises(InvalidParamsError):
+        check_faulhaber_cong("3", 1)
+    with pytest.raises(InvalidParamsError):
+        check_conjecture(3.5, 1, 1)
+    with pytest.raises(InvalidParamsError):
+        check_conjecture(4, 1.5, 1)
+    with pytest.raises(InvalidParamsError):
+        check_conjecture(4, 2, 1.5)
 
 
 def test_conjecture_coefficient_frozen():

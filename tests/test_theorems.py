@@ -7,10 +7,15 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from oracles import modulus_shifted, multinom_factor_oracle, weighted_sum_oracle
+from oracles import (
+    modulus_shifted,
+    multinom_factor_oracle,
+    pfaff_lhs_oracle,
+    weighted_sum_oracle,
+)
 
 from qcong import congruence, poly, qcomb, theorems
-from qcong.errors import InternalError, InvalidParamsError
+from qcong.errors import InternalError, InvalidParamsError, SingularSpecialization
 from qcong.poly import ONE, ZERO, IntPoly
 from qcong.qcomb import LaurentPoly, q_binomial, q_factorial, q_int
 from qcong.theorems import (
@@ -367,28 +372,11 @@ def test_thm2_validation():
 
 # --- terminating balanced summation --------------------------------------------------------
 
-def _pfaff_side_oracle(x, y, z, q, n):
-    """Independent straightforward evaluation of both sides."""
-    def poch(t, k):
-        out = Fraction(1)
-        for i in range(k):
-            out *= 1 - t * q ** i
-        return out
-
-    w = x * y * q ** (1 - n) / z
-    lhs = sum(
-        poch(x, k) * poch(y, k) * poch(q ** -n, k) * q ** k
-        / (poch(q, k) * poch(z, k) * poch(w, k))
-        for k in range(n + 1)
-    )
-    rhs = poch(z / x, n) * poch(z / y, n) / (poch(z, n) * poch(z / (x * y), n))
-    return lhs, rhs
-
-
 def test_pfaff_frozen_point():
     # hand-computed: both sides equal -3/2 at (x,y,z,q,n) = (2,3,5,2,1)
-    lhs, rhs = _pfaff_side_oracle(Fraction(2), Fraction(3), Fraction(5), Fraction(2), 1)
-    assert lhs == rhs == Fraction(-3, 2)
+    assert pfaff_lhs_oracle(Fraction(2), Fraction(3), Fraction(5), Fraction(2), 1) == Fraction(-3, 2)
+    assert theorems._pfaff_sides(Fraction(2), Fraction(3), Fraction(5), Fraction(2), 1) == (
+        Fraction(-3, 2), Fraction(-3, 2))
     assert check_pfaff_saalschutz(2, 3, 5, 2, 1).status == "pass"
 
 
@@ -399,9 +387,38 @@ def test_pfaff_rational_points():
         (Fraction(3), Fraction(-1, 2), Fraction(9, 4), Fraction(-2), 5),
     ]
     for x, y, z, q, n in pts:
-        lhs, rhs = _pfaff_side_oracle(x, y, z, q, n)
-        assert lhs == rhs, (x, y, z, q, n)
+        lhs, rhs = theorems._pfaff_sides(x, y, z, q, n)
+        assert lhs == rhs == pfaff_lhs_oracle(x, y, z, q, n), (x, y, z, q, n)
         assert check_pfaff_saalschutz(x, y, z, q, n).status == "pass"
+
+
+def _random_rational(rng, bound=9):
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, bound), rng.randint(1, bound))
+
+
+def test_pfaff_one_pass_lhs_matches_oracle():
+    rng = random.Random(14)
+    checked = 0
+    while checked < 500:
+        x, y, z, q = (_random_rational(rng) for _ in range(4))
+        n = rng.randint(0, 8)
+        try:
+            lhs, _ = theorems._pfaff_sides(x, y, z, q, n)
+        except SingularSpecialization:
+            continue
+        assert lhs == pfaff_lhs_oracle(x, y, z, q, n), (x, y, z, q, n)
+        checked += 1
+
+
+@pytest.mark.parametrize("q", [Fraction(2), Fraction(-3, 2), Fraction(1, 3)])
+@pytest.mark.parametrize("n", [3, 6])
+def test_pfaff_lhs_where_terms_vanish_partway(q, n):
+    # x = q^-j zeroes (x;q)_k for every k > j, so the sum stops after term j;
+    # y = q^-j does the same on the other numerator factor
+    for j in range(n):
+        for x, y in ((q ** -j, Fraction(5, 3)), (Fraction(-7, 2), q ** -j)):
+            lhs, rhs = theorems._pfaff_sides(x, y, Fraction(9, 7), q, n)
+            assert lhs == rhs == pfaff_lhs_oracle(x, y, Fraction(9, 7), q, n), (x, y, q, n)
 
 
 def test_pfaff_singular_specialization_skipped():
