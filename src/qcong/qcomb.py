@@ -91,14 +91,15 @@ def _div_one_minus_q_pow(c, m):
 
 
 def q_pochhammer_eval(x, q, k):
-    """(x;q)_k evaluated at exact rationals: prod_{i<k} (1 - x*q^i)."""
+    """(x;q)_k evaluated at exact rationals: prod_{i<k} (1 - x*q^i), x*q^i carried."""
     if k < 0:
         raise ValueError("q_pochhammer_eval needs k >= 0, got %d" % k)
     x = Fraction(x)
     q = Fraction(q)
     out = Fraction(1)
-    for i in range(k):
-        out *= 1 - x * q ** i
+    for _ in range(k):
+        out *= 1 - x
+        x *= q
     return out
 
 

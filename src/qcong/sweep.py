@@ -1,8 +1,9 @@
 """Deterministic claim sweeps: enumeration, execution, rendering, exit codes.
 
 One table, ``CLAIMS``, drives the sweep: each row names a claim's checker,
-the suite that runs it, and whether it is the open conjecture.  ``SUITES``,
-instance enumeration, execution, exit codes and rendering all read it.
+the suite that runs it, whether it is the open conjecture, and whether it
+is order-free.  ``SUITES``, instance enumeration, execution, exit codes and
+rendering all read it.
 
 A sweep instance is a pair (claim_id, params) with params an ordered tuple
 of (name, int) pairs; the full instance list for a given SweepConfig is a
@@ -13,7 +14,11 @@ sampling procedures are documented in the README so an independent
 implementation can reproduce instance sets from the seed alone.
 
 ``run_instance`` is the one place that reads a clock: it times each
-check call and stamps the report's elapsed_ms.  Reports are aggregated in
+check call and stamps the report's elapsed_ms.  ``execute`` checks each
+ordering class once: instances of an order-free claim that differ only in
+the order of their params after the first share one check, and every
+later one gets a copy of the first one's report with its own params and
+elapsed_ms 0, since nothing was checked for it.  Reports are aggregated in
 (claim_id, params) order no matter how many worker processes ran the
 checks, so identical configs yield identical output; ``stable_output``
 additionally zeroes elapsed_ms for byte-exact diffs.
@@ -37,7 +42,6 @@ import io
 import itertools
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
@@ -66,11 +70,19 @@ class Claim(NamedTuple):
     report.  ``suite`` is the ``--suite`` that runs the claim.  A failing
     ``conjecture`` claim is a counterexample to an open problem (exit code
     3), not a falsified theorem (exit code 1).
+
+    ``order_free`` marks a claim whose report, params aside, does not change
+    when the params after the first are permuted, so ``execute`` checks one
+    ordering per class.  A checker earns it only if it reads those params
+    through sorted copies or symmetric sums alone; a claim that merely
+    agrees across orderings, summing different terms, does not, since a
+    corrupted input could give the orderings different witnesses.
     """
 
     check: Callable
     suite: str
     conjecture: bool = False
+    order_free: bool = False
 
 
 def _a_list_check(check):
@@ -84,9 +96,9 @@ def _pfaff_check(n, **f):
 
 
 CLAIMS = {
-    "thm1": Claim(_a_list_check(check_thm1), "thm1"),
-    "q1": Claim(_a_list_check(q1_check), "thm1"),
-    "thm2": Claim(check_thm2, "thm2"),
+    "thm1": Claim(_a_list_check(check_thm1), "thm1", order_free=True),
+    "q1": Claim(_a_list_check(q1_check), "thm1", order_free=True),
+    "thm2": Claim(check_thm2, "thm2", order_free=True),
     "sum_lemma": Claim(check_sum_lemma, "identities"),
     "chu_vandermonde": Claim(check_chu_vandermonde, "identities"),
     "p_minus_one": Claim(check_p_minus_one_lemma, "identities"),
@@ -311,17 +323,44 @@ def run_instance(item):
     return replace(report, elapsed_ms=elapsed_ms)
 
 
+def _order_class(item):
+    """An order-free instance's claim, first param and sorted other params;
+    any other instance is its own class."""
+    claim_id, params = item
+    if CLAIMS[claim_id].order_free:
+        return claim_id, params[0], tuple(sorted(v for _, v in params[1:]))
+    return item
+
+
 def execute(instances, jobs=1, fail_fast=False):
-    """Run instances, optionally across processes; results in submission order."""
+    """Run instances, optionally across processes; results in submission order.
+
+    Only the first instance of each ordering class is checked; every later
+    one gets a copy of its report with its own params and elapsed_ms 0.
+    """
+    keys = [_order_class(item) for item in instances]
+    firsts = {}
+    for key, item in zip(keys, instances):
+        firsts.setdefault(key, item)
+    todo = list(firsts.values())
     reports = []
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    done = {}
+    pool = None
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=jobs)
     try:
         if pool is None:
-            results = map(run_instance, instances)
+            results = map(run_instance, todo)
         else:
-            chunk = max(1, len(instances) // (jobs * 8))
-            results = pool.map(run_instance, instances, chunksize=chunk)
-        for report in results:
+            chunk = max(1, len(todo) // (jobs * 8))
+            results = pool.map(run_instance, todo, chunksize=chunk)
+        for key, (_, params) in zip(keys, instances):
+            report = done.get(key)
+            if report is None:
+                report = done[key] = next(results)
+            else:
+                report = replace(report, params=params, elapsed_ms=0)
             reports.append(report)
             if fail_fast and report.status == FAIL:
                 break

@@ -1,13 +1,16 @@
 """Slow reference routes that the tests compare the package against, and the
-corrupted modulus that both the checker and the sweep tests use to reach
-every fail branch."""
+corruptions that both the checker and the sweep tests use to reach every
+fail branch."""
 
 import json
+import math
 from fractions import Fraction
+from types import SimpleNamespace
 
-from qcong import theorems
+from qcong import qcomb, theorems
 from qcong.poly import ONE, ZERO
 from qcong.qcomb import q_binomial, q_factorial, q_int, q_pochhammer_eval
+from qcong.sweep import run_instance
 
 
 def q_binomial_oracle(n, k):
@@ -53,6 +56,17 @@ def weighted_sum_oracle(n, a_list):
     return total
 
 
+def q_pochhammer_oracle(x, q, k):
+    """(x;q)_k with every factor's q^i raised afresh; ``q_pochhammer_eval``
+    carries x*q^i from one factor to the next."""
+    x = Fraction(x)
+    q = Fraction(q)
+    out = Fraction(1)
+    for i in range(k):
+        out *= 1 - x * q ** i
+    return out
+
+
 def pfaff_lhs_oracle(x, y, z, q, n):
     """The left side of the balanced 3phi2 sum, every term from its Pochhammers.
 
@@ -77,6 +91,12 @@ def json_report_oracle(reports, stable=False):
     return json.dumps([r.to_json_obj(stable) for r in reports], indent=2) + "\n"
 
 
+def execute_each(instances):
+    """Every instance checked on its own, in order; ``sweep.execute`` checks
+    one ordering of each order-free class and copies its report."""
+    return [run_instance(item) for item in instances]
+
+
 def modulus_shifted(monkeypatch):
     """Corrupt every modulus the checkers name: [n]^e becomes [n+1]^e.
 
@@ -91,3 +111,33 @@ def modulus_shifted(monkeypatch):
     monkeypatch.setattr(theorems, "q_int", lambda n: q_int(n + 1))
     monkeypatch.setattr(theorems, "congruence_report", shifted_report)
     monkeypatch.setattr(theorems, "rem_mod", lambda a, n, e=1: rem(a, n + 1, e))
+
+
+class _BinomialsPlusOne(qcomb.QBinomialCache):
+    """Stand-in for ``BINOMIAL_MEMO`` whose every Gaussian binomial is off by one.
+
+    Its products are built from those corrupted binomials and stay in its
+    own table, so nothing corrupted reaches the shared memo.
+    """
+
+    def binomial(self, n, k):
+        return qcomb.BINOMIAL_MEMO.binomial(n, k) + 1
+
+
+def binomials_plus_one(monkeypatch):
+    monkeypatch.setattr(theorems, "BINOMIAL_MEMO", _BinomialsPlusOne())
+
+
+def weighted_sum_plus_modulus(monkeypatch):
+    """Add prefactor * [n]: off by a multiple of [p] but not of [p]^2, which
+    only the derivative half of thm2's second route can see."""
+    weighted = theorems.weighted_sum
+    monkeypatch.setattr(theorems, "weighted_sum",
+                        lambda n, a_list: weighted(n, a_list) + q_int(n))
+
+
+def comb_row_zero_is_one(monkeypatch):
+    """q1's integer binomials, each one too large in the row h = 0."""
+    fake = SimpleNamespace(factorial=math.factorial,
+                           comb=lambda h, a: math.comb(h, a) + (h == 0))
+    monkeypatch.setattr(theorems, "math", fake)

@@ -7,14 +7,24 @@ sampled instances.
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 import time
 
 import pytest
-from oracles import json_report_oracle, modulus_shifted
+from oracles import (
+    binomials_plus_one,
+    comb_row_zero_is_one,
+    execute_each,
+    json_report_oracle,
+    modulus_shifted,
+    weighted_sum_plus_modulus,
+)
 
 from qcong.congruence import FAIL, PASS, Witness, make_report
 from qcong.cli import build_parser, main
@@ -35,8 +45,8 @@ from qcong.sweep import (
 import qcong.sweep as sweep_mod
 from qcong import cli, qcomb
 
-README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                      "README.md")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+README = os.path.join(ROOT, "README.md")
 
 
 # reference vectors for the standard SplitMix64 mixer
@@ -331,6 +341,139 @@ class TestExecution:
             outs.append(render_report(reports, "json", stable=True))
         assert outs[0] == outs[1]
         assert ('"status": "fail"' in outs[0]) == corrupt
+
+
+FORKED = multiprocessing.get_start_method() == "fork"
+CORRUPTIONS = [
+    pytest.param(None, id="true"),
+    pytest.param(modulus_shifted, id="shifted-modulus"),
+    pytest.param(binomials_plus_one, id="binomials-plus-one"),
+    pytest.param(comb_row_zero_is_one, id="comb-row-zero-is-one"),
+    pytest.param(weighted_sum_plus_modulus, id="weighted-sum-plus-modulus"),
+]
+JOBS = [1, pytest.param(2, marks=pytest.mark.skipif(
+    not FORKED, reason="workers see a corrupted checker only when forked"))]
+
+
+def _outcome(r):
+    return r.status, r.witness, r.note
+
+
+def _assert_same_reports(got, want):
+    """Equal stable JSON and notes, report by report; names the first difference
+    (a diff of two whole reports would take pytest minutes)."""
+    def rows(reports):
+        return [(render_report([r], "json", True), r.note) for r in reports]
+
+    got, want = rows(got), rows(want)
+    first = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
+    assert first is None, (first, got[first], want[first])
+    assert len(got) == len(want)
+
+
+def _class_of(item):
+    """An order-free instance's class: its claim, first param and sorted tail."""
+    claim_id, params = item
+    return claim_id, params[0], tuple(sorted(v for _, v in params[1:]))
+
+
+def _class_instances():
+    """A thm1 grid, thm1 samples with exact duplicates, and thm2 at 5 and 7."""
+    samples = sweep_mod.thm1_sample_instances(60, 4, 7, 3, 3)
+    assert len(set(samples)) < len(samples)
+    return (enumerate_instances(_cfg(n_max=7, m_max=3, a_max=3)) + samples
+            + enumerate_instances(_cfg(suite="thm2", prime_set=(5, 7))))
+
+
+class TestOrderClasses:
+    """``execute`` checks one ordering per class of an order-free claim."""
+
+    def test_order_free_claims(self):
+        assert {c for c, row in CLAIMS.items() if row.order_free} == {"thm1", "q1", "thm2"}
+
+    @pytest.mark.parametrize("jobs", JOBS)
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS)
+    def test_matches_checking_each_instance(self, monkeypatch, corrupt, jobs):
+        if corrupt is not None:
+            corrupt(monkeypatch)
+        instances = _class_instances()
+        want = execute_each(instances)
+        _assert_same_reports(execute(instances, jobs=jobs), want)
+        assert any(r.status == FAIL for r in want) == (corrupt is not None)
+
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS)
+    def test_permuting_the_tail_keeps_the_outcome(self, monkeypatch, corrupt):
+        # the premise of order_free, asked of the checkers directly
+        if corrupt is not None:
+            corrupt(monkeypatch)
+        instances = _class_instances()
+        claims = {c for c, _ in instances}
+        assert claims == {c for c, row in CLAIMS.items() if row.order_free}
+        for claim_id, params in dict.fromkeys(instances):
+            names, values = zip(*params[1:])
+            if list(values) != sorted(values):
+                continue
+            check = CLAIMS[claim_id].check
+            want = _outcome(check(**dict(params)))
+            for perm in set(itertools.permutations(values)):
+                tail = dict(zip(names, perm))
+                got = _outcome(check(**dict(params[:1]), **tail))
+                assert got == want, (claim_id, params, perm)
+
+    def test_checks_once_per_class(self, monkeypatch):
+        calls = {"thm1": [], "sum_lemma": []}
+        for claim_id, seen in calls.items():
+            check = CLAIMS[claim_id].check
+            _patch_check(monkeypatch, claim_id,
+                         lambda check=check, seen=seen, **kw: seen.append(kw) or check(**kw))
+        grid = enumerate_instances(_cfg(n_max=5, m_max=3, a_max=2))
+        lemma = enumerate_instances(_cfg(suite="identities", n_max=4, a_max=4))
+        lemma = [i for i in lemma if i[0] == "sum_lemma"]
+        assert ("sum_lemma", (("n", 2), ("a", 3))) in lemma
+        assert ("sum_lemma", (("n", 3), ("a", 2))) in lemma
+        assert len(execute(grid + lemma)) == len(grid) + len(lemma)
+        classes = {_class_of(item) for item in grid if item[0] == "thm1"}
+        assert len(calls["thm1"]) == len(classes) < len(grid) // 2
+        assert len(calls["sum_lemma"]) == len(lemma)
+
+    def test_a_copy_shows_its_own_params_and_no_time(self, monkeypatch):
+        def slow(p, a, b):
+            time.sleep(0.02)
+            return make_report("thm2", {"p": p, "a": a, "b": b}, PASS)
+
+        _patch_check(monkeypatch, "thm2", slow)
+        first, copy = execute([("thm2", (("p", 5), ("a", 1), ("b", 2))),
+                               ("thm2", (("p", 5), ("a", 2), ("b", 1)))])
+        assert first.elapsed_ms >= 15 and first.params == (("p", 5), ("a", 1), ("b", 2))
+        assert copy.elapsed_ms == 0 and copy.params == (("p", 5), ("a", 2), ("b", 1))
+
+    @pytest.mark.parametrize("jobs", JOBS)
+    def test_fail_fast_matches_checking_each_instance(self, monkeypatch, jobs):
+        # vanishing sums pass under the shifted modulus, and their orderings
+        # come first, so copies are made before the first failure
+        modulus_shifted(monkeypatch)
+        grid = enumerate_instances(_cfg(n_max=7, m_max=3, a_max=3))
+        instances = [(c, p) for c, p in grid
+                     if dict(p)["n"] <= max(v for _, v in p[1:])] + grid
+        want = execute_each(instances)
+        first = next(i for i, r in enumerate(want) if r.status == FAIL)
+        got = execute(instances, jobs=jobs, fail_fast=True)
+        _assert_same_reports(got, want[:first + 1])
+        seen = [_class_of(item) for item in instances[:first]]
+        assert len(set(seen)) < len(seen)
+
+    def test_serial_sweep_loads_no_process_pool(self):
+        code = ("import io, sys\n"
+                "import qcong.cli\n"
+                "from qcong.sweep import SweepConfig, run_suite\n"
+                "assert run_suite(SweepConfig(suite='all', n_max=3), out=io.StringIO()) == 0\n"
+                "print(sorted({'multiprocessing', 'concurrent.futures.process'}"
+                " & set(sys.modules)))\n")
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 class TestTiming:

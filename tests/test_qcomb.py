@@ -1,10 +1,11 @@
 """q-object tests: defining values, oracle agreement, structural properties."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
-from oracles import q_binomial_oracle, weighted_sum_oracle
+from oracles import q_binomial_oracle, q_pochhammer_oracle, weighted_sum_oracle
 
 from qcong.errors import InternalError
 from qcong.poly import ONE, ZERO, IntPoly
@@ -119,6 +120,27 @@ def test_pochhammer_rational():
     x, q = Fraction(1, 2), Fraction(-2, 3)
     expect = (1 - x) * (1 - x * q) * (1 - x * q * q)
     assert q_pochhammer_eval(x, q, 3) == expect
+
+
+def test_pochhammer_carried_power_matches_oracle():
+    # every fourth x is q^-j, so the factor i = j vanishes partway through
+    rng = random.Random(15)
+    kinds = set()
+    for case in range(2000):
+        k = case % 10
+        q = Fraction(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 5))
+        if case % 4 == 0 and k:
+            j = rng.randrange(k)
+            x = q ** -j
+            kinds.add("vanishing")
+            assert q_pochhammer_eval(x, q, k) == 0
+        else:
+            x = Fraction(rng.randint(-7, 7), rng.randint(1, 5))
+        kinds.add("|q| < 1" if abs(q) < 1 else "|q| >= 1")
+        if q < 0:
+            kinds.add("q < 0")
+        assert q_pochhammer_eval(x, q, k) == q_pochhammer_oracle(x, q, k), (x, q, k)
+    assert kinds == {"vanishing", "|q| < 1", "|q| >= 1", "q < 0"}
 
 
 def test_pochhammer_negative_k_rejected():

@@ -4,14 +4,16 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from oracles import (
+    binomials_plus_one,
+    comb_row_zero_is_one,
     modulus_shifted,
     multinom_factor_oracle,
     pfaff_lhs_oracle,
     weighted_sum_oracle,
+    weighted_sum_plus_modulus,
 )
 
 from qcong import congruence, poly, qcomb, theorems
@@ -445,35 +447,6 @@ def test_pfaff_validation():
 
 # --- every checker's fail branch, reached by corrupting one input ---------------------------
 
-class _BinomialsPlusOne(qcomb.QBinomialCache):
-    """Stand-in for ``BINOMIAL_MEMO`` whose every Gaussian binomial is off by one.
-
-    Its products are built from those corrupted binomials and stay in its
-    own table, so nothing corrupted reaches the shared memo.
-    """
-
-    def binomial(self, n, k):
-        return qcomb.BINOMIAL_MEMO.binomial(n, k) + 1
-
-
-def _weighted_sum_plus_modulus(monkeypatch):
-    # adds prefactor * [n]: off by a multiple of [p] but not of [p]^2, which
-    # only the derivative half of thm2's second route can see
-    weighted = theorems.weighted_sum
-    monkeypatch.setattr(theorems, "weighted_sum",
-                        lambda n, a_list: weighted(n, a_list) + q_int(n))
-
-
-def _binomials_plus_one(monkeypatch):
-    monkeypatch.setattr(theorems, "BINOMIAL_MEMO", _BinomialsPlusOne())
-
-
-def _comb_row_zero_is_one(monkeypatch):
-    fake = SimpleNamespace(factorial=math.factorial,
-                           comb=lambda h, a: math.comb(h, a) + (h == 0))
-    monkeypatch.setattr(theorems, "math", fake)
-
-
 def _pfaff_lhs_plus_one(monkeypatch):
     sides = theorems._pfaff_sides
 
@@ -509,23 +482,23 @@ _LHS_5_2_2 = (
 @pytest.mark.parametrize("corrupt, check, witness", [
     pytest.param(modulus_shifted, lambda: check_thm1(3, [1]),
                  ("q + 2*q^2 + 2*q^3 + q^4", "0", "-1 - q"), id="thm1"),
-    pytest.param(_comb_row_zero_is_one, lambda: q1_check(3, [1]),
+    pytest.param(comb_row_zero_is_one, lambda: q1_check(3, [1]),
                  ("8", "0", "2"), id="q1"),
     pytest.param(modulus_shifted, lambda: check_thm2(3, 1, 0),
                  ("q + 2*q^2 + 2*q^3 + q^4", "-1 - q - q^2 - q^3",
                   "1 + 2*q + 3*q^2 + 3*q^3 + q^4"), id="thm2"),
-    pytest.param(_weighted_sum_plus_modulus, lambda: check_thm2(3, 1, 0),
+    pytest.param(weighted_sum_plus_modulus, lambda: check_thm2(3, 1, 0),
                  ("1 + 3*q + 4*q^2 + 3*q^3 + q^4", "-1 - q - q^2",
                   "1 + 2*q + 2*q^2 + q^3"), id="thm2-off-by-[p]"),
-    pytest.param(_binomials_plus_one, lambda: check_sum_lemma(3, 1),
+    pytest.param(binomials_plus_one, lambda: check_sum_lemma(3, 1),
                  ("2*q + 2*q^2 + q^3", "2*q + q^2 + q^3", "q^2"), id="sum_lemma"),
-    pytest.param(_binomials_plus_one, lambda: check_chu_vandermonde(2, 1, 1),
+    pytest.param(binomials_plus_one, lambda: check_chu_vandermonde(2, 1, 1),
                  ("4 + 4*q + 2*q^2", "2 + q + q^2", "2 + 3*q + q^2"), id="chu_vandermonde"),
     pytest.param(modulus_shifted, lambda: check_p_minus_one_lemma(3, 1),
                  ("q + q^2", "-1", "1 + q + q^2"), id="p_minus_one"),
-    pytest.param(_binomials_plus_one, lambda: check_residue_identity(1, 1),
+    pytest.param(binomials_plus_one, lambda: check_residue_identity(1, 1),
                  ("-4*q + 2*q^2", "-q", "-3*q + 2*q^2"), id="residue_identity"),
-    pytest.param(_binomials_plus_one, lambda: check_symmetric_identity(1, 1),
+    pytest.param(binomials_plus_one, lambda: check_symmetric_identity(1, 1),
                  ("4 - 2*q", "1", "3 - 2*q"), id="symmetric_identity"),
     pytest.param(_pfaff_lhs_plus_one, lambda: check_pfaff_saalschutz(2, 3, 5, 2, 1),
                  ("-1/2", "-3/2", "1"), id="qpfaff"),
