@@ -13,6 +13,12 @@ packed, and the product read back, by one ``array`` call in native byte
 order.  Wider slots go through bytes, one ``to_bytes``/``from_bytes`` per
 coefficient.  Schoolbook convolution (``_mul_schoolbook``) is kept only as
 the reference the kernel tests compare against.
+
+``_pack_nonneg`` and ``_unpack_nonneg`` carry nonnegative coefficients to
+and from one integer at X = 2^(8k) with no bias, for a caller that does
+more than multiply there: :mod:`qcong.qcomb` builds a whole weighted sum
+of Gaussian binomials as one integer.  ``_slot_bytes`` picks k from a bound
+on every coefficient.
 """
 
 from __future__ import annotations
@@ -22,8 +28,10 @@ from array import array
 
 from .errors import LeadingCoeffNotUnitError, NotDivisibleError
 
-# Signed array typecode of each machine-word slot width, in bytes.
+# Signed and unsigned array typecodes of each machine-word slot width, in bytes.
 _WORDS = {array(t).itemsize: t for t in "bhilq"}
+_UWORDS = {array(t).itemsize: t for t in "BHILQ"}
+_WORD64 = (1 << 64) - 1
 
 
 def _strip(coeffs):
@@ -111,6 +119,50 @@ def _mul_lists(a, b):
     ub = int.from_bytes(array(word, b), order)
     product = (ua - ((ua & biases) << 1)) * (ub - ((ub & biases) << 1))
     return array(word, ((product + biases) ^ biases).to_bytes(n * k, order)).tolist()
+
+
+def _slot_bytes(bound):
+    """Bytes per slot for coefficients in [0, bound]: the fewest that hold
+    bound, rounded up to 1, 2, 4 or 8, or past 8 to a multiple of 8."""
+    k = max((bound.bit_length() + 7) // 8, 1)
+    return 1 << (k - 1).bit_length() if k <= 8 else -(-k // 8) * 8
+
+
+def _slot_words(k):
+    """The array typecode that reads k-byte slots, and the words per slot."""
+    return (_UWORDS[k], 1) if k <= 8 else ("Q", k // 8)
+
+
+def _pack_nonneg(coeffs, k):
+    """The integer sum of c_i * 2^(8ki), for 0 <= c_i < 2^(8k) and k from
+    ``_slot_bytes``.
+
+    Slot i holds c_i in t = k/8 little-endian 64-bit words when k > 8, one
+    word when k <= 8; one ``array`` call packs all of them.
+    """
+    code, t = _slot_words(k)
+    if t == 1:
+        words = array(code, coeffs)
+    else:
+        words = array(code, bytes(8 * t * len(coeffs)))
+        for j in range(t):
+            words[j::t] = array(code, [(c >> (64 * j)) & _WORD64 for c in coeffs])
+    if sys.byteorder == "big":
+        words.byteswap()
+    return int.from_bytes(words, "little")
+
+
+def _unpack_nonneg(value, k, n):
+    """The n slots of ``value`` at X = 2^(8k), constant slot first; the
+    inverse of ``_pack_nonneg``.  OverflowError if value >= X^n."""
+    code, t = _slot_words(k)
+    words = array(code, value.to_bytes(n * k, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    out = words[t - 1::t].tolist()
+    for j in range(t - 2, -1, -1):
+        out = [(hi << 64) | lo for hi, lo in zip(out, words[j::t])]
+    return out
 
 
 def _divrem_lists(a, b):

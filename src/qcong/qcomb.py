@@ -22,8 +22,15 @@ every checker in :mod:`qcong.theorems` asks it, never ``q_binomial``
 directly.  It keys a binomial on ``(n, k)``, a product on the exact ordered
 tuple of its ``(n, k)`` pairs and W(n) on ``(n, a_sorted)``, in one table
 with one bound, so a long sweep cannot grow it without limit; each worker
-process of a sweep holds its own copy.  W(n) is extended from the largest
-smaller n held for the same a-list, one row per missing h.
+process of a sweep holds its own copy.
+
+W(n) is built as one integer at q = X = 2^(8k), with no polynomial
+multiply per row: row h follows from row h - 1 by a shift-subtract and an
+exact division by X^d - 1 per a_i, and the rows are summed as integers
+and unpacked once (see ``QBinomialCache.weighted_sum``).  Its entry holds
+W(n) and the last row, so a larger n of the same a-list is extended from
+the largest smaller n held, one row per missing h.  The memo holds no row
+product; only the prefactor is a product of binomials.
 
 ``LaurentPoly`` extends the kernel with negative powers of q for identities
 whose natural exponents dip below zero.
@@ -33,11 +40,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, repeat
-from operator import sub
+from itertools import accumulate
+from math import comb, prod
+from operator import add, gt, sub
 
 from .errors import InternalError
-from .poly import ONE, ZERO, IntPoly, _format_terms
+from .poly import (
+    ONE,
+    ZERO,
+    IntPoly,
+    _format_terms,
+    _pack_nonneg,
+    _slot_bytes,
+    _unpack_nonneg,
+)
 
 
 def q_int(n):
@@ -90,6 +106,26 @@ def _div_one_minus_q_pow(c, m):
     return out[:size]
 
 
+def _div_pow2_minus_one(value, s, width):
+    """value / (2^s - 1) for a quotient below 2^width, raising InternalError
+    unless exact.
+
+    The packed twin of ``_div_one_minus_q_pow``: 2-adically 1/(1 - 2^s) is
+    1 + 2^s + 2^(2s) + ..., so the quotient is -value times that series mod
+    2^width, a prefix sum that doubles its reach with each shift-add.  The
+    quotient times 2^s - 1 must give value back.
+    """
+    mask = (1 << width) - 1
+    acc, reach = value & mask, s
+    while reach < width:
+        acc = (acc + (acc << reach)) & mask
+        reach <<= 1
+    quot = -acc & mask
+    if (quot << s) - quot != value:
+        raise InternalError("not a multiple of 2^%d - 1" % s)
+    return quot
+
+
 def q_pochhammer_eval(x, q, k):
     """(x;q)_k evaluated at exact rationals: prod_{i<k} (1 - x*q^i), x*q^i carried."""
     if k < 0:
@@ -108,9 +144,10 @@ class QBinomialCache:
 
     A binomial gauss(n, k) is keyed on ``(n, k)``; a product of two or more
     is keyed on the exact ordered tuple of its ``(n, k)`` pairs; a weighted
-    sum on ``(n, a_sorted)``.  All share one table and one bound, with
-    insertion-ordered eviction (oldest entry first).  Cached values are
-    immutable, so a hit is indistinguishable from a fresh computation.
+    sum on ``(n, a_sorted)``, its entry holding W(n) and its last row.  All
+    share one table and one bound, with insertion-ordered eviction (oldest
+    entry first).  Cached values are immutable, so a hit is
+    indistinguishable from a fresh computation.
     """
 
     __slots__ = ("max_entries", "_table")
@@ -149,36 +186,72 @@ class QBinomialCache:
     def weighted_sum(self, n, a_sorted):
         """W(n) = sum_{h<n} q^h prod_i gauss(h, a_i) over a sorted tuple of a_i.
 
-        Keyed on ``(n, a_sorted)``.  Built off the entry for the largest
-        n' < n with the same a-list, adding only the rows n' <= h < n; the
-        partial sums on the way are not stored.  Rows with h below max(a_i)
-        vanish, so n <= max(a_i) gives ZERO and stores nothing.
+        Computed as one integer at X = 2^(8k), k from ``poly._slot_bytes``
+        of the exact bound B = sum_h prod_i C(h, a_i) over the rows added,
+        their value at q = 1: every coefficient of every row, and of every
+        step between rows, is nonnegative and at most B, so none overflows
+        its slot.  The first
+        row, h = max(a_i), is the product of the packed gauss(h, a_i).  Row
+        h follows from row h - 1 since gauss(h, a) = gauss(h-1, a) [h] /
+        [h-a]: for each a_i > 0, one shift-subtract (times X^h - 1) and one
+        exact division by X^(h-a_i) - 1.  The rows are summed, row h shifted
+        by h slots, and the sum is unpacked once.  A division that is not
+        exact, or unpacked coefficients that do not sum to B, raise
+        InternalError.
+
+        Keyed on ``(n, a_sorted)``, the entry holds W(n), its last row (row
+        n - 1, packed) and that row's slot width.  W(n) is built off the
+        entry for the largest n' < n with the same a-list, repacking its
+        last row if the width changed and adding only the rows n' <= h < n.
+        Rows with h below max(a_i) vanish, so n <= max(a_i) gives ZERO and
+        stores nothing.  The a-list must be a sorted tuple; anything else
+        raises ValueError.
         """
-        start = a_sorted[-1]
-        if n <= start:
+        if (not isinstance(a_sorted, tuple) or not a_sorted or a_sorted[0] < 0
+                or any(map(gt, a_sorted, a_sorted[1:]))):
+            raise ValueError("weighted_sum needs a nonempty sorted tuple of "
+                             "a_i >= 0, got %r" % (a_sorted,))
+        top = a_sorted[-1]
+        if n <= top:
             return ZERO
         key = (n, a_sorted)
         hit = self._table.get(key)
         if hit is not None:
-            return hit
-        total = []
-        for below in range(n - 1, start, -1):
+            return hit[0]
+        h, total, last = top, [], None  # the first row to add, W(h), row h - 1
+        for below in range(n - 1, top, -1):
             base = self._table.get((below, a_sorted))
             if base is not None:
-                start, total = below, list(base.coeffs)
+                h, total, last = below, list(base[0].coeffs), base[1:]
                 break
-        hs = range(start, n)
-        rows = zip(*[zip(hs, repeat(a)) for a in a_sorted])  # the pairs (h, a_i) per h
-        for h, pairs in zip(hs, rows):
-            part = self.product(pairs)
-            if part.is_zero:
-                continue
-            coeffs = part.coeffs
-            end = h + len(coeffs)
-            if len(total) < end:
-                total.extend([0] * (end - len(total)))
-            total[h:end] = [x + c for x, c in zip(total[h:end], coeffs)]
-        return self._store(key, IntPoly._make(total))
+        bound = sum(prod([comb(j, a) for a in a_sorted]) for j in range(h, n))
+        k = _slot_bytes(bound)
+        bits = 8 * k
+        steps = [a for a in a_sorted if a]
+        if last is None:
+            row = prod(_pack_nonneg(self.binomial(h, a).coeffs, k) for a in steps)
+            degree = sum(a * (h - a) for a in steps)
+            part, first = row, h + 1
+        else:
+            row, width = last
+            degree = sum(a * (h - 1 - a) for a in steps)
+            if width != k:
+                row = _pack_nonneg(_unpack_nonneg(row, width, degree + 1), k)
+            part, first = 0, h
+        for j in range(first, n):
+            for a in steps:
+                degree += a
+                row = _div_pow2_minus_one((row << bits * j) - row, bits * (j - a),
+                                          bits * (degree + 1))
+            part += row << bits * (j - h)
+        size = n - h + degree
+        coeffs = _unpack_nonneg(part, k, size)
+        if sum(coeffs) != bound:
+            raise InternalError("W(%d) for %r: rows %d..%d do not sum to %d"
+                                % (n, a_sorted, h, n - 1, bound))
+        total += [0] * (h + size - len(total))
+        total[h:] = map(add, total[h:], coeffs)
+        return self._store(key, (IntPoly._make(total), row, k))[0]
 
     def _store(self, key, value):
         if len(self._table) >= self.max_entries:

@@ -72,13 +72,14 @@ computed here by ``sum_quotient_recurrence`` with memoization keyed on the
 exact ordered tuple (the recurrence is only stated for ordered lists, so no
 sorting is ever applied to memo keys).
 
-Every Gaussian binomial used here, every product of them that recurs (the
-thm1 prefactor and each row prod_i gauss(h, a_i) of the weighted sum) and
-the weighted sum itself come from the one shared bounded memo
+Every Gaussian binomial used here, the thm1 prefactor (a product of
+them) and the weighted sum W(n) come from the one shared bounded memo
 ``qcomb.BINOMIAL_MEMO``; no checker takes a cache argument.  Product keys
 are ordered tuples of (n, k) pairs, so a caller sorts the pairs itself
-where their order does not matter.  The recurrence's own memo is local to
-one call.
+where their order does not matter.  W(n) is not a sum of row products: the
+memo builds it as one packed integer, each row from the last, and checks
+every step, so a corrupted row raises InternalError instead of reaching a
+verdict.  The recurrence's own memo is local to one call.
 
 Each congruence names its modulus [n]^e by the pair (n, e): thm1 and the
 p - 1 lemma take (n, 1), thm2 takes (p, 2) and its cross-check (p, 1).

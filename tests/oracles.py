@@ -117,7 +117,9 @@ class _BinomialsPlusOne(qcomb.QBinomialCache):
     """Stand-in for ``BINOMIAL_MEMO`` whose every Gaussian binomial is off by one.
 
     Its products are built from those corrupted binomials and stay in its
-    own table, so nothing corrupted reaches the shared memo.
+    own table, so nothing corrupted reaches the shared memo.  W(n) reads
+    binomials only for its first row, which the packed build's division
+    or sum check then rejects with InternalError.
     """
 
     def binomial(self, n, k):
@@ -126,6 +128,21 @@ class _BinomialsPlusOne(qcomb.QBinomialCache):
 
 def binomials_plus_one(monkeypatch):
     monkeypatch.setattr(theorems, "BINOMIAL_MEMO", _BinomialsPlusOne())
+
+
+class _WeightedSumsPlusOne(qcomb.QBinomialCache):
+    """Stand-in for ``BINOMIAL_MEMO`` whose every W(n) is off by one, as a whole.
+
+    Each W(n) is built and stored correctly in its own table, and only the
+    value handed out is corrupted, so no corrupted value seeds a later W.
+    """
+
+    def weighted_sum(self, n, a_sorted):
+        return super().weighted_sum(n, a_sorted) + 1
+
+
+def weighted_sums_plus_one(monkeypatch):
+    monkeypatch.setattr(theorems, "BINOMIAL_MEMO", _WeightedSumsPlusOne())
 
 
 def weighted_sum_plus_modulus(monkeypatch):

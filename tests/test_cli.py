@@ -18,12 +18,12 @@ import time
 
 import pytest
 from oracles import (
-    binomials_plus_one,
     comb_row_zero_is_one,
     execute_each,
     json_report_oracle,
     modulus_shifted,
     weighted_sum_plus_modulus,
+    weighted_sums_plus_one,
 )
 
 from qcong.congruence import FAIL, PASS, Witness, make_report
@@ -347,7 +347,7 @@ FORKED = multiprocessing.get_start_method() == "fork"
 CORRUPTIONS = [
     pytest.param(None, id="true"),
     pytest.param(modulus_shifted, id="shifted-modulus"),
-    pytest.param(binomials_plus_one, id="binomials-plus-one"),
+    pytest.param(weighted_sums_plus_one, id="weighted-sums-plus-one"),
     pytest.param(comb_row_zero_is_one, id="comb-row-zero-is-one"),
     pytest.param(weighted_sum_plus_modulus, id="weighted-sum-plus-modulus"),
 ]

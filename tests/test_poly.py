@@ -9,7 +9,16 @@ from hypothesis import strategies as st
 
 from qcong import poly
 from qcong.errors import LeadingCoeffNotUnitError, NotDivisibleError
-from qcong.poly import ONE, ZERO, IntPoly, _mul_lists, _mul_schoolbook
+from qcong.poly import (
+    ONE,
+    ZERO,
+    IntPoly,
+    _mul_lists,
+    _mul_schoolbook,
+    _pack_nonneg,
+    _slot_bytes,
+    _unpack_nonneg,
+)
 from qcong.qcomb import q_binomial
 
 BIG = 2 ** 256
@@ -245,6 +254,21 @@ def test_word_slots_never_pack_through_bytes(monkeypatch):
     monkeypatch.setattr(poly, "_pack", refuse)
     a, b = q_binomial(30, 15), q_binomial(24, 12)  # bound has 45 bits: k = 6
     assert (a * b).coeffs == tuple(_mul_schoolbook(a.coeffs, b.coeffs))
+
+
+def test_nonneg_slots_hold_their_bound():
+    # on either side of each word boundary the slot chosen for a bound holds
+    # the bound itself, and packing reads back every coefficient up to it
+    widths = [_slot_bytes(0), _slot_bytes(1)]
+    for bits in (8, 16, 32, 64, 128, 192):
+        for bound in ((1 << bits) - 1, 1 << bits):
+            k = _slot_bytes(bound)
+            widths.append(k)
+            coeffs = [bound, 0, 1, bound, bound >> 1]
+            packed = _pack_nonneg(coeffs, k)
+            assert packed == sum(c << (8 * k * i) for i, c in enumerate(coeffs))
+            assert _unpack_nonneg(packed, k, len(coeffs)) == coeffs
+    assert widths == [1, 1, 1, 2, 2, 4, 4, 8, 8, 16, 16, 24, 24, 32]
 
 
 @given(poly_st, poly_st)

@@ -7,12 +7,14 @@ from fractions import Fraction
 import pytest
 from oracles import q_binomial_oracle, q_pochhammer_oracle, weighted_sum_oracle
 
+from qcong import qcomb
 from qcong.errors import InternalError
-from qcong.poly import ONE, ZERO, IntPoly
+from qcong.poly import ONE, ZERO, IntPoly, _slot_bytes
 from qcong.qcomb import (
     LaurentPoly,
     QBinomialCache,
     _div_one_minus_q_pow,
+    _div_pow2_minus_one,
     q_binomial,
     q_factorial,
     q_int,
@@ -80,6 +82,20 @@ def test_div_one_minus_q_pow_rejects_a_non_multiple():
     for c, m in (([1, 1], 1), ([1, 0, 0, -2], 3), ([1, 2, 3], 4), ([1, 0, -1, 1], 2)):
         with pytest.raises(InternalError):
             _div_one_minus_q_pow(c, m)
+
+
+def test_div_pow2_minus_one_inverts_the_shift_subtract():
+    rng = random.Random(4)
+    for width, s in ((8, 8), (64, 8), (200, 64), (1000, 192), (1000, 999), (5000, 24)):
+        for quot in (0, 1, (1 << width) - 1, rng.getrandbits(width)):
+            assert _div_pow2_minus_one((quot << s) - quot, s, width) == quot
+
+
+def test_div_pow2_minus_one_rejects_a_non_multiple():
+    for value, s, width in ((1, 8, 64), (256, 8, 64), (((1 << 64) - 1) * 5 + 3, 64, 192),
+                            (((1 << 16) - 1) << 50, 16, 40)):  # the quotient is too wide
+        with pytest.raises(InternalError, match=r"not a multiple of 2\^"):
+            _div_pow2_minus_one(value, s, width)
 
 
 def test_q_binomial_structure():
@@ -191,45 +207,48 @@ def test_cache_eviction_bounded():
         assert len(cache) <= 4
 
 
-class _CountingProducts(QBinomialCache):
-    """A memo that records the row index h of every product it is asked for."""
+def _rows_summed(monkeypatch):
+    """The rows each W(n) build adds, in ascending order, and the packed
+    divisions it makes; the bound B of a build takes C(h, a_i) once per added
+    row h and a_i, and each row after the first costs one division per a_i > 0."""
+    seen = []
+    comb, divide = qcomb.comb, qcomb._div_pow2_minus_one
+    monkeypatch.setattr(qcomb, "comb", lambda h, a: seen.append(h) or comb(h, a))
+    monkeypatch.setattr(qcomb, "_div_pow2_minus_one",
+                        lambda *args: seen.append(None) or divide(*args))
 
-    def __init__(self, max_entries=4096):
-        super().__init__(max_entries)
-        self.calls = []
+    def rows():
+        out = (sorted({h for h in seen if h is not None}), seen.count(None))
+        del seen[:]
+        return out
 
-    def product(self, pairs):
-        self.calls.append(pairs[0][0])
-        return super().product(pairs)
-
-    def rows(self):
-        """The distinct rows asked for since the last call, in ascending order."""
-        rows = sorted(set(self.calls))
-        del self.calls[:]
-        return rows
+    return rows
 
 
-def test_weighted_sum_extends_the_largest_cached_n():
-    cache = _CountingProducts()
+def test_weighted_sum_extends_the_largest_cached_n(monkeypatch):
+    rows = _rows_summed(monkeypatch)
+    cache = QBinomialCache()
     assert cache.weighted_sum(5, (1, 2)) == weighted_sum_oracle(5, (1, 2))
-    assert cache.rows() == [2, 3, 4]  # rows below max(a_i) vanish and are skipped
+    assert rows() == ([2, 3, 4], 4)  # rows below max(a_i) vanish; 3 and 4 follow 2
     assert cache.weighted_sum(8, (1, 2)) == weighted_sum_oracle(8, (1, 2))
-    assert cache.rows() == [5, 6, 7]  # built off W(5)
+    assert rows() == ([5, 6, 7], 6)  # built off W(5) and its last row, row 4
     assert cache.weighted_sum(6, (1, 2)) == weighted_sum_oracle(6, (1, 2))
-    assert cache.rows() == [5]  # W(8) is not below 6, so W(5) is the base
+    assert rows() == ([5], 2)  # W(8) is not below 6, so W(5) is the base
     assert cache.weighted_sum(8, (1, 2)) == weighted_sum_oracle(8, (1, 2))
-    assert cache.rows() == []  # a hit
+    assert rows() == ([], 0)  # a hit
     # clear() drops the sums with the binomials and products
     cache.clear()
     assert len(cache) == 0
     assert cache.weighted_sum(7, (1, 2)) == weighted_sum_oracle(7, (1, 2))
-    assert cache.rows() == [2, 3, 4, 5, 6]
+    assert rows() == ([2, 3, 4, 5, 6], 8)
 
 
 def test_weighted_sum_stores_only_its_own_n():
     cache = QBinomialCache()
-    cache.weighted_sum(6, (1,))
-    assert len(cache) == 5 + 1  # gauss(h, 1) for h = 1..5, then W(6) alone
+    cache.weighted_sum(6, (1, 3))
+    # the first row's binomials gauss(3, 1) and gauss(3, 3), then W(6) with its
+    # last row as one entry; later rows and the partial sums are not stored
+    assert len(cache) == 2 + 1
     # n <= max(a_i): every row vanishes, and nothing is stored
     fresh = QBinomialCache()
     assert fresh.weighted_sum(3, (1, 3)) == ZERO
@@ -237,13 +256,56 @@ def test_weighted_sum_stores_only_its_own_n():
     assert len(fresh) == 0
 
 
+@pytest.mark.parametrize("a_sorted", [(3, 1), (), (-1, 2), [1, 3], (1, 3, 2)])
+def test_weighted_sum_rejects_an_a_list_not_sorted(a_sorted):
+    # the memo keys W(n) on the tuple as given and builds from its last entry,
+    # so it takes only what ``theorems.weighted_sum`` hands it: a sorted tuple
+    with pytest.raises(ValueError, match="sorted tuple"):
+        QBinomialCache().weighted_sum(6, a_sorted)
+
+
 def test_weighted_sum_evicting_mid_build():
-    # a table of four entries evicts rows, products and earlier sums while
-    # one sum is being built; every value must still match the oracle
+    # a table of four entries evicts first-row binomials and earlier sums,
+    # with their last rows, between and during builds; every value must
+    # still match the oracle
     small = QBinomialCache(max_entries=4)
     for n in list(range(1, 12)) + list(range(11, 0, -1)):
         for a_sorted in ((0, 2), (1, 1, 3), (2, 2, 2)):
             assert small.weighted_sum(n, a_sorted) == weighted_sum_oracle(n, a_sorted)
+            assert len(small) <= 4
+
+
+# (n, a-list) whose bound B = W(1) needs slots of 1, 2, 4, 8, 16 and 24 bytes
+_WIDTH_CASES = ((5, (1,)), (10, (2, 2)), (12, (3, 3, 3)), (16, (4, 4, 4, 4)),
+                (20, (1, 5, 5, 5, 5, 5)), (28, (4, 8, 8, 8, 8, 8, 8, 8)))
+
+
+class TestPackedWeightedSum:
+    """W(n) built as one packed integer, against the term-by-term oracle."""
+
+    def test_cases_cover_every_slot_width(self):
+        bounds = [sum(math.prod(math.comb(h, a) for a in a_sorted) for h in range(n))
+                  for n, a_sorted in _WIDTH_CASES]
+        assert [_slot_bytes(b) for b in bounds] == [1, 2, 4, 8, 16, 24]
+
+    @pytest.mark.parametrize("n, a_sorted", _WIDTH_CASES)
+    def test_cold_and_extended_from_every_smaller_n(self, n, a_sorted):
+        want = weighted_sum_oracle(n, a_sorted)
+        assert QBinomialCache().weighted_sum(n, a_sorted) == want
+        for held in range(a_sorted[-1] + 1, n):
+            cache = QBinomialCache()
+            assert cache.weighted_sum(held, a_sorted) == weighted_sum_oracle(held, a_sorted)
+            assert cache.weighted_sum(n, a_sorted) == want, held
+
+    def test_memo_of_four_entries(self):
+        # the last four n of each case, every a-list in turn, up and then
+        # down: a build extends the W just stored or evicts its base when it
+        # stores, and a cold first row evicts other a-lists' sums
+        want = {(m, a_sorted): weighted_sum_oracle(m, a_sorted)
+                for n, a_sorted in _WIDTH_CASES for m in range(n - 3, n + 1)}
+        small = QBinomialCache(max_entries=4)
+        for key in sorted(want) + sorted(want, reverse=True):
+            assert small.weighted_sum(*key) == want[key], key
             assert len(small) <= 4
 
 

@@ -14,6 +14,7 @@ from oracles import (
     pfaff_lhs_oracle,
     weighted_sum_oracle,
     weighted_sum_plus_modulus,
+    weighted_sums_plus_one,
 )
 
 from qcong import congruence, poly, qcomb, theorems
@@ -490,8 +491,8 @@ _LHS_5_2_2 = (
     pytest.param(weighted_sum_plus_modulus, lambda: check_thm2(3, 1, 0),
                  ("1 + 3*q + 4*q^2 + 3*q^3 + q^4", "-1 - q - q^2",
                   "1 + 2*q + 2*q^2 + q^3"), id="thm2-off-by-[p]"),
-    pytest.param(binomials_plus_one, lambda: check_sum_lemma(3, 1),
-                 ("2*q + 2*q^2 + q^3", "2*q + q^2 + q^3", "q^2"), id="sum_lemma"),
+    pytest.param(weighted_sums_plus_one, lambda: check_sum_lemma(3, 1),
+                 ("1 + q + q^2 + q^3", "q + q^2 + q^3", "1"), id="sum_lemma"),
     pytest.param(binomials_plus_one, lambda: check_chu_vandermonde(2, 1, 1),
                  ("4 + 4*q + 2*q^2", "2 + q + q^2", "2 + 3*q + q^2"), id="chu_vandermonde"),
     pytest.param(modulus_shifted, lambda: check_p_minus_one_lemma(3, 1),
@@ -523,6 +524,22 @@ def test_fail_branch_witness(monkeypatch, corrupt, check, witness):
     assert r.status == "fail"
     assert (r.witness.lhs, r.witness.rhs, r.witness.difference) == witness
     assert r.note is None
+
+
+@pytest.mark.parametrize("check, match", [
+    pytest.param(lambda: check_thm1(5, [1, 2]), r"not a multiple of 2\^", id="thm1-division"),
+    pytest.param(lambda: check_thm2(5, 2, 1), r"not a multiple of 2\^", id="thm2-division"),
+    pytest.param(lambda: check_thm1(6, [3]), "do not sum to", id="thm1-sum"),
+    pytest.param(lambda: check_sum_lemma(4, 2), "do not sum to", id="sum_lemma-sum"),
+])
+def test_corrupted_row_raises_internal_error(monkeypatch, check, match):
+    # W(n) reads binomials only for its first row.  With two a_i the corrupted
+    # row is no multiple of the next row's divisor; with one, it is a constant
+    # 2, every division is exact and only the sum of the coefficients shows it.
+    # Either way the checker raises; it never reports a verdict.
+    binomials_plus_one(monkeypatch)
+    with pytest.raises(InternalError, match=match):
+        check()
 
 
 def test_failing_congruence_divides_once(monkeypatch):
