@@ -24,8 +24,8 @@ from .errors import InternalError, InvalidParamsError
 
 
 def _ints(*values):
-    """True when every value is an integer."""
-    return all(isinstance(v, int) for v in values)
+    """True when every value is an integer, and none a bool."""
+    return all(isinstance(v, int) and not isinstance(v, bool) for v in values)
 
 
 def power_sum(n, e):

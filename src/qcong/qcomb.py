@@ -8,29 +8,20 @@ Notation used throughout the package:
                  zero whenever k < 0, k > n, or n < 0
     (x;q)_k    = (1-x)(1-xq)...(1-xq^(k-1))     (q-Pochhammer; empty = 1)
 
-``q_binomial`` computes gauss(n,k) by the product formula
+Every product of Gaussian binomials is built one way, as one integer at
+q = X = 2^(8k), the k-byte slots holding its value at q = 1: from 1, by
+gauss(n, i+1) = gauss(n, i) (X^(n-i) - 1) / (X^(i+1) - 1), a shift-subtract
+and a checked exact division (``_times_gauss``).  That builds
+``q_binomial``, the thm1 prefactor [A+1]!/prod_i [a_i]! and the first row
+of the weighted sum W(n) = sum_{h<n} q^h prod_i gauss(h, a_i); each later
+row of W follows from the last by the same two operations.  A division that
+is not exact, or unpacked coefficients that do not sum to the value at
+q = 1, raise InternalError, so a corrupted step never reaches a verdict.
 
-    prod_{i=0}^{k-1} (1 - q^(n-i))  /  prod_{i=1}^{k} (1 - q^i)
-
-one factor pair at a time: a shifted subtraction multiplies by 1 - q^m, and
-a running sum over the residues mod m divides exactly by 1 - q^m, so no
-long division is involved.
-
-``BINOMIAL_MEMO`` is the package's one memo for Gaussian binomials, their
-products and the weighted sums W(n) = sum_{h<n} q^h prod_i gauss(h, a_i):
-every checker in :mod:`qcong.theorems` asks it, never ``q_binomial``
-directly.  It keys a binomial on ``(n, k)``, a product on the exact ordered
-tuple of its ``(n, k)`` pairs and W(n) on ``(n, a_sorted)``, in one table
-with one bound, so a long sweep cannot grow it without limit; each worker
-process of a sweep holds its own copy.
-
-W(n) is built as one integer at q = X = 2^(8k), with no polynomial
-multiply per row: row h follows from row h - 1 by a shift-subtract and an
-exact division by X^d - 1 per a_i, and the rows are summed as integers
-and unpacked once (see ``QBinomialCache.weighted_sum``).  Its entry holds
-W(n) and the last row, so a larger n of the same a-list is extended from
-the largest smaller n held, one row per missing h.  The memo holds no row
-product; only the prefactor is a product of binomials.
+``BINOMIAL_MEMO``, the package's one memo, holds them under flat keys:
+``(n, k)``, ``(a_sorted,)`` and ``(n, a_sorted)``, in one table with one
+bound; each worker process of a sweep holds its own copy.  Every checker
+in :mod:`qcong.theorems` asks it, never ``q_binomial`` directly.
 
 ``LaurentPoly`` extends the kernel with negative powers of q for identities
 whose natural exponents dip below zero.
@@ -42,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, prod
-from operator import add, gt, sub
+from operator import add, gt
 
 from .errors import InternalError
 from .poly import (
@@ -74,46 +65,49 @@ def q_factorial(n):
 
 
 def q_binomial(n, k):
-    """Gaussian binomial via the product formula; zero out of range.
-
-    Built one row step at a time: gauss(n, i+1) = gauss(n, i) *
-    (1 - q^(n-i)) / (1 - q^(i+1)) for i below min(k, n-k).
-    """
+    """Gaussian binomial via the product formula; zero out of range."""
     if k < 0 or n < 0 or k > n:
         return ZERO
-    row = [1]
-    for i in range(min(k, n - k)):
-        m = n - i
-        stepped = row + [0] * m
-        stepped[m:] = map(sub, stepped[m:], row)  # times 1 - q^m
-        row = _div_one_minus_q_pow(stepped, i + 1)
-    return IntPoly._make(row)
+    return _gauss_product(((n, k),))
 
 
-def _div_one_minus_q_pow(c, m):
-    """The coefficient list of c / (1 - q^m), raising InternalError unless exact.
+def _times_gauss(pairs, bits):
+    """prod gauss(n, a) over ``pairs`` of 0 <= a <= n packed at X = 2^bits,
+    and its degree; one step per i < min(a, n-a).
 
-    The quotient satisfies out_i = c_i + out_(i-m), a running sum over each
-    residue class mod m.  Carried over the m top terms of c, which the
-    quotient drops, the sum must vanish: c_top == -out_(top-m).
+    The slots must hold every coefficient of the product; no step between
+    has a larger one.
     """
-    out = list(c)
-    for r in range(m):
-        out[r::m] = accumulate(out[r::m])
-    size = max(len(c) - m, 0)
-    if any(out[size:]):
-        raise InternalError("not a multiple of 1 - q^%d" % m)
-    return out[:size]
+    row, degree = 1, 0
+    for n, a in pairs:
+        for i in range(min(a, n - a)):
+            degree += n - 2 * i - 1
+            row = _div_pow2_minus_one((row << bits * (n - i)) - row, bits * (i + 1),
+                                      bits * (degree + 1))
+    return row, degree
+
+
+def _gauss_product(pairs):
+    """prod gauss(n, a) over ``pairs`` of 0 <= a <= n, from ``_times_gauss``
+    in slots holding B = prod C(n, a); InternalError unless it sums to B."""
+    bound = prod([comb(n, a) for n, a in pairs])
+    k = _slot_bytes(bound)
+    row, degree = _times_gauss(pairs, 8 * k)
+    coeffs = _unpack_nonneg(row, k, degree + 1)
+    if sum(coeffs) != bound:
+        raise InternalError("prod gauss over %r: coefficients do not sum to %d"
+                            % (pairs, bound))
+    return IntPoly._make(coeffs)
 
 
 def _div_pow2_minus_one(value, s, width):
     """value / (2^s - 1) for a quotient below 2^width, raising InternalError
     unless exact.
 
-    The packed twin of ``_div_one_minus_q_pow``: 2-adically 1/(1 - 2^s) is
-    1 + 2^s + 2^(2s) + ..., so the quotient is -value times that series mod
-    2^width, a prefix sum that doubles its reach with each shift-add.  The
-    quotient times 2^s - 1 must give value back.
+    2-adically 1/(1 - 2^s) is 1 + 2^s + 2^(2s) + ..., so the quotient is
+    -value times that series mod 2^width, a prefix sum that doubles its
+    reach with each shift-add.  The quotient times 2^s - 1 must give value
+    back.
     """
     mask = (1 << width) - 1
     acc, reach = value & mask, s
@@ -124,6 +118,14 @@ def _div_pow2_minus_one(value, s, width):
     if (quot << s) - quot != value:
         raise InternalError("not a multiple of 2^%d - 1" % s)
     return quot
+
+
+def _require_sorted(a_sorted):
+    """Raise ValueError unless ``a_sorted`` is a nonempty sorted tuple of a_i >= 0."""
+    if (not isinstance(a_sorted, tuple) or not a_sorted or a_sorted[0] < 0
+            or any(map(gt, a_sorted, a_sorted[1:]))):
+        raise ValueError("need a nonempty sorted tuple of a_i >= 0, got %r"
+                         % (a_sorted,))
 
 
 def q_pochhammer_eval(x, q, k):
@@ -140,14 +142,13 @@ def q_pochhammer_eval(x, q, k):
 
 
 class QBinomialCache:
-    """Bounded memo for Gaussian binomials, products of them and weighted sums.
+    """Bounded memo for Gaussian binomials, thm1 prefactors and weighted sums.
 
-    A binomial gauss(n, k) is keyed on ``(n, k)``; a product of two or more
-    is keyed on the exact ordered tuple of its ``(n, k)`` pairs; a weighted
-    sum on ``(n, a_sorted)``, its entry holding W(n) and its last row.  All
-    share one table and one bound, with insertion-ordered eviction (oldest
-    entry first).  Cached values are immutable, so a hit is
-    indistinguishable from a fresh computation.
+    A binomial gauss(n, k) is keyed on ``(n, k)``, a prefactor on
+    ``(a_sorted,)`` and a weighted sum on ``(n, a_sorted)``, its entry
+    holding W(n) and its last row.  All share one table and one bound, with
+    insertion-ordered eviction (oldest entry first).  Cached values are
+    immutable, so a hit is indistinguishable from a fresh computation.
     """
 
     __slots__ = ("max_entries", "_table")
@@ -165,39 +166,32 @@ class QBinomialCache:
             return hit
         return self._store(key, q_binomial(n, k))
 
-    def product(self, pairs):
-        """prod gauss(n, k) over a nonempty tuple of (n, k) pairs.
+    def prefactor(self, a_sorted):
+        """[A+1]! / prod_i [a_i]! over a sorted tuple of a_i, A their sum.
 
-        Built off the entry for ``pairs[:-1]``, so products sharing a prefix
-        pay for each extension once; a zero factor ends the product without
-        a multiply.
+        It telescopes into prod_i gauss(s_i, a_i) gauss(A+1, 1), s_i the
+        partial sums taken biggest a_i first, so the first factor is 1.  The
+        a-list must be a sorted tuple; anything else raises ValueError.
         """
-        if len(pairs) == 1:
-            return self.binomial(*pairs[0])
-        hit = self._table.get(pairs)
+        _require_sorted(a_sorted)
+        key = (a_sorted,)
+        hit = self._table.get(key)
         if hit is not None:
             return hit
-        factor = self.binomial(*pairs[-1])
-        if factor.is_zero:
-            return self._store(pairs, ZERO)
-        prefix = self.product(pairs[:-1])
-        return self._store(pairs, ZERO if prefix.is_zero else prefix * factor)
+        a_desc = a_sorted[::-1] + (1,)
+        return self._store(key, _gauss_product(tuple(zip(accumulate(a_desc), a_desc))))
 
     def weighted_sum(self, n, a_sorted):
         """W(n) = sum_{h<n} q^h prod_i gauss(h, a_i) over a sorted tuple of a_i.
 
-        Computed as one integer at X = 2^(8k), k from ``poly._slot_bytes``
-        of the exact bound B = sum_h prod_i C(h, a_i) over the rows added,
-        their value at q = 1: every coefficient of every row, and of every
-        step between rows, is nonnegative and at most B, so none overflows
-        its slot.  The first
-        row, h = max(a_i), is the product of the packed gauss(h, a_i).  Row
-        h follows from row h - 1 since gauss(h, a) = gauss(h-1, a) [h] /
-        [h-a]: for each a_i > 0, one shift-subtract (times X^h - 1) and one
-        exact division by X^(h-a_i) - 1.  The rows are summed, row h shifted
-        by h slots, and the sum is unpacked once.  A division that is not
-        exact, or unpacked coefficients that do not sum to B, raise
-        InternalError.
+        Computed as one integer at X = 2^(8k), the slots holding the bound
+        B = sum_h prod_i C(h, a_i) over the rows added, which no coefficient
+        of a row or of a step between rows exceeds.  The first row, h =
+        max(a_i), comes from ``_times_gauss``.  Row h follows from row h - 1
+        since gauss(h, a) = gauss(h-1, a) [h] / [h-a]: for each a_i > 0, one
+        shift-subtract (times X^h - 1) and one exact division by X^(h-a_i) -
+        1.  The rows are summed, row h shifted by h slots, and the sum is
+        unpacked once and checked to sum to B.
 
         Keyed on ``(n, a_sorted)``, the entry holds W(n), its last row (row
         n - 1, packed) and that row's slot width.  W(n) is built off the
@@ -207,10 +201,7 @@ class QBinomialCache:
         stores nothing.  The a-list must be a sorted tuple; anything else
         raises ValueError.
         """
-        if (not isinstance(a_sorted, tuple) or not a_sorted or a_sorted[0] < 0
-                or any(map(gt, a_sorted, a_sorted[1:]))):
-            raise ValueError("weighted_sum needs a nonempty sorted tuple of "
-                             "a_i >= 0, got %r" % (a_sorted,))
+        _require_sorted(a_sorted)
         top = a_sorted[-1]
         if n <= top:
             return ZERO
@@ -229,8 +220,7 @@ class QBinomialCache:
         bits = 8 * k
         steps = [a for a in a_sorted if a]
         if last is None:
-            row = prod(_pack_nonneg(self.binomial(h, a).coeffs, k) for a in steps)
-            degree = sum(a * (h - a) for a in steps)
+            row, degree = _times_gauss([(h, a) for a in steps], bits)
             part, first = row, h + 1
         else:
             row, width = last

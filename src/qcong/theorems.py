@@ -72,14 +72,14 @@ computed here by ``sum_quotient_recurrence`` with memoization keyed on the
 exact ordered tuple (the recurrence is only stated for ordered lists, so no
 sorting is ever applied to memo keys).
 
-Every Gaussian binomial used here, the thm1 prefactor (a product of
-them) and the weighted sum W(n) come from the one shared bounded memo
-``qcomb.BINOMIAL_MEMO``; no checker takes a cache argument.  Product keys
-are ordered tuples of (n, k) pairs, so a caller sorts the pairs itself
-where their order does not matter.  W(n) is not a sum of row products: the
-memo builds it as one packed integer, each row from the last, and checks
-every step, so a corrupted row raises InternalError instead of reaching a
-verdict.  The recurrence's own memo is local to one call.
+Every Gaussian binomial used here, the thm1 prefactor and the weighted
+sum W(n) come from the one shared bounded memo ``qcomb.BINOMIAL_MEMO``; no
+checker takes a cache argument.  The memo takes the prefactor's and W's
+a-list as a sorted tuple, so every permutation of one a-list shares its
+entries; thm1 and thm2 sort once and hand that tuple to both.  The memo
+builds both as packed integers, one checked step at a time, so a
+corrupted step raises InternalError instead of reaching a verdict.  The
+recurrence's own memo is local to one call.
 
 Each congruence names its modulus [n]^e by the pair (n, e): thm1 and the
 p - 1 lemma take (n, 1), thm2 takes (p, 2) and its cross-check (p, 1).
@@ -93,7 +93,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate
 
 from .congruence import (
     PASS,
@@ -116,13 +115,14 @@ from .qcomb import BINOMIAL_MEMO, LaurentPoly, q_int, q_pochhammer_eval
 
 
 def _naturals(*values):
-    """True when every value is an integer >= 0."""
-    return all(isinstance(v, int) and v >= 0 for v in values)
+    """True when every value is an integer >= 0, and none a bool."""
+    return all(isinstance(v, int) and not isinstance(v, bool) and v >= 0
+               for v in values)
 
 
 def _a_tuple(n, a_list):
     """``a_list`` as a tuple, once n >= 1 (unless n is None) and every a_i >= 0 hold."""
-    if n is not None and (not isinstance(n, int) or n < 1):
+    if n is not None and (not _naturals(n) or n < 1):
         raise InvalidParamsError("n must be an integer >= 1, got %r" % (n,))
     a_tuple = tuple(a_list)
     if not a_tuple:
@@ -130,6 +130,11 @@ def _a_tuple(n, a_list):
     if not _naturals(*a_tuple):
         raise InvalidParamsError("a_list entries must be integers >= 0")
     return a_tuple
+
+
+def _a_sorted(n, a_list):
+    """``_a_tuple`` sorted, the form the memo keys an a-list on."""
+    return tuple(sorted(_a_tuple(n, a_list)))
 
 
 def _sign(e):
@@ -147,29 +152,22 @@ def a_params(n, a_list):
 # --- the weighted sum and its prefactor ------------------------------------------
 
 def multinom_factor(a_list):
-    """[a1+...+am+1]! / ([a1]! ... [am]!), a product of Gaussian binomials.
-
-    [s]!/prod[a_i]! telescopes into prod_i gauss(s_i, a_i), s_i the partial
-    sums, taken here biggest a_i first; the last factor gauss(s+1, 1) is [s+1].
-    """
-    a_desc = sorted(_a_tuple(None, a_list), reverse=True) + [1]
-    return BINOMIAL_MEMO.product(tuple(zip(accumulate(a_desc), a_desc)))
+    """[a1+...+am+1]! / ([a1]! ... [am]!), a product of Gaussian binomials,
+    from ``BINOMIAL_MEMO``."""
+    return BINOMIAL_MEMO.prefactor(_a_sorted(None, a_list))
 
 
 def weighted_sum(n, a_list):
-    """sum_{h=0}^{n-1} q^h * prod_i gauss(h, a_i), from ``BINOMIAL_MEMO``.
-
-    The sum does not depend on the order of the a_i, so the memo is asked
-    with them sorted and every permutation of one a-list shares its entries.
-    """
-    return BINOMIAL_MEMO.weighted_sum(n, tuple(sorted(_a_tuple(n, a_list))))
+    """sum_{h=0}^{n-1} q^h * prod_i gauss(h, a_i), from ``BINOMIAL_MEMO``."""
+    return BINOMIAL_MEMO.weighted_sum(n, _a_sorted(n, a_list))
 
 
 def check_thm1(n, a_list):
     """Divisibility of the prefactored weighted sum by [n] (claim id thm1)."""
-    w = weighted_sum(n, a_list)
+    a_sorted = _a_sorted(n, a_list)
+    w = BINOMIAL_MEMO.weighted_sum(n, a_sorted)
     return congruence_report("thm1", a_params(n, a_list),
-                             (multinom_factor(a_list), w), ZERO, n,
+                             (BINOMIAL_MEMO.prefactor(a_sorted), w), ZERO, n,
                              note=VANISHING_SUM if w.is_zero else None)
 
 
@@ -334,7 +332,8 @@ def check_thm2(p, a, b):
     if not _naturals(a, b) or p <= max(a, b):
         raise InvalidParamsError("need integers 0 <= a, b < p")
     mod_p = q_int(p)
-    lhs = multinom_factor((a, b)) * weighted_sum(p, (a, b))
+    ab = (a, b) if a <= b else (b, a)
+    lhs = BINOMIAL_MEMO.prefactor(ab) * BINOMIAL_MEMO.weighted_sum(p, ab)
     e = a * b - math.comb(a, 2) - math.comb(b, 2)
     signed = mod_p if _sign(a - b) > 0 else -mod_p
     report = congruence_report("thm2", {"p": p, "a": a, "b": b}, (lhs,),
@@ -352,7 +351,7 @@ def check_thm2(p, a, b):
 
 def check_pfaff_saalschutz(x, y, z, q, n):
     """Terminating balanced summation at exact rationals (claim id qpfaff)."""
-    if not isinstance(n, int) or n < 0:
+    if not _naturals(n):
         raise InvalidParamsError("n must be an integer >= 0")
     x, y, z, q = Fraction(x), Fraction(y), Fraction(z), Fraction(q)
     params = {

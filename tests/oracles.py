@@ -116,10 +116,8 @@ def modulus_shifted(monkeypatch):
 class _BinomialsPlusOne(qcomb.QBinomialCache):
     """Stand-in for ``BINOMIAL_MEMO`` whose every Gaussian binomial is off by one.
 
-    Its products are built from those corrupted binomials and stay in its
-    own table, so nothing corrupted reaches the shared memo.  W(n) reads
-    binomials only for its first row, which the packed build's division
-    or sum check then rejects with InternalError.
+    Nothing corrupted reaches the shared memo.  The prefactor and W(n) read
+    no binomial from the memo, so only the identities see the corruption.
     """
 
     def binomial(self, n, k):
@@ -130,27 +128,36 @@ def binomials_plus_one(monkeypatch):
     monkeypatch.setattr(theorems, "BINOMIAL_MEMO", _BinomialsPlusOne())
 
 
-class _WeightedSumsPlusOne(qcomb.QBinomialCache):
-    """Stand-in for ``BINOMIAL_MEMO`` whose every W(n) is off by one, as a whole.
+class _WeightedSumsPlus(qcomb.QBinomialCache):
+    """Stand-in for ``BINOMIAL_MEMO`` whose every W(n) is off by ``offset(n)``,
+    as a whole.
 
     Each W(n) is built and stored correctly in its own table, and only the
     value handed out is corrupted, so no corrupted value seeds a later W.
     """
 
+    def __init__(self, offset):
+        super().__init__()
+        self.offset = offset
+
     def weighted_sum(self, n, a_sorted):
-        return super().weighted_sum(n, a_sorted) + 1
+        return super().weighted_sum(n, a_sorted) + self.offset(n)
 
 
 def weighted_sums_plus_one(monkeypatch):
-    monkeypatch.setattr(theorems, "BINOMIAL_MEMO", _WeightedSumsPlusOne())
+    monkeypatch.setattr(theorems, "BINOMIAL_MEMO", _WeightedSumsPlus(lambda n: 1))
 
 
 def weighted_sum_plus_modulus(monkeypatch):
     """Add prefactor * [n]: off by a multiple of [p] but not of [p]^2, which
     only the derivative half of thm2's second route can see."""
-    weighted = theorems.weighted_sum
-    monkeypatch.setattr(theorems, "weighted_sum",
-                        lambda n, a_list: weighted(n, a_list) + q_int(n))
+    monkeypatch.setattr(theorems, "BINOMIAL_MEMO", _WeightedSumsPlus(q_int))
+
+
+def steps_plus_one(monkeypatch):
+    """Every packed exact division of ``qcomb`` returns its quotient plus one."""
+    divide = qcomb._div_pow2_minus_one
+    monkeypatch.setattr(qcomb, "_div_pow2_minus_one", lambda *args: divide(*args) + 1)
 
 
 def comb_row_zero_is_one(monkeypatch):

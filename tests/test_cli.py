@@ -27,6 +27,7 @@ from oracles import (
 )
 
 from qcong.congruence import FAIL, PASS, Witness, make_report
+from qcong.errors import InvalidParamsError
 from qcong.cli import build_parser, main
 from qcong.sweep import (
     CLAIMS,
@@ -383,6 +384,43 @@ def _class_instances():
     assert len(set(samples)) < len(samples)
     return (enumerate_instances(_cfg(n_max=7, m_max=3, a_max=3)) + samples
             + enumerate_instances(_cfg(suite="thm2", prime_set=(5, 7))))
+
+
+# valid params of every claim, as the sweep passes them to the table's checkers
+_VALID_PARAMS = {
+    "thm1": {"n": 3, "a1": 1, "a2": 2},
+    "q1": {"n": 3, "a1": 1, "a2": 2},
+    "thm2": {"p": 5, "a": 1, "b": 2},
+    "sum_lemma": {"n": 3, "a": 1},
+    "chu_vandermonde": {"a": 2, "b": 1, "n": 1},
+    "p_minus_one": {"p": 5, "j": 1},
+    "residue_identity": {"a": 1, "b": 1},
+    "symmetric_identity": {"a": 1, "b": 1},
+    "qpfaff": {"x_num": 2, "x_den": 1, "y_num": 3, "y_den": 1, "z_num": 5,
+               "z_den": 1, "q_num": 2, "q_den": 1, "n": 2},
+    "conjecture": {"n": 3, "m": 1, "k": 1},
+    "faulhaber": {"n": 3, "m": 1},
+}
+# qpfaff's x, y, z and q are rationals, whose parts Fraction takes as numbers;
+# every other param is an integer the checker must see as one
+_BOOL_CASES = [(claim, name, flag) for claim, params in _VALID_PARAMS.items()
+               for name in params if claim != "qpfaff" or name == "n"
+               for flag in (True, False)]
+
+
+def test_bool_cases_cover_every_claim():
+    assert set(_VALID_PARAMS) == set(CLAIMS)
+    for claim, params in _VALID_PARAMS.items():
+        assert CLAIMS[claim].check(**params).status == PASS, claim
+
+
+@pytest.mark.parametrize("claim, name, flag", _BOOL_CASES)
+def test_bool_param_fails_before_any_work(claim, name, flag):
+    # a bool is an int to Python, but not to make_report, which would refuse
+    # it only after the whole computation
+    params = dict(_VALID_PARAMS[claim], **{name: flag})
+    with pytest.raises(InvalidParamsError):
+        CLAIMS[claim].check(**params)
 
 
 class TestOrderClasses:

@@ -5,15 +5,19 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import q_binomial_oracle, q_pochhammer_oracle, weighted_sum_oracle
+from oracles import (
+    multinom_factor_oracle,
+    q_binomial_oracle,
+    q_pochhammer_oracle,
+    weighted_sum_oracle,
+)
 
-from qcong import qcomb
+from qcong import poly, qcomb
 from qcong.errors import InternalError
 from qcong.poly import ONE, ZERO, IntPoly, _slot_bytes
 from qcong.qcomb import (
     LaurentPoly,
     QBinomialCache,
-    _div_one_minus_q_pow,
     _div_pow2_minus_one,
     q_binomial,
     q_factorial,
@@ -74,14 +78,8 @@ def test_q_binomial_edges():
 
 def test_q_binomial_matches_oracle():
     cases = [(n, k) for n in range(26) for k in range(n + 1)]
-    for n, k in cases + [(80, 1), (80, 7), (80, 40), (80, 79)]:
+    for n, k in cases + [(80, 1), (80, 7), (80, 40), (80, 79), (120, 1), (120, 60)]:
         assert q_binomial(n, k) == q_binomial_oracle(n, k), (n, k)
-
-
-def test_div_one_minus_q_pow_rejects_a_non_multiple():
-    for c, m in (([1, 1], 1), ([1, 0, 0, -2], 3), ([1, 2, 3], 4), ([1, 0, -1, 1], 2)):
-        with pytest.raises(InternalError):
-            _div_one_minus_q_pow(c, m)
 
 
 def test_div_pow2_minus_one_inverts_the_shift_subtract():
@@ -175,21 +173,26 @@ def test_cache_transparency():
     for n in range(12):
         for k in range(n + 1):
             assert cache.binomial(n, k) == q_binomial(n, k)
-    # products of three pairs on a table too small to keep their prefixes
-    small = QBinomialCache(max_entries=4)
-    for _ in range(2):
-        for n in range(1, 9):
-            pairs = ((n + 2, 3), (n, 1), (n + 1, n))
-            direct = q_binomial(n + 2, 3) * q_binomial(n, 1) * q_binomial(n + 1, n)
-            assert small.product(pairs) == direct
-    # a zero factor anywhere makes the product zero
-    assert small.product(((3, 5), (6, 2))) == ZERO
-    assert small.product(((6, 2), (3, 5), (4, 1))) == ZERO
-    # one pair is the binomial itself and adds no entry of its own
-    fresh = QBinomialCache(max_entries=4)
-    single = fresh.product(((5, 2),))
-    assert single is fresh.binomial(5, 2) and single == q_binomial(5, 2)
-    assert len(fresh) == 1
+    # prefactors, each one entry, and a second call is a hit
+    for a_sorted in ((0,), (3,), (1, 1), (0, 2, 5), (2, 2, 2, 3)):
+        fresh = QBinomialCache()
+        value = fresh.prefactor(a_sorted)
+        assert value == multinom_factor_oracle(a_sorted)
+        assert fresh.prefactor(a_sorted) is value and len(fresh) == 1
+
+
+def test_prefactor_multiplies_no_polynomials(monkeypatch):
+    calls = []
+    mul_lists = poly._mul_lists
+    monkeypatch.setattr(poly, "_mul_lists", lambda a, b: calls.append(1) or mul_lists(a, b))
+    assert QBinomialCache().prefactor((1, 3, 4)) == multinom_factor_oracle((1, 3, 4))
+    assert calls == []
+
+
+def test_prefactor_rejects_an_a_list_not_sorted():
+    for a_sorted in ((3, 1), (), (-1, 2), [1, 3]):
+        with pytest.raises(ValueError, match="sorted tuple"):
+            QBinomialCache().prefactor(a_sorted)
 
 
 def test_cache_eviction_bounded():
@@ -199,11 +202,10 @@ def test_cache_eviction_bounded():
         assert len(cache) <= 4
     # evicted entries recompute correctly
     assert cache.binomial(0, 1) == q_binomial(0, 1)
-    # binomials and products share the one bound
+    # binomials and prefactors share the one bound
     for n in range(2, 10):
-        pairs = ((n, 1), (n, 2), (n + 1, 2))
-        direct = q_binomial(n, 1) * q_binomial(n, 2) * q_binomial(n + 1, 2)
-        assert cache.product(pairs) == direct
+        assert cache.prefactor((1, n)) == multinom_factor_oracle((1, n))
+        assert cache.binomial(n, 2) == q_binomial(n, 2)
         assert len(cache) <= 4
 
 
@@ -226,29 +228,33 @@ def _rows_summed(monkeypatch):
 
 
 def test_weighted_sum_extends_the_largest_cached_n(monkeypatch):
+    # the oracle's binomials are packed builds too, so take them before the spy
+    want = {n: weighted_sum_oracle(n, (1, 2)) for n in (5, 6, 7, 8)}
     rows = _rows_summed(monkeypatch)
     cache = QBinomialCache()
-    assert cache.weighted_sum(5, (1, 2)) == weighted_sum_oracle(5, (1, 2))
-    assert rows() == ([2, 3, 4], 4)  # rows below max(a_i) vanish; 3 and 4 follow 2
-    assert cache.weighted_sum(8, (1, 2)) == weighted_sum_oracle(8, (1, 2))
+    assert cache.weighted_sum(5, (1, 2)) == want[5]
+    # rows below max(a_i) vanish; row 2 is gauss(2, 1) gauss(2, 2), one
+    # division, and rows 3 and 4 follow it
+    assert rows() == ([2, 3, 4], 1 + 4)
+    assert cache.weighted_sum(8, (1, 2)) == want[8]
     assert rows() == ([5, 6, 7], 6)  # built off W(5) and its last row, row 4
-    assert cache.weighted_sum(6, (1, 2)) == weighted_sum_oracle(6, (1, 2))
+    assert cache.weighted_sum(6, (1, 2)) == want[6]
     assert rows() == ([5], 2)  # W(8) is not below 6, so W(5) is the base
-    assert cache.weighted_sum(8, (1, 2)) == weighted_sum_oracle(8, (1, 2))
+    assert cache.weighted_sum(8, (1, 2)) == want[8]
     assert rows() == ([], 0)  # a hit
-    # clear() drops the sums with the binomials and products
+    # clear() drops the sums with the binomials and prefactors
     cache.clear()
     assert len(cache) == 0
-    assert cache.weighted_sum(7, (1, 2)) == weighted_sum_oracle(7, (1, 2))
-    assert rows() == ([2, 3, 4, 5, 6], 8)
+    assert cache.weighted_sum(7, (1, 2)) == want[7]
+    assert rows() == ([2, 3, 4, 5, 6], 1 + 8)
 
 
 def test_weighted_sum_stores_only_its_own_n():
     cache = QBinomialCache()
     cache.weighted_sum(6, (1, 3))
-    # the first row's binomials gauss(3, 1) and gauss(3, 3), then W(6) with its
-    # last row as one entry; later rows and the partial sums are not stored
-    assert len(cache) == 2 + 1
+    # W(6) with its last row as one entry; the first row reads no binomial
+    # from the memo, and later rows and the partial sums are not stored
+    assert len(cache) == 1
     # n <= max(a_i): every row vanishes, and nothing is stored
     fresh = QBinomialCache()
     assert fresh.weighted_sum(3, (1, 3)) == ZERO
@@ -265,9 +271,8 @@ def test_weighted_sum_rejects_an_a_list_not_sorted(a_sorted):
 
 
 def test_weighted_sum_evicting_mid_build():
-    # a table of four entries evicts first-row binomials and earlier sums,
-    # with their last rows, between and during builds; every value must
-    # still match the oracle
+    # a table of four entries evicts earlier sums, with their last rows,
+    # between builds; every value must still match the oracle
     small = QBinomialCache(max_entries=4)
     for n in list(range(1, 12)) + list(range(11, 0, -1)):
         for a_sorted in ((0, 2), (1, 1, 3), (2, 2, 2)):

@@ -12,6 +12,7 @@ from oracles import (
     modulus_shifted,
     multinom_factor_oracle,
     pfaff_lhs_oracle,
+    steps_plus_one,
     weighted_sum_oracle,
     weighted_sum_plus_modulus,
     weighted_sums_plus_one,
@@ -134,6 +135,9 @@ def test_weighted_sum_independent_of_visit_order():
     (multinom_factor, ([3, 1],)),
 ])
 def test_checker_draws_binomials_from_the_shared_memo(monkeypatch, check, args):
+    # the prefactor and W(n) are packed products that the memo builds whole,
+    # so thm1 and thm2 build no binomial at all
+    builds = check not in (check_thm1, check_thm2, weighted_sum, multinom_factor)
     calls = []
 
     def counting(n, k):
@@ -143,7 +147,8 @@ def test_checker_draws_binomials_from_the_shared_memo(monkeypatch, check, args):
     monkeypatch.setattr(qcomb, "q_binomial", counting)
     qcomb.BINOMIAL_MEMO.clear()
     check(*args)
-    assert calls and len(calls) == len(set(calls))  # built once, via the memo
+    assert bool(calls) == builds
+    assert len(calls) == len(set(calls))  # built once, via the memo
     built = len(calls)
     check(*args)
     assert len(calls) == built  # a second run is all memo hits
@@ -528,16 +533,26 @@ def test_fail_branch_witness(monkeypatch, corrupt, check, witness):
 
 @pytest.mark.parametrize("check, match", [
     pytest.param(lambda: check_thm1(5, [1, 2]), r"not a multiple of 2\^", id="thm1-division"),
-    pytest.param(lambda: check_thm2(5, 2, 1), r"not a multiple of 2\^", id="thm2-division"),
-    pytest.param(lambda: check_thm1(6, [3]), "do not sum to", id="thm1-sum"),
-    pytest.param(lambda: check_sum_lemma(4, 2), "do not sum to", id="sum_lemma-sum"),
+    pytest.param(lambda: check_thm2(7, 3, 3), r"not a multiple of 2\^", id="thm2-division"),
+    pytest.param(lambda: q_binomial(6, 3), r"not a multiple of 2\^", id="q_binomial-division"),
+    pytest.param(lambda: check_thm1(5, [3]), r"W\(5\) for \(3,\): .* do not sum to 5",
+                 id="thm1-sum"),
+    pytest.param(lambda: check_sum_lemma(4, 2), r"W\(4\) for \(2,\): .* do not sum to 4",
+                 id="sum_lemma-sum"),
+    pytest.param(lambda: check_thm1(4, [3]), r"over \(\(3, 3\), \(4, 1\)\): .* sum to 4",
+                 id="thm1-prefactor-sum"),
+    pytest.param(lambda: q_binomial(5, 2), r"over \(\(5, 2\),\): .* sum to 10",
+                 id="q_binomial-sum"),
 ])
 def test_corrupted_row_raises_internal_error(monkeypatch, check, match):
-    # W(n) reads binomials only for its first row.  With two a_i the corrupted
-    # row is no multiple of the next row's divisor; with one, it is a constant
-    # 2, every division is exact and only the sum of the coefficients shows it.
-    # Either way the checker raises; it never reports a verdict.
-    binomials_plus_one(monkeypatch)
+    # Every packed step's quotient comes out one too large, so its constant
+    # slot is off.  A later division then meets no multiple of its divisor,
+    # or, where no later division could see it, only the sum of the unpacked
+    # coefficients does.  Either way q_binomial, the prefactor (thm2 builds
+    # it first) and W(n) (thm1 builds it first) raise, and no checker
+    # reports a verdict.
+    qcomb.BINOMIAL_MEMO.clear()
+    steps_plus_one(monkeypatch)
     with pytest.raises(InternalError, match=match):
         check()
 
