@@ -21,8 +21,15 @@ Every polynomial modulus in the paper is a power of a q-integer: [n] for
 thm1 and the p - 1 lemma, [p]^2 for thm2.  So a caller names it by the pair
 (n, e), e in (1, 2), and ``fold`` reduces a residue modulo (q^n - 1)^e, a
 multiple of [n]^e, before ``rem_mod`` divides.  ``congruence_report`` folds
-each factor before multiplying them (thm1's prefactor and weighted sum), and
-builds their full product only for a fail witness.
+each factor before multiplying them, and builds their full product only
+for a fail witness.
+
+thm1's factors, its prefactor and weighted sum, come packed (``poly.Packed``)
+and ``packed_report`` decides on those integers: ``packed_divides`` folds
+each modulo X^n - 1, multiplies the n-slot folds and folds again, in slots
+that hold the product of the factors' values at q = 1, and [n] divides iff
+all n slots are equal.  A fail is decided again, with its witness, by
+``congruence_report`` on the unpacked factors, and the two must agree.
 
 Checkers read no clock: ``sweep.run_instance`` stamps each report's
 ``elapsed_ms``."""
@@ -31,9 +38,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from math import prod
 from operator import mul
 
-from .poly import IntPoly
+from .errors import InternalError
+from .poly import ZERO, IntPoly, _repack, _slot_bytes
 
 PASS = "pass"
 FAIL = "fail"
@@ -188,6 +197,56 @@ def congruence_report(claim_id, params, factors, rhs, n, e=1, note=None):
     if residue:
         lhs = reduce(mul, factors)
     return _verdict(claim_id, params, lhs, rhs, residue, note)
+
+
+def packed_divides(factors, n):
+    """True when [n] divides the product of ``factors``, each a ``Packed``.
+
+    Each factor is folded modulo X^n - 1 in its own slots: blocks of n
+    slots are added, halving the number of blocks each time, which is exact
+    since no folded coefficient exceeds the factor's value at q = 1.  The
+    folds are moved into slots of k bytes holding B, the product of those
+    values, multiplied one by one and folded again after each multiply; no
+    coefficient on the way exceeds B, so no slot carries.  The residue r
+    has degree < n, and r - r_(n-1) [n] is its remainder modulo [n], so [n]
+    divides iff all n slots of r are equal: iff r is unchanged when rotated
+    by one slot.  A zero factor makes the product zero, which [n] divides.
+    """
+    bound = prod([f.at_one for f in factors])
+    if not bound:
+        return True
+    k = _slot_bytes(bound)
+    bits = 8 * k
+    width = bits * n
+    low = (1 << width) - 1
+    r = 1
+    for f in factors:
+        fold_bits, value, blocks = 8 * f.k * n, f.value, -(-f.size // n)
+        while blocks > 1:
+            blocks = (blocks + 1) // 2
+            cut = fold_bits * blocks
+            value = (value & ((1 << cut) - 1)) + (value >> cut)
+        r *= _repack(value, f.k, n, k)
+        r = (r & low) + (r >> width)
+    return r == (r >> bits) | ((r & ((1 << bits) - 1)) << width - bits)
+
+
+def packed_report(claim_id, params, factors, n, note=None):
+    """Report whether [n] divides the product of packed ``factors``.
+
+    ``packed_divides`` decides a pass alone.  A fail is decided again by
+    ``congruence_report`` on the unpacked factors, which gives the witness;
+    if that route passes, the packed route is broken and InternalError is
+    raised.
+    """
+    if packed_divides(factors, n):
+        return make_report(claim_id, params, PASS, note=note)
+    report = congruence_report(claim_id, params, tuple(f.poly() for f in factors),
+                               ZERO, n, note=note)
+    if report.status == PASS:
+        raise InternalError("%s %r: the packed residue modulo [%d] is nonzero, the "
+                            "unpacked one zero" % (claim_id, params, n))
+    return report
 
 
 def identity_report(claim_id, params, lhs, rhs, note=None):

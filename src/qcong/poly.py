@@ -17,14 +17,17 @@ the reference the kernel tests compare against.
 ``_pack_nonneg`` and ``_unpack_nonneg`` carry nonnegative coefficients to
 and from one integer at X = 2^(8k) with no bias, for a caller that does
 more than multiply there: :mod:`qcong.qcomb` builds a whole weighted sum
-of Gaussian binomials as one integer.  ``_slot_bytes`` picks k from a bound
-on every coefficient.
+of Gaussian binomials as one integer, and :mod:`qcong.congruence` decides
+thm1 on such integers.  ``_slot_bytes`` picks k from a bound on every
+coefficient, ``_repack`` moves slots to another width, and ``Packed``
+holds one such integer with its width, length and value at q = 1.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from typing import NamedTuple
 
 from .errors import LeadingCoeffNotUnitError, NotDivisibleError
 
@@ -163,6 +166,11 @@ def _unpack_nonneg(value, k, n):
     for j in range(t - 2, -1, -1):
         out = [(hi << 64) | lo for hi, lo in zip(out, words[j::t])]
     return out
+
+
+def _repack(value, k, n, to):
+    """The n slots of ``value`` at X = 2^(8k) moved into slots of ``to`` bytes."""
+    return value if k == to else _pack_nonneg(_unpack_nonneg(value, k, n), to)
 
 
 def _divrem_lists(a, b):
@@ -373,3 +381,23 @@ class IntPoly:
 
 ZERO = IntPoly()
 ONE = IntPoly((1,))
+
+
+class Packed(NamedTuple):
+    """A polynomial with nonnegative coefficients as one integer at X = 2^(8k).
+
+    ``value`` is the polynomial at q = X, ``k`` the slot width in bytes,
+    ``size`` the number of slots up to the leading coefficient (0 for zero)
+    and ``at_one`` the value at q = 1, the sum of the coefficients.  k comes
+    from ``_slot_bytes(at_one)``, so a slot holds any coefficient, and any
+    sum of coefficients, of the polynomial.
+    """
+
+    value: int
+    k: int
+    size: int
+    at_one: int
+
+    def poly(self):
+        """The IntPoly this packs."""
+        return IntPoly._make(_unpack_nonneg(self.value, self.k, self.size))

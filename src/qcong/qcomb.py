@@ -19,9 +19,12 @@ is not exact, or unpacked coefficients that do not sum to the value at
 q = 1, raise InternalError, so a corrupted step never reaches a verdict.
 
 ``BINOMIAL_MEMO``, the package's one memo, holds them under flat keys:
-``(n, k)``, ``(a_sorted,)`` and ``(n, a_sorted)``, in one table with one
-bound; each worker process of a sweep holds its own copy.  Every checker
-in :mod:`qcong.theorems` asks it, never ``q_binomial`` directly.
+``(n, k)``, ``(a_key,)`` and ``(n, a_key)``, in one table with one bound;
+each worker process of a sweep holds its own copy.  A binomial is held as
+an IntPoly; the prefactor and W(n) stay packed (``poly.Packed``), and a
+caller that wants an IntPoly unpacks one.  An a-list is keyed on its
+sorted nonzero entries, since gauss(h, 0) = [0]! = 1.  Every checker in
+:mod:`qcong.theorems` asks the memo, never ``q_binomial`` directly.
 
 ``LaurentPoly`` extends the kernel with negative powers of q for identities
 whose natural exponents dip below zero.
@@ -33,18 +36,21 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, prod
-from operator import add, gt
+from operator import gt
 
 from .errors import InternalError
 from .poly import (
     ONE,
     ZERO,
     IntPoly,
+    Packed,
     _format_terms,
-    _pack_nonneg,
+    _repack,
     _slot_bytes,
     _unpack_nonneg,
 )
+
+_NO_ROWS = Packed(0, 1, 0, 0)  # W(n) for n <= max(a_i): every row vanishes
 
 
 def q_int(n):
@@ -68,7 +74,7 @@ def q_binomial(n, k):
     """Gaussian binomial via the product formula; zero out of range."""
     if k < 0 or n < 0 or k > n:
         return ZERO
-    return _gauss_product(((n, k),))
+    return IntPoly._make(_gauss_product(((n, k),))[1])
 
 
 def _times_gauss(pairs, bits):
@@ -89,7 +95,8 @@ def _times_gauss(pairs, bits):
 
 def _gauss_product(pairs):
     """prod gauss(n, a) over ``pairs`` of 0 <= a <= n, from ``_times_gauss``
-    in slots holding B = prod C(n, a); InternalError unless it sums to B."""
+    in slots holding B = prod C(n, a), as a Packed and its coefficients;
+    InternalError unless they sum to B."""
     bound = prod([comb(n, a) for n, a in pairs])
     k = _slot_bytes(bound)
     row, degree = _times_gauss(pairs, 8 * k)
@@ -97,7 +104,7 @@ def _gauss_product(pairs):
     if sum(coeffs) != bound:
         raise InternalError("prod gauss over %r: coefficients do not sum to %d"
                             % (pairs, bound))
-    return IntPoly._make(coeffs)
+    return Packed(row, k, degree + 1, bound), coeffs
 
 
 def _div_pow2_minus_one(value, s, width):
@@ -120,12 +127,12 @@ def _div_pow2_minus_one(value, s, width):
     return quot
 
 
-def _require_sorted(a_sorted):
-    """Raise ValueError unless ``a_sorted`` is a nonempty sorted tuple of a_i >= 0."""
-    if (not isinstance(a_sorted, tuple) or not a_sorted or a_sorted[0] < 0
-            or any(map(gt, a_sorted, a_sorted[1:]))):
-        raise ValueError("need a nonempty sorted tuple of a_i >= 0, got %r"
-                         % (a_sorted,))
+def _require_key(a_key):
+    """Raise ValueError unless ``a_key`` is a sorted tuple of a_i >= 1, the
+    key ``theorems.a_key`` gives an a-list (empty for one of zeros alone)."""
+    if (not isinstance(a_key, tuple) or (a_key and a_key[0] < 1)
+            or any(map(gt, a_key, a_key[1:]))):
+        raise ValueError("need a sorted tuple of a_i >= 1, got %r" % (a_key,))
 
 
 def q_pochhammer_eval(x, q, k):
@@ -144,11 +151,14 @@ def q_pochhammer_eval(x, q, k):
 class QBinomialCache:
     """Bounded memo for Gaussian binomials, thm1 prefactors and weighted sums.
 
-    A binomial gauss(n, k) is keyed on ``(n, k)``, a prefactor on
-    ``(a_sorted,)`` and a weighted sum on ``(n, a_sorted)``, its entry
-    holding W(n) and its last row.  All share one table and one bound, with
-    insertion-ordered eviction (oldest entry first).  Cached values are
-    immutable, so a hit is indistinguishable from a fresh computation.
+    A binomial gauss(n, k) is keyed on ``(n, k)`` and held as an IntPoly.
+    A prefactor is keyed on ``(a_key,)`` and a weighted sum on
+    ``(n, a_key)``, ``a_key`` an a-list's sorted nonzero entries; both are
+    held packed, as a ``poly.Packed`` whose slots hold its value at q = 1,
+    and the weighted sum's entry also holds its last row.  All share one
+    table and one bound, with insertion-ordered eviction (oldest entry
+    first).  Cached values are immutable, so a hit is indistinguishable
+    from a fresh computation.
     """
 
     __slots__ = ("max_entries", "_table")
@@ -166,82 +176,79 @@ class QBinomialCache:
             return hit
         return self._store(key, q_binomial(n, k))
 
-    def prefactor(self, a_sorted):
-        """[A+1]! / prod_i [a_i]! over a sorted tuple of a_i, A their sum.
+    def prefactor(self, a_key):
+        """[A+1]! / prod_i [a_i]!, packed, over an a-list's key, A the sum.
 
         It telescopes into prod_i gauss(s_i, a_i) gauss(A+1, 1), s_i the
-        partial sums taken biggest a_i first, so the first factor is 1.  The
-        a-list must be a sorted tuple; anything else raises ValueError.
+        partial sums taken biggest a_i first, so the first factor is 1; the
+        coefficients are checked to sum to the multinomial (A+1)!/prod a_i!
+        when it is built.  A key that is not a sorted tuple of a_i >= 1
+        raises ValueError.
         """
-        _require_sorted(a_sorted)
-        key = (a_sorted,)
+        _require_key(a_key)
+        key = (a_key,)
         hit = self._table.get(key)
         if hit is not None:
             return hit
-        a_desc = a_sorted[::-1] + (1,)
-        return self._store(key, _gauss_product(tuple(zip(accumulate(a_desc), a_desc))))
+        a_desc = a_key[::-1] + (1,)
+        return self._store(key, _gauss_product(tuple(zip(accumulate(a_desc), a_desc)))[0])
 
-    def weighted_sum(self, n, a_sorted):
-        """W(n) = sum_{h<n} q^h prod_i gauss(h, a_i) over a sorted tuple of a_i.
+    def weighted_sum(self, n, a_key):
+        """W(n) = sum_{h<n} q^h prod_i gauss(h, a_i), packed, over an a-list's key.
 
-        Computed as one integer at X = 2^(8k), the slots holding the bound
-        B = sum_h prod_i C(h, a_i) over the rows added, which no coefficient
-        of a row or of a step between rows exceeds.  The first row, h =
-        max(a_i), comes from ``_times_gauss``.  Row h follows from row h - 1
-        since gauss(h, a) = gauss(h-1, a) [h] / [h-a]: for each a_i > 0, one
-        shift-subtract (times X^h - 1) and one exact division by X^(h-a_i) -
-        1.  The rows are summed, row h shifted by h slots, and the sum is
-        unpacked once and checked to sum to B.
+        Computed as one integer at X = 2^(8k), the slots holding W(1) =
+        sum_{h<n} prod_i C(h, a_i), which no coefficient of W(n), of a row
+        or of a step between rows exceeds.  The first row, h = max(a_i),
+        comes from ``_times_gauss``.  Row h follows from row h - 1 since
+        gauss(h, a) = gauss(h-1, a) [h] / [h-a]: for each a_i, one
+        shift-subtract (times X^h - 1) and one exact division by
+        X^(h-a_i) - 1.  The rows are summed, row h shifted by h slots, and
+        their sum is checked, unpacked, to add up to B = sum_h prod_i
+        C(h, a_i) over the rows added.
 
-        Keyed on ``(n, a_sorted)``, the entry holds W(n), its last row (row
-        n - 1, packed) and that row's slot width.  W(n) is built off the
-        entry for the largest n' < n with the same a-list, repacking its
-        last row if the width changed and adding only the rows n' <= h < n.
-        Rows with h below max(a_i) vanish, so n <= max(a_i) gives ZERO and
-        stores nothing.  The a-list must be a sorted tuple; anything else
-        raises ValueError.
+        Keyed on ``(n, a_key)``, the entry holds W(n) and its last row (row
+        n - 1, in W's slots).  W(n) is built off the entry for the largest
+        n' < n with the same key, both repacked if the width grew, adding
+        only the rows n' <= h < n.  Rows with h below max(a_i) vanish, so
+        n <= max(a_i) gives zero and stores nothing.  A key that is not a
+        sorted tuple of a_i >= 1 raises ValueError.
         """
-        _require_sorted(a_sorted)
-        top = a_sorted[-1]
+        _require_key(a_key)
+        top = a_key[-1] if a_key else 0
         if n <= top:
-            return ZERO
-        key = (n, a_sorted)
+            return _NO_ROWS
+        key = (n, a_key)
         hit = self._table.get(key)
         if hit is not None:
             return hit[0]
-        h, total, last = top, [], None  # the first row to add, W(h), row h - 1
+        h, held, row = top, _NO_ROWS, None  # the first row to add, W(h), row h - 1
         for below in range(n - 1, top, -1):
-            base = self._table.get((below, a_sorted))
+            base = self._table.get((below, a_key))
             if base is not None:
-                h, total, last = below, list(base[0].coeffs), base[1:]
+                h, (held, row) = below, base
                 break
-        bound = sum(prod([comb(j, a) for a in a_sorted]) for j in range(h, n))
-        k = _slot_bytes(bound)
+        bound = sum(prod([comb(j, a) for a in a_key]) for j in range(h, n))
+        k = _slot_bytes(held.at_one + bound)
         bits = 8 * k
-        steps = [a for a in a_sorted if a]
-        if last is None:
-            row, degree = _times_gauss([(h, a) for a in steps], bits)
+        if row is None:
+            row, degree = _times_gauss([(h, a) for a in a_key], bits)
             part, first = row, h + 1
         else:
-            row, width = last
-            degree = sum(a * (h - 1 - a) for a in steps)
-            if width != k:
-                row = _pack_nonneg(_unpack_nonneg(row, width, degree + 1), k)
+            degree = sum(a * (h - 1 - a) for a in a_key)
+            row = _repack(row, held.k, degree + 1, k)
             part, first = 0, h
         for j in range(first, n):
-            for a in steps:
+            for a in a_key:
                 degree += a
                 row = _div_pow2_minus_one((row << bits * j) - row, bits * (j - a),
                                           bits * (degree + 1))
             part += row << bits * (j - h)
-        size = n - h + degree
-        coeffs = _unpack_nonneg(part, k, size)
-        if sum(coeffs) != bound:
+        if sum(_unpack_nonneg(part, k, n - h + degree)) != bound:
             raise InternalError("W(%d) for %r: rows %d..%d do not sum to %d"
-                                % (n, a_sorted, h, n - 1, bound))
-        total += [0] * (h + size - len(total))
-        total[h:] = map(add, total[h:], coeffs)
-        return self._store(key, (IntPoly._make(total), row, k))[0]
+                                % (n, a_key, h, n - 1, bound))
+        total = Packed(_repack(held.value, held.k, held.size, k) + (part << bits * h),
+                       k, n + degree, held.at_one + bound)
+        return self._store(key, (total, row))[0]
 
     def _store(self, key, value):
         if len(self._table) >= self.max_entries:

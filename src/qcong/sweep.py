@@ -15,13 +15,15 @@ implementation can reproduce instance sets from the seed alone.
 
 ``run_instance`` is the one place that reads a clock: it times each
 check call and stamps the report's elapsed_ms.  ``execute`` checks each
-ordering class once: instances of an order-free claim that differ only in
-the order of their params after the first share one check, and every
-later one gets a copy of the first one's report with its own params and
-elapsed_ms 0, since nothing was checked for it.  Reports are aggregated in
-(claim_id, params) order no matter how many worker processes ran the
-checks, so identical configs yield identical output; ``stable_output``
-additionally zeroes elapsed_ms for byte-exact diffs.
+class once: instances of an order-free claim whose first param and class
+key agree share one check (for thm1 and q1 the key is the a-list's sorted
+nonzero entries), and every later one gets a copy of the first one's
+report with its own params and elapsed_ms 0, since nothing was checked for
+it.  A pool starts at most as many workers as there are checks to run and
+CPUs this process may use.  Reports are aggregated in (claim_id, params)
+order no matter how many worker processes ran the checks, so identical
+configs yield identical output; ``stable_output`` additionally zeroes
+elapsed_ms for byte-exact diffs.
 
 The json format is the list of ``CongruenceReport.to_json_obj`` objects in
 the layout of ``json.dumps(objs, indent=2)`` plus a newline, written by a
@@ -40,6 +42,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import os
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -50,6 +53,7 @@ from typing import Callable, NamedTuple
 from .congruence import FAIL, PASS, SKIPPED, is_prime
 from .faulhaber import check_conjecture, check_faulhaber_cong
 from .theorems import (
+    a_key,
     a_params,
     check_chu_vandermonde,
     check_p_minus_one_lemma,
@@ -71,18 +75,22 @@ class Claim(NamedTuple):
     ``conjecture`` claim is a counterexample to an open problem (exit code
     3), not a falsified theorem (exit code 1).
 
-    ``order_free`` marks a claim whose report, params aside, does not change
-    when the params after the first are permuted, so ``execute`` checks one
-    ordering per class.  A checker earns it only if it reads those params
-    through sorted copies or symmetric sums alone; a claim that merely
-    agrees across orderings, summing different terms, does not, since a
+    ``class_key``, when set, makes the claim order-free: it maps the values
+    of the params after the first to a tuple, and ``execute`` checks one
+    instance per claim, first param and key.  A checker earns one only if
+    it reads those params through that key, or through sums symmetric in
+    them, alone, so that instances with one key get one report, params
+    aside.  thm1 and q1 read their a-list through ``theorems.a_key``, its
+    sorted nonzero entries, so padding it with zeros or permuting it shares
+    a check; thm2's key is its sorted (a, b).  A claim that merely agrees
+    across orderings, summing different terms, earns none, since a
     corrupted input could give the orderings different witnesses.
     """
 
     check: Callable
     suite: str
     conjecture: bool = False
-    order_free: bool = False
+    class_key: Callable | None = None
 
 
 def _a_list_check(check):
@@ -95,10 +103,14 @@ def _pfaff_check(n, **f):
     return check_pfaff_saalschutz(x, y, z, q, n)
 
 
+def _sorted_tuple(values):
+    return tuple(sorted(values))
+
+
 CLAIMS = {
-    "thm1": Claim(_a_list_check(check_thm1), "thm1", order_free=True),
-    "q1": Claim(_a_list_check(q1_check), "thm1", order_free=True),
-    "thm2": Claim(check_thm2, "thm2", order_free=True),
+    "thm1": Claim(_a_list_check(check_thm1), "thm1", class_key=a_key),
+    "q1": Claim(_a_list_check(q1_check), "thm1", class_key=a_key),
+    "thm2": Claim(check_thm2, "thm2", class_key=_sorted_tuple),
     "sum_lemma": Claim(check_sum_lemma, "identities"),
     "chu_vandermonde": Claim(check_chu_vandermonde, "identities"),
     "p_minus_one": Claim(check_p_minus_one_lemma, "identities"),
@@ -163,19 +175,24 @@ class SweepConfig:
             raise UsageError("unknown suite %r (choose from %s)"
                              % (self.suite, ", ".join(SUITES)))
         for name in ("n_max", "m_max", "a_max"):
-            if not isinstance(getattr(self, name), int) or getattr(self, name) < 1:
+            if not _is_int(getattr(self, name)) or getattr(self, name) < 1:
                 raise UsageError("%s must be a positive integer" % name)
         for p in self.prime_set:
             if not is_prime(p):
                 raise UsageError("prime_set entry %r is not prime" % (p,))
-        if not isinstance(self.sample_count, int) or self.sample_count < 0:
+        if not _is_int(self.sample_count) or self.sample_count < 0:
             raise UsageError("sample_count must be >= 0")
-        if not isinstance(self.jobs, int) or self.jobs < 1:
+        if not _is_int(self.jobs) or self.jobs < 1:
             raise UsageError("jobs must be >= 1")
         if self.format not in FORMATS:
             raise UsageError("unknown format %r" % (self.format,))
-        if not isinstance(self.rng_seed, int):
+        if not _is_int(self.rng_seed):
             raise UsageError("rng_seed must be an integer")
+
+
+def _is_int(value):
+    """An int that is not a bool, which the checkers refuse too."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # --- instance enumeration ---------------------------------------------------------
@@ -324,19 +341,28 @@ def run_instance(item):
 
 
 def _order_class(item):
-    """An order-free instance's claim, first param and sorted other params;
-    any other instance is its own class."""
+    """An order-free instance's claim, first param and class key of the
+    other params; any other instance is its own class."""
     claim_id, params = item
-    if CLAIMS[claim_id].order_free:
-        return claim_id, params[0], tuple(sorted(v for _, v in params[1:]))
+    class_key = CLAIMS[claim_id].class_key
+    if class_key is not None:
+        return claim_id, params[0], class_key([v for _, v in params[1:]])
     return item
+
+
+def _cpu_count():
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def execute(instances, jobs=1, fail_fast=False):
     """Run instances, optionally across processes; results in submission order.
 
-    Only the first instance of each ordering class is checked; every later
-    one gets a copy of its report with its own params and elapsed_ms 0.
+    Only the first instance of each class is checked; every later one gets
+    a copy of its report with its own params and elapsed_ms 0.  The pool
+    has min(jobs, checks to run, usable CPUs) workers, and none if that is 1.
     """
     keys = [_order_class(item) for item in instances]
     firsts = {}
@@ -346,14 +372,15 @@ def execute(instances, jobs=1, fail_fast=False):
     reports = []
     done = {}
     pool = None
-    if jobs > 1:
+    workers = min(jobs, len(todo), _cpu_count())
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(max_workers=jobs)
+        pool = ProcessPoolExecutor(max_workers=workers)
     try:
         if pool is None:
             results = map(run_instance, todo)
         else:
-            chunk = max(1, len(todo) // (jobs * 8))
+            chunk = max(1, len(todo) // (workers * 8))
             results = pool.map(run_instance, todo, chunksize=chunk)
         for key, (_, params) in zip(keys, instances):
             report = done.get(key)

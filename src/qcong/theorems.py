@@ -75,18 +75,22 @@ sorting is ever applied to memo keys).
 Every Gaussian binomial used here, the thm1 prefactor and the weighted
 sum W(n) come from the one shared bounded memo ``qcomb.BINOMIAL_MEMO``; no
 checker takes a cache argument.  The memo takes the prefactor's and W's
-a-list as a sorted tuple, so every permutation of one a-list shares its
-entries; thm1 and thm2 sort once and hand that tuple to both.  The memo
-builds both as packed integers, one checked step at a time, so a
-corrupted step raises InternalError instead of reaching a verdict.  The
-recurrence's own memo is local to one call.
+a-list as its key ``a_key``, the sorted nonzero entries, so every
+permutation of one a-list, with or without zeros, shares its entries
+(gauss(h, 0) = [0]! = 1).  thm1, q1 and thm2 read their a-list through
+that key once and hand it to both memo calls.  The memo builds both as
+packed integers, one checked step at a time, so a corrupted step raises
+InternalError instead of reaching a verdict.  The recurrence's own memo is
+local to one call.
 
 Each congruence names its modulus [n]^e by the pair (n, e): thm1 and the
 p - 1 lemma take (n, 1), thm2 takes (p, 2) and its cross-check (p, 1).
-thm1 hands its prefactor and weighted sum to ``congruence_report`` as two
-factors, each folded modulo q^n - 1 before they are multiplied; the full
-product is built only for a fail witness.  thm2 multiplies in full, since
-its derivative cross-check reads the whole denominator-cleared difference.
+thm1 hands its packed prefactor and weighted sum to ``packed_report``,
+which decides on the integers: each is folded modulo X^n - 1, the folds are
+multiplied and folded again, and [n] divides iff all n slots are equal.
+Only a fail unpacks them, to decide again by long division and render the
+witness.  thm2 unpacks both and multiplies in full, since its derivative
+cross-check reads the whole denominator-cleared difference.
 """
 
 from __future__ import annotations
@@ -103,6 +107,7 @@ from .congruence import (
     integer_report,
     is_prime,
     make_report,
+    packed_report,
     rem_mod,
 )
 from .errors import (
@@ -132,9 +137,12 @@ def _a_tuple(n, a_list):
     return a_tuple
 
 
-def _a_sorted(n, a_list):
-    """``_a_tuple`` sorted, the form the memo keys an a-list on."""
-    return tuple(sorted(_a_tuple(n, a_list)))
+def a_key(a_list):
+    """An a-list's sorted nonzero entries: the memo's key for its prefactor
+    and weighted sums, and what thm1 and q1 read it through, since
+    gauss(h, 0) = C(h, 0) = [0]! = 0! = 1.  The sweep checks one thm1 or q1
+    instance per n and key."""
+    return tuple(sorted([a for a in a_list if a]))
 
 
 def _sign(e):
@@ -154,26 +162,25 @@ def a_params(n, a_list):
 def multinom_factor(a_list):
     """[a1+...+am+1]! / ([a1]! ... [am]!), a product of Gaussian binomials,
     from ``BINOMIAL_MEMO``."""
-    return BINOMIAL_MEMO.prefactor(_a_sorted(None, a_list))
+    return BINOMIAL_MEMO.prefactor(a_key(_a_tuple(None, a_list))).poly()
 
 
 def weighted_sum(n, a_list):
     """sum_{h=0}^{n-1} q^h * prod_i gauss(h, a_i), from ``BINOMIAL_MEMO``."""
-    return BINOMIAL_MEMO.weighted_sum(n, _a_sorted(n, a_list))
+    return BINOMIAL_MEMO.weighted_sum(n, a_key(_a_tuple(n, a_list))).poly()
 
 
 def check_thm1(n, a_list):
     """Divisibility of the prefactored weighted sum by [n] (claim id thm1)."""
-    a_sorted = _a_sorted(n, a_list)
-    w = BINOMIAL_MEMO.weighted_sum(n, a_sorted)
-    return congruence_report("thm1", a_params(n, a_list),
-                             (BINOMIAL_MEMO.prefactor(a_sorted), w), ZERO, n,
-                             note=VANISHING_SUM if w.is_zero else None)
+    key = a_key(_a_tuple(n, a_list))
+    w = BINOMIAL_MEMO.weighted_sum(n, key)
+    return packed_report("thm1", a_params(n, a_list), (BINOMIAL_MEMO.prefactor(key), w),
+                         n, note=None if w.value else VANISHING_SUM)
 
 
 def q1_check(n, a_list):
     """The q = 1 congruence of thm1, in pure integer arithmetic (claim id q1)."""
-    a_tuple = _a_tuple(n, a_list)
+    a_tuple = a_key(_a_tuple(n, a_list))
     s = sum(a_tuple) + 1
     numer = math.factorial(s)
     denom = 1
@@ -252,7 +259,7 @@ def check_sum_lemma(n, a):
     """
     if not _naturals(n, a) or n < 1:
         raise InvalidParamsError("need integers n >= 1 and a >= 0")
-    lhs = BINOMIAL_MEMO.weighted_sum(n, (a,))
+    lhs = BINOMIAL_MEMO.weighted_sum(n, a_key((a,))).poly()
     rhs = BINOMIAL_MEMO.binomial(n, a + 1).shift(a)
     return identity_report("sum_lemma", {"n": n, "a": a}, lhs, rhs)
 
@@ -332,8 +339,8 @@ def check_thm2(p, a, b):
     if not _naturals(a, b) or p <= max(a, b):
         raise InvalidParamsError("need integers 0 <= a, b < p")
     mod_p = q_int(p)
-    ab = (a, b) if a <= b else (b, a)
-    lhs = BINOMIAL_MEMO.prefactor(ab) * BINOMIAL_MEMO.weighted_sum(p, ab)
+    ab = a_key((a, b))
+    lhs = BINOMIAL_MEMO.prefactor(ab).poly() * BINOMIAL_MEMO.weighted_sum(p, ab).poly()
     e = a * b - math.comb(a, 2) - math.comb(b, 2)
     signed = mod_p if _sign(a - b) > 0 else -mod_p
     report = congruence_report("thm2", {"p": p, "a": a, "b": b}, (lhs,),

@@ -8,7 +8,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from qcong import qcomb, theorems
-from qcong.poly import ONE, ZERO
+from qcong.poly import ONE, ZERO, Packed, _pack_nonneg, _slot_bytes
 from qcong.qcomb import q_binomial, q_factorial, q_int, q_pochhammer_eval
 from qcong.sweep import run_instance
 
@@ -97,19 +97,32 @@ def execute_each(instances):
     return [run_instance(item) for item in instances]
 
 
+def packed(p):
+    """The ``Packed`` form of an IntPoly with nonnegative coefficients."""
+    at_one = sum(p.coeffs)
+    k = _slot_bytes(at_one)
+    return Packed(_pack_nonneg(p.coeffs, k), k, len(p.coeffs), at_one)
+
+
 def modulus_shifted(monkeypatch):
     """Corrupt every modulus the checkers name: [n]^e becomes [n+1]^e.
 
-    Shifts the n that ``theorems`` hands to ``congruence_report`` and
-    ``rem_mod``, and ``theorems.q_int``, which thm2's right side reads.
+    Shifts the n that ``theorems`` hands to ``packed_report`` (thm1, which
+    then decides on packed integers), ``congruence_report`` and ``rem_mod``,
+    and ``theorems.q_int``, which thm2's right side reads.
     """
     report, rem = theorems.congruence_report, theorems.rem_mod
+    packed_report = theorems.packed_report
 
     def shifted_report(claim_id, params, factors, rhs, n, e=1, note=None):
         return report(claim_id, params, factors, rhs, n + 1, e, note)
 
+    def shifted_packed_report(claim_id, params, factors, n, note=None):
+        return packed_report(claim_id, params, factors, n + 1, note)
+
     monkeypatch.setattr(theorems, "q_int", lambda n: q_int(n + 1))
     monkeypatch.setattr(theorems, "congruence_report", shifted_report)
+    monkeypatch.setattr(theorems, "packed_report", shifted_packed_report)
     monkeypatch.setattr(theorems, "rem_mod", lambda a, n, e=1: rem(a, n + 1, e))
 
 
@@ -133,15 +146,17 @@ class _WeightedSumsPlus(qcomb.QBinomialCache):
     as a whole.
 
     Each W(n) is built and stored correctly in its own table, and only the
-    value handed out is corrupted, so no corrupted value seeds a later W.
+    value handed out is corrupted, packed as the memo hands out W, so no
+    corrupted value seeds a later W and thm1 decides on the corrupted
+    integer.
     """
 
     def __init__(self, offset):
         super().__init__()
         self.offset = offset
 
-    def weighted_sum(self, n, a_sorted):
-        return super().weighted_sum(n, a_sorted) + self.offset(n)
+    def weighted_sum(self, n, a_key):
+        return packed(super().weighted_sum(n, a_key).poly() + self.offset(n))
 
 
 def weighted_sums_plus_one(monkeypatch):
@@ -155,7 +170,11 @@ def weighted_sum_plus_modulus(monkeypatch):
 
 
 def steps_plus_one(monkeypatch):
-    """Every packed exact division of ``qcomb`` returns its quotient plus one."""
+    """Every packed exact division of ``qcomb`` returns its quotient plus one.
+
+    It reaches every packed build: ``q_binomial``, the prefactor and W(n),
+    which thm1 decides on without unpacking.
+    """
     divide = qcomb._div_pow2_minus_one
     monkeypatch.setattr(qcomb, "_div_pow2_minus_one", lambda *args: divide(*args) + 1)
 

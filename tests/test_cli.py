@@ -43,6 +43,7 @@ from qcong.sweep import (
     run_instance,
     run_suite,
 )
+from qcong.theorems import a_key
 import qcong.sweep as sweep_mod
 from qcong import cli, qcomb
 
@@ -107,6 +108,20 @@ class TestConfigValidation:
     def test_bad_config_rejected(self, kw):
         with pytest.raises(UsageError):
             _cfg(**kw).validate()
+
+    @pytest.mark.parametrize("field, flag, message", [
+        ("n_max", True, "n_max must be a positive integer"),
+        ("m_max", True, "m_max must be a positive integer"),
+        ("a_max", True, "a_max must be a positive integer"),
+        ("sample_count", True, "sample_count must be >= 0"),
+        ("jobs", True, "jobs must be >= 1"),
+        ("rng_seed", False, "rng_seed must be an integer"),
+    ])
+    def test_bool_field_rejected(self, field, flag, message):
+        # a bool is an int to Python; every checker refuses one, and so does
+        # the config, with the message an out-of-range value gets
+        with pytest.raises(UsageError, match="^%s$" % message):
+            _cfg(**{field: flag}).validate()
 
 
 class TestEnumeration:
@@ -315,6 +330,47 @@ class TestExecution:
         assert len(execute(instances, jobs=2, fail_fast=fail_fast)) == len(instances)
         assert multiprocessing.active_children() == []
 
+    def test_pool_is_capped(self, monkeypatch):
+        # a stub executor records the pool size and runs the checks in process,
+        # so no worker is ever started
+        sizes = []
+
+        class Stub:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        import concurrent.futures
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Stub)
+        cpus = {"n": 4}
+        if hasattr(os, "sched_getaffinity"):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus["n"])))
+        else:
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus["n"])
+        lemma = [("sum_lemma", (("n", n), ("a", 1))) for n in range(1, 11)]
+        # thm1 at n = 3 for [1, 2], [2, 1] and [0, 2, 1]: one check
+        one_class = [("thm1", (("n", 3), ("a1", 1), ("a2", 2))),
+                     ("thm1", (("n", 3), ("a1", 2), ("a2", 1))),
+                     ("thm1", (("n", 3), ("a1", 0), ("a2", 2), ("a3", 1)))]
+        for jobs, items, cpu_count, size in [
+                (5000, lemma, 4, 4),     # capped by the CPUs
+                (5000, lemma[:3], 4, 3),  # by the checks to run
+                (3, lemma, 4, 3),        # by jobs
+                (5000, lemma, 1, None),  # one CPU: serial, no pool
+                (8, one_class, 4, None),  # one check: serial, no pool
+                (1, lemma, 4, None)]:
+            cpus["n"] = cpu_count
+            del sizes[:]
+            got = execute(items, jobs=jobs)
+            assert sizes == ([] if size is None else [size])
+            assert [(r.claim_id, r.params, r.status) for r in got] \
+                == [(r.claim_id, r.params, PASS) for r in execute_each(items)]
+
     def test_parallel_matches_serial(self):
         cfg = _cfg(suite="identities", n_max=4, a_max=2, prime_set=(2,),
                    sample_count=0)
@@ -373,9 +429,11 @@ def _assert_same_reports(got, want):
 
 
 def _class_of(item):
-    """An order-free instance's class: its claim, first param and sorted tail."""
+    """An order-free instance's class: its claim, first param and sorted tail,
+    zeros dropped from a thm1 or q1 a-list."""
     claim_id, params = item
-    return claim_id, params[0], tuple(sorted(v for _, v in params[1:]))
+    tail = [v for _, v in params[1:] if v or claim_id == "thm2"]
+    return claim_id, params[0], tuple(sorted(tail))
 
 
 def _class_instances():
@@ -427,7 +485,8 @@ class TestOrderClasses:
     """``execute`` checks one ordering per class of an order-free claim."""
 
     def test_order_free_claims(self):
-        assert {c for c, row in CLAIMS.items() if row.order_free} == {"thm1", "q1", "thm2"}
+        assert {c: row.class_key for c, row in CLAIMS.items() if row.class_key} \
+            == {"thm1": a_key, "q1": a_key, "thm2": sweep_mod._sorted_tuple}
 
     @pytest.mark.parametrize("jobs", JOBS)
     @pytest.mark.parametrize("corrupt", CORRUPTIONS)
@@ -441,22 +500,27 @@ class TestOrderClasses:
 
     @pytest.mark.parametrize("corrupt", CORRUPTIONS)
     def test_permuting_the_tail_keeps_the_outcome(self, monkeypatch, corrupt):
-        # the premise of order_free, asked of the checkers directly
+        # the premise of a class key, asked of the checkers directly
         if corrupt is not None:
             corrupt(monkeypatch)
         instances = _class_instances()
         claims = {c for c, _ in instances}
-        assert claims == {c for c, row in CLAIMS.items() if row.order_free}
+        assert claims == {c for c, row in CLAIMS.items() if row.class_key}
         for claim_id, params in dict.fromkeys(instances):
             names, values = zip(*params[1:])
             if list(values) != sorted(values):
                 continue
             check = CLAIMS[claim_id].check
             want = _outcome(check(**dict(params)))
-            for perm in set(itertools.permutations(values)):
-                tail = dict(zip(names, perm))
-                got = _outcome(check(**dict(params[:1]), **tail))
-                assert got == want, (claim_id, params, perm)
+            tails = set(itertools.permutations(values))
+            if claim_id != "thm2":
+                # and a thm1 or q1 a-list padded with a zero at every position
+                tails |= {values[:i] + (0,) + values[i:] for i in range(len(values) + 1)}
+            for tail in tails:
+                named = {"a%d" % (i + 1): a for i, a in enumerate(tail)} \
+                    if claim_id != "thm2" else dict(zip(names, tail))
+                got = _outcome(check(**dict(params[:1]), **named))
+                assert got == want, (claim_id, params, tail)
 
     def test_checks_once_per_class(self, monkeypatch):
         calls = {"thm1": [], "sum_lemma": []}
@@ -471,7 +535,13 @@ class TestOrderClasses:
         assert ("sum_lemma", (("n", 3), ("a", 2))) in lemma
         assert len(execute(grid + lemma)) == len(grid) + len(lemma)
         classes = {_class_of(item) for item in grid if item[0] == "thm1"}
-        assert len(calls["thm1"]) == len(classes) < len(grid) // 2
+        orderings = {(c, p[0], tuple(sorted(v for _, v in p[1:]))) for c, p in grid
+                     if c == "thm1"}
+        # [0, 2] and [2] share a class, since zeros drop out of the a-list
+        assert len(calls["thm1"]) == len(classes) < len(orderings) < len(grid) // 2
+        assert {tuple(kw.values())[1:] for kw in calls["thm1"]
+                if kw["n"] == 5} == {(0,), (1,), (2,), (1, 1), (1, 2), (2, 2),
+                                     (1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2)}
         assert len(calls["sum_lemma"]) == len(lemma)
 
     def test_a_copy_shows_its_own_params_and_no_time(self, monkeypatch):

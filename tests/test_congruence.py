@@ -1,5 +1,6 @@
 """Congruence engine tests, including the exponent-period identity for [p]."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from operator import mul
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import packed
 
 from qcong.congruence import (
     FAIL,
@@ -21,11 +23,13 @@ from qcong.congruence import (
     integer_report,
     is_prime,
     make_report,
+    packed_divides,
     rem_mod,
 )
 from qcong.errors import NotDivisibleError
-from qcong.poly import ONE, ZERO, IntPoly
-from qcong.qcomb import LaurentPoly, q_int
+from qcong.poly import ONE, ZERO, IntPoly, _slot_bytes
+from qcong.qcomb import BINOMIAL_MEMO, LaurentPoly, q_int
+from qcong.theorems import a_key
 
 PRIMES_TO_13 = (2, 3, 5, 7, 11, 13)
 
@@ -217,6 +221,92 @@ def test_factor_form_fail_renders_the_full_product():
     assert r.status == FAIL
     assert r.witness.lhs == str(q_int(4) * q_int(3).shift(2))
     assert congruence_report("t", {}, (q_int(5), q_int(3)), ZERO, 5).status == PASS
+
+
+# --- thm1 decided on packed integers ------------------------------------------------
+
+def _list_divides(factors, n):
+    """The list route: ``congruence_report`` on the unpacked factors."""
+    return congruence_report("thm1", {}, tuple(f.poly() for f in factors), ZERO, n).status \
+        == PASS
+
+
+def _assert_packed_matches_list_route(n, a_list, verdicts):
+    """Both routes at [n], where thm1 passes, and at [n + 1], where it mostly
+    fails; the memo's factors depend on the a-list only through its key."""
+    key = a_key(a_list)
+    factors = (BINOMIAL_MEMO.prefactor(key), BINOMIAL_MEMO.weighted_sum(n, key))
+    for m in (n, n + 1):
+        got = packed_divides(factors, m)
+        assert got == _list_divides(factors, m), (n, a_list, m)
+        verdicts.add((m == n, got))
+
+
+def test_packed_decision_matches_the_list_route_on_a_grid():
+    # every (n, a-list) with n <= 30, m <= 3 and a_i <= 6, one a-list per key:
+    # n = 1, n <= max a_i (W(n) = 0) and the all-zero a-list (key ()) included
+    a_lists = {a_key(a): a for m in range(1, 4)
+               for a in itertools.product(range(7), repeat=m)}
+    assert () in a_lists and len(a_lists) == 84
+    verdicts = set()
+    for n in range(1, 31):
+        for a_list in a_lists.values():
+            _assert_packed_matches_list_route(n, a_list, verdicts)
+    assert verdicts == {(True, True), (False, True), (False, False)}
+
+
+def test_packed_decision_matches_the_list_route_on_wide_samples():
+    rng = random.Random(20240519)
+    verdicts = set()
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        a_list = [rng.randint(0, 8) for _ in range(rng.randint(1, 5))]
+        _assert_packed_matches_list_route(n, a_list, verdicts)
+    assert (True, False) not in verdicts and (False, False) in verdicts
+
+
+def _boundary_cases():
+    """Packed factors P, W whose P(1) W(1) is 2^(8k) - 1 or 2^(8k), for slot
+    widths k = 1, 2, 4, 8 and 16 bytes, with the moduli [n] to try.
+
+    2^(8k) - 1 = (2^(4k) + 1)(2^(4k) - 1) and 15 divides 2^(4k) - 1, so W can
+    be a multiple of [3] or [5]; 2^(8k) = 2^(4k) 2^(4k) allows [2] and [4].
+    """
+    for k in (1, 2, 4, 8, 16):
+        half = 1 << 4 * k
+        for at_one, (s1, s2), moduli in (((1 << 8 * k) - 1, (half + 1, half - 1), (3, 5)),
+                                         (1 << 8 * k, (half, half), (2, 4))):
+            for n in moduli:
+                c = s2 // n
+                for p in (IntPoly([0, 0, s1]),  # one slot holds all of P(1)
+                          IntPoly([0] * (n + 1) + [s1 - 1] + [0] * (2 * n) + [1])):
+                    for w, divides in ((q_int(n).shift(2) * c, True),  # [n] | W
+                                       (IntPoly([0] * n + [s2]), False),
+                                       ((q_int(n - 1) + ONE.shift(n)) * c, False)):
+                        yield k, at_one, n, (packed(p), packed(w)), divides
+
+
+@pytest.mark.parametrize("k, at_one, n, factors, divides", list(_boundary_cases()))
+def test_packed_decision_at_a_slot_boundary(k, at_one, n, factors, divides):
+    p, w = factors
+    assert p.at_one * w.at_one == at_one
+    assert _slot_bytes(at_one) == (k if at_one < 1 << 8 * k else 2 * k if k < 8 else k + 8)
+    assert packed_divides(factors, n) is divides
+    assert _list_divides(factors, n) is divides
+    # [1] divides anything; one more slot than the product's degree never does
+    assert packed_divides(factors, 1) is True
+    assert packed_divides(factors, len(p.poly().coeffs) + len(w.poly().coeffs)) is False
+
+
+@pytest.mark.parametrize("p, w", [(641, 6700417), (274177, 67280421310721)])
+def test_packed_decision_needs_slots_for_the_product(p, w):
+    # P W = 2^32 + 1 or 2^64 + 1, a constant [2] does not divide; each factor
+    # fits 4 or 8 bytes, where the product would read as the digits (1, 1),
+    # all equal, so slots sized for the factors alone would pass it
+    factors = (packed(IntPoly([p])), packed(IntPoly([w])))
+    assert p * w - 1 in (1 << 32, 1 << 64) and max(f.k for f in factors) in (4, 8)
+    assert packed_divides(factors, 2) is False
+    assert _list_divides(factors, 2) is False
 
 
 def test_is_prime_small():

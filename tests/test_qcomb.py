@@ -24,6 +24,7 @@ from qcong.qcomb import (
     q_int,
     q_pochhammer_eval,
 )
+from qcong.theorems import a_key
 
 
 # --- q-integers and q-factorials -------------------------------------------------
@@ -164,6 +165,14 @@ def test_pochhammer_negative_k_rejected():
 
 # --- cache ------------------------------------------------------------------------
 
+def _unpacked(p):
+    """The IntPoly a memo's ``Packed`` holds, once its length, value at q = 1
+    and slot width are checked against it."""
+    coeffs = p.poly().coeffs
+    assert (p.size, p.at_one, p.k) == (len(coeffs), sum(coeffs), _slot_bytes(sum(coeffs)))
+    return p.poly()
+
+
 def test_cache_transparency():
     cache = QBinomialCache(max_entries=64)
     for n in range(12):
@@ -173,24 +182,27 @@ def test_cache_transparency():
     for n in range(12):
         for k in range(n + 1):
             assert cache.binomial(n, k) == q_binomial(n, k)
-    # prefactors, each one entry, and a second call is a hit
-    for a_sorted in ((0,), (3,), (1, 1), (0, 2, 5), (2, 2, 2, 3)):
+    # prefactors, each one entry, and a second call is a hit; an a-list is
+    # keyed on its sorted nonzero entries, since [0]! = 1
+    for a_list in ((0,), (3,), (1, 1), (0, 2, 5), (2, 2, 2, 3), (5, 0, 2, 0)):
         fresh = QBinomialCache()
-        value = fresh.prefactor(a_sorted)
-        assert value == multinom_factor_oracle(a_sorted)
-        assert fresh.prefactor(a_sorted) is value and len(fresh) == 1
+        value = fresh.prefactor(a_key(a_list))
+        assert _unpacked(value) == multinom_factor_oracle(a_list)
+        assert fresh.prefactor(a_key(a_list)) is value and len(fresh) == 1
 
 
 def test_prefactor_multiplies_no_polynomials(monkeypatch):
     calls = []
     mul_lists = poly._mul_lists
     monkeypatch.setattr(poly, "_mul_lists", lambda a, b: calls.append(1) or mul_lists(a, b))
-    assert QBinomialCache().prefactor((1, 3, 4)) == multinom_factor_oracle((1, 3, 4))
+    assert _unpacked(QBinomialCache().prefactor((1, 3, 4))) == multinom_factor_oracle((1, 3, 4))
     assert calls == []
 
 
 def test_prefactor_rejects_an_a_list_not_sorted():
-    for a_sorted in ((3, 1), (), (-1, 2), [1, 3]):
+    # the empty key is the all-zero a-list's; a zero entry is not a key
+    assert _unpacked(QBinomialCache().prefactor(())) == ONE
+    for a_sorted in ((3, 1), (0, 2), (-1, 2), [1, 3], (0,)):
         with pytest.raises(ValueError, match="sorted tuple"):
             QBinomialCache().prefactor(a_sorted)
 
@@ -204,7 +216,7 @@ def test_cache_eviction_bounded():
     assert cache.binomial(0, 1) == q_binomial(0, 1)
     # binomials and prefactors share the one bound
     for n in range(2, 10):
-        assert cache.prefactor((1, n)) == multinom_factor_oracle((1, n))
+        assert _unpacked(cache.prefactor((1, n))) == multinom_factor_oracle((1, n))
         assert cache.binomial(n, 2) == q_binomial(n, 2)
         assert len(cache) <= 4
 
@@ -232,20 +244,20 @@ def test_weighted_sum_extends_the_largest_cached_n(monkeypatch):
     want = {n: weighted_sum_oracle(n, (1, 2)) for n in (5, 6, 7, 8)}
     rows = _rows_summed(monkeypatch)
     cache = QBinomialCache()
-    assert cache.weighted_sum(5, (1, 2)) == want[5]
+    assert _unpacked(cache.weighted_sum(5, (1, 2))) == want[5]
     # rows below max(a_i) vanish; row 2 is gauss(2, 1) gauss(2, 2), one
     # division, and rows 3 and 4 follow it
     assert rows() == ([2, 3, 4], 1 + 4)
-    assert cache.weighted_sum(8, (1, 2)) == want[8]
+    assert _unpacked(cache.weighted_sum(8, (1, 2))) == want[8]
     assert rows() == ([5, 6, 7], 6)  # built off W(5) and its last row, row 4
-    assert cache.weighted_sum(6, (1, 2)) == want[6]
+    assert _unpacked(cache.weighted_sum(6, (1, 2))) == want[6]
     assert rows() == ([5], 2)  # W(8) is not below 6, so W(5) is the base
-    assert cache.weighted_sum(8, (1, 2)) == want[8]
+    assert _unpacked(cache.weighted_sum(8, (1, 2))) == want[8]
     assert rows() == ([], 0)  # a hit
     # clear() drops the sums with the binomials and prefactors
     cache.clear()
     assert len(cache) == 0
-    assert cache.weighted_sum(7, (1, 2)) == want[7]
+    assert _unpacked(cache.weighted_sum(7, (1, 2))) == want[7]
     assert rows() == ([2, 3, 4, 5, 6], 1 + 8)
 
 
@@ -257,15 +269,18 @@ def test_weighted_sum_stores_only_its_own_n():
     assert len(cache) == 1
     # n <= max(a_i): every row vanishes, and nothing is stored
     fresh = QBinomialCache()
-    assert fresh.weighted_sum(3, (1, 3)) == ZERO
-    assert fresh.weighted_sum(3, (3,)) == ZERO
+    assert _unpacked(fresh.weighted_sum(3, (1, 3))) == ZERO
+    assert _unpacked(fresh.weighted_sum(3, (3,))) == ZERO
     assert len(fresh) == 0
+    # the all-zero a-list's key: every row is 1, so W(n) = [n]
+    assert _unpacked(fresh.weighted_sum(4, ())) == q_int(4)
 
 
-@pytest.mark.parametrize("a_sorted", [(3, 1), (), (-1, 2), [1, 3], (1, 3, 2)])
+@pytest.mark.parametrize("a_sorted", [(3, 1), (0, 2), (-1, 2), [1, 3], (1, 3, 2)])
 def test_weighted_sum_rejects_an_a_list_not_sorted(a_sorted):
     # the memo keys W(n) on the tuple as given and builds from its last entry,
-    # so it takes only what ``theorems.weighted_sum`` hands it: a sorted tuple
+    # so it takes only what ``theorems.a_key`` hands it: a sorted tuple of
+    # nonzero entries
     with pytest.raises(ValueError, match="sorted tuple"):
         QBinomialCache().weighted_sum(6, a_sorted)
 
@@ -275,8 +290,9 @@ def test_weighted_sum_evicting_mid_build():
     # between builds; every value must still match the oracle
     small = QBinomialCache(max_entries=4)
     for n in list(range(1, 12)) + list(range(11, 0, -1)):
-        for a_sorted in ((0, 2), (1, 1, 3), (2, 2, 2)):
-            assert small.weighted_sum(n, a_sorted) == weighted_sum_oracle(n, a_sorted)
+        for a_list in ((0, 2), (1, 1, 3), (2, 2, 2)):
+            assert _unpacked(small.weighted_sum(n, a_key(a_list))) \
+                == weighted_sum_oracle(n, a_list)
             assert len(small) <= 4
 
 
@@ -296,11 +312,12 @@ class TestPackedWeightedSum:
     @pytest.mark.parametrize("n, a_sorted", _WIDTH_CASES)
     def test_cold_and_extended_from_every_smaller_n(self, n, a_sorted):
         want = weighted_sum_oracle(n, a_sorted)
-        assert QBinomialCache().weighted_sum(n, a_sorted) == want
+        assert _unpacked(QBinomialCache().weighted_sum(n, a_sorted)) == want
         for held in range(a_sorted[-1] + 1, n):
             cache = QBinomialCache()
-            assert cache.weighted_sum(held, a_sorted) == weighted_sum_oracle(held, a_sorted)
-            assert cache.weighted_sum(n, a_sorted) == want, held
+            assert _unpacked(cache.weighted_sum(held, a_sorted)) \
+                == weighted_sum_oracle(held, a_sorted)
+            assert _unpacked(cache.weighted_sum(n, a_sorted)) == want, held
 
     def test_memo_of_four_entries(self):
         # the last four n of each case, every a-list in turn, up and then
@@ -310,7 +327,7 @@ class TestPackedWeightedSum:
                 for n, a_sorted in _WIDTH_CASES for m in range(n - 3, n + 1)}
         small = QBinomialCache(max_entries=4)
         for key in sorted(want) + sorted(want, reverse=True):
-            assert small.weighted_sum(*key) == want[key], key
+            assert _unpacked(small.weighted_sum(*key)) == want[key], key
             assert len(small) <= 4
 
 

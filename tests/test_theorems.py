@@ -572,22 +572,51 @@ def test_failing_congruence_divides_once(monkeypatch):
     assert len(divisions) == 1
 
 
-def test_thm1_pass_multiplies_only_folded_factors(monkeypatch):
-    # a pass folds the prefactor and W(n) modulo q^n - 1 first, so no multiply
-    # sees an operand longer than n; the full product is never built
+def test_thm1_pass_multiplies_and_divides_no_polynomial(monkeypatch):
+    # a pass is decided on the packed prefactor and W(n), built cold here:
+    # no IntPoly multiply and no long division, not even of folded factors
     n, a_list = 9, [3, 2, 2]
-    assert len(multinom_factor(a_list).coeffs) > n  # both factors are long, and
-    assert len(weighted_sum(n, a_list).coeffs) > n  # now memoized
-    lengths = []
-    mul = poly.IntPoly.__mul__
-
-    def counted(self, other):
-        lengths.append((len(self.coeffs), len(other.coeffs)))
-        return mul(self, other)
-
-    monkeypatch.setattr(poly.IntPoly, "__mul__", counted)
+    assert len(multinom_factor(a_list).coeffs) > n  # both factors are long
+    assert len(weighted_sum(n, a_list).coeffs) > n
+    qcomb.BINOMIAL_MEMO.clear()
+    calls = []
+    mul, divrem_lists = poly.IntPoly.__mul__, poly._divrem_lists
+    monkeypatch.setattr(poly.IntPoly, "__mul__",
+                        lambda self, other: calls.append("mul") or mul(self, other))
+    monkeypatch.setattr(poly, "_divrem_lists",
+                        lambda a, b: calls.append("divrem") or divrem_lists(a, b))
     assert check_thm1(n, a_list).status == "pass"
-    assert lengths and max(map(max, lengths)) <= n
+    assert calls == []
+    # the checks still count: a fail multiplies and divides, for its witness
+    modulus_shifted(monkeypatch)
+    assert check_thm1(n, a_list).status == "fail"
+    assert "mul" in calls and "divrem" in calls
+
+
+def test_packed_fail_that_the_list_route_passes_raises(monkeypatch):
+    # corrupt the packed decider alone: the list route then passes, and the
+    # two routes disagreeing is a bug, not a verdict
+    monkeypatch.setattr(congruence, "packed_divides", lambda factors, n: False)
+    with pytest.raises(InternalError, match=r"thm1 .* packed residue modulo \[3\]"):
+        check_thm1(3, [1, 2])
+
+
+@pytest.mark.parametrize("n, a_list, note", [
+    (1, [0], None),           # [1] = 1 divides anything
+    (1, [3, 1], "vanishing-sum"),
+    (4, [4, 2], "vanishing-sum"),  # n <= max a_i: every row vanishes
+    (5, [5], "vanishing-sum"),
+    (6, [5], None),
+    (5, [0, 0, 0], None),     # W(5) = [5], the prefactor 1
+    (6, [0], None),
+])
+def test_thm1_edge_a_lists(n, a_list, note):
+    r = check_thm1(n, a_list)
+    assert (r.status, r.note) == ("pass", note)
+    w = weighted_sum(n, a_list)
+    assert w == weighted_sum_oracle(n, a_list)
+    assert multinom_factor(a_list) == multinom_factor_oracle(a_list)
+    assert not congruence.rem_mod(multinom_factor(a_list) * w, n)
 
 
 # --- checkers do not time themselves; the sweep does ----------------------------------------
