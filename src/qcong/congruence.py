@@ -24,11 +24,17 @@ multiple of [n]^e, before ``rem_mod`` divides.  ``congruence_report`` folds
 each factor before multiplying them, and builds their full product only
 for a fail witness.
 
-thm1's factors, its prefactor and weighted sum, come packed (``poly.Packed``)
-and ``packed_report`` decides on those integers: ``packed_divides`` folds
-each modulo X^n - 1, multiplies the n-slot folds and folds again, in slots
-that hold the product of the factors' values at q = 1, and [n] divides iff
-all n slots are equal.  A fail is decided again, with its witness, by
+The factors of thm1 and thm2, a prefactor and a weighted sum, come packed
+(``poly.Packed``) and ``packed_report`` decides on those integers.  For
+thm1, ``packed_divides`` folds each modulo X^n - 1, multiplies the n-slot
+folds and folds again, in slots that hold the product of the factors'
+values at q = 1, and [n] divides iff all n slots are equal.  For thm2,
+``packed_square_congruent`` folds each factor F into A = sum_j F_j and
+B = sum_j j*F_j over its length-p blocks, so F == A + (q^p - 1)B modulo
+(q^p - 1)^2; one multiply of the pairs gives the product's pair (S, T)
+(``pair_folds``), and the congruence modulo [p]^2 is read off S and T by
+two routes that must agree.  Both fold by the same halving adds
+(``_block_sums``).  A fail is decided again, with its witness, by
 ``congruence_report`` on the unpacked factors, and the two must agree.
 
 Checkers read no clock: ``sweep.run_instance`` stamps each report's
@@ -42,7 +48,7 @@ from math import prod
 from operator import mul
 
 from .errors import InternalError
-from .poly import ZERO, IntPoly, _repack, _slot_bytes
+from .poly import ZERO, IntPoly, _repack, _slot_bytes, _unpack_nonneg
 
 PASS = "pass"
 FAIL = "fail"
@@ -199,14 +205,39 @@ def congruence_report(claim_id, params, factors, rhs, n, e=1, note=None):
     return _verdict(claim_id, params, lhs, rhs, residue, note)
 
 
+def _block_sums(value, block_bits, blocks, weighted=False):
+    """(A, B) for the ``blocks`` blocks V_j of ``block_bits`` bits each that
+    make up ``value``: A = sum_j V_j and, when ``weighted``, B = sum_j j*V_j
+    (else 0).
+
+    Blocks are added in halves: the blocks from h = ceil(blocks/2) on are
+    added onto the blocks below them until one block is left.  Moving block
+    j + h down to j takes h from its weight, so h times the moved blocks is
+    added to a running value U, folded in halves alongside; sum_j j*V_j +
+    sum_j U_j stays B throughout.  Every intermediate slot is a partial sum
+    of the final slot's nonnegative terms, so nothing carries while the
+    slots hold A's and B's.
+    """
+    weights = 0
+    while blocks > 1:
+        blocks = (blocks + 1) // 2
+        cut = block_bits * blocks
+        low = (1 << cut) - 1
+        high = value >> cut
+        value = (value & low) + high
+        if weighted:
+            weights = (weights & low) + (weights >> cut) + blocks * high
+    return value, weights
+
+
 def packed_divides(factors, n):
     """True when [n] divides the product of ``factors``, each a ``Packed``.
 
-    Each factor is folded modulo X^n - 1 in its own slots: blocks of n
-    slots are added, halving the number of blocks each time, which is exact
-    since no folded coefficient exceeds the factor's value at q = 1.  The
-    folds are moved into slots of k bytes holding B, the product of those
-    values, multiplied one by one and folded again after each multiply; no
+    Each factor is folded modulo X^n - 1 in its own slots, by
+    ``_block_sums`` over its length-n blocks, which is exact since no
+    folded coefficient exceeds the factor's value at q = 1.  The folds are
+    moved into slots of k bytes holding B, the product of those values,
+    multiplied one by one and folded again after each multiply; no
     coefficient on the way exceeds B, so no slot carries.  The residue r
     has degree < n, and r - r_(n-1) [n] is its remainder modulo [n], so [n]
     divides iff all n slots of r are equal: iff r is unchanged when rotated
@@ -221,31 +252,117 @@ def packed_divides(factors, n):
     low = (1 << width) - 1
     r = 1
     for f in factors:
-        fold_bits, value, blocks = 8 * f.k * n, f.value, -(-f.size // n)
-        while blocks > 1:
-            blocks = (blocks + 1) // 2
-            cut = fold_bits * blocks
-            value = (value & ((1 << cut) - 1)) + (value >> cut)
-        r *= _repack(value, f.k, n, k)
+        folded, _ = _block_sums(f.value, 8 * f.k * n, -(-f.size // n))
+        r *= _repack(folded, f.k, n, k)
         r = (r & low) + (r >> width)
     return r == (r >> bits) | ((r & ((1 << bits) - 1)) << width - bits)
 
 
-def packed_report(claim_id, params, factors, n, note=None):
-    """Report whether [n] divides the product of packed ``factors``.
+def _pair_fold(f, n, k):
+    """A + X^(2n) B at X = 2^(8k), for A = sum_j F_j and B = sum_j j*F_j
+    over the length-n blocks F_j of the ``Packed`` f.
 
-    ``packed_divides`` decides a pass alone.  A fail is decided again by
-    ``congruence_report`` on the unpacked factors, which gives the witness;
-    if that route passes, the packed route is broken and InternalError is
+    The blocks are summed in slots widened to hold B <= (blocks - 1)*F(1),
+    and A and B moved to k-byte slots together.
+    """
+    blocks = -(-f.size // n)
+    wide = max(f.k, _slot_bytes(max(blocks - 1, 1) * f.at_one))
+    block_bits = 8 * wide * n
+    sums, weights = _block_sums(_repack(f.value, f.k, f.size, wide), block_bits, blocks,
+                                weighted=True)
+    return _repack(sums + (weights << 2 * block_bits), wide, 3 * n, k)
+
+
+def pair_folds(factors, n):
+    """(S, T), each n coefficients, with F*G == S + (q^n - 1)*T modulo
+    (q^n - 1)^2, for the two ``Packed`` factors F and G.
+
+    With y = q^n, a factor is A + (y - 1)*B modulo (y - 1)^2, A and B from
+    ``_pair_fold``.  One multiply, (A_F + X^(2n) B_F)(A_G + X^(2n) B_G),
+    gives A_F*A_G = L + y*H in its low 2n slots and A_F*B_G + B_F*A_G in
+    the next 2n; since y*H == H + (y - 1)*H, S = L + H and T is H plus that
+    cross term folded modulo y - 1.  The slots hold F(1)*G(1)*(blocks of F
+    + blocks of G - 1), which bounds every slot of S and T; B_F*B_G lies
+    above them and may carry only upwards.  S's slots must sum to
+    A_F(1)*A_G(1) = F(1)*G(1), the values the factors carry, or
+    InternalError is raised.
+    """
+    f, g = factors
+    blocks_f, blocks_g = -(-f.size // n), -(-g.size // n)
+    bound = f.at_one * g.at_one * (blocks_f + blocks_g - 1)
+    if not bound:
+        return [0] * n, [0] * n
+    k = _slot_bytes(bound)
+    width = 8 * k * n
+    low = (1 << width) - 1
+    product = _pair_fold(f, n, k) * _pair_fold(g, n, k)
+    high = (product >> width) & low
+    cross = (product >> 2 * width) & ((1 << 2 * width) - 1)
+    s = (product & low) + high
+    t = high + (cross & low) + (cross >> width)
+    slots = _unpack_nonneg(s + (t << width), k, 2 * n)
+    if sum(slots[:n]) != f.at_one * g.at_one:
+        raise InternalError("pair folds modulo (q^%d - 1)^2: S sums to %d, not to "
+                            "F(1) G(1) = %d" % (n, sum(slots[:n]), f.at_one * g.at_one))
+    return slots[:n], slots[n:]
+
+
+def packed_square_congruent(factors, sign, shift, n):
+    """True when F*G == sign * q^shift * [n] modulo [n]^2, for the two
+    ``Packed`` factors F and G, sign +-1 and 0 <= shift < n.
+
+    Decided on ``pair_folds``' S and T, since q^n - 1 = (q - 1)[n]: the
+    product is S + (q - 1)[n]T modulo [n]^2.  First route: [n] divides S,
+    of degree < n, iff all its slots equal one value alpha; then S =
+    alpha*[n], and it remains that [n] divides alpha + (q - 1)T - sign *
+    q^shift, which modulo q^n - 1 has the coefficients c_r = T_(r-1) - T_r
+    + alpha*[r = 0] - sign*[r = shift]: iff all c_r are equal.  Second
+    route: with D the difference of the sides, denominators cleared by a
+    power of q, [n]^2 divides D iff [n] divides D and D', since [n] is
+    squarefree.  Given [n] | S, that is P' == sign * q^shift * [n]'
+    modulo [n] for the product P, and modulo q^n - 1 slot r - 1 of P' is
+    n*T_r + r*S_r, of the right side sign*((r - shift) mod n): iff their
+    n differences are equal.  The routes must agree, or InternalError is
     raised.
     """
-    if packed_divides(factors, n):
+    s, t = pair_folds(factors, n)
+    flat = s.count(s[0]) == n
+    c = [t[r - 1] - t[r] for r in range(n)]
+    c[0] += s[0]
+    c[shift] -= sign
+    divided = flat and c.count(c[0]) == n
+    d = [n * t[r] + r * s[r] - sign * ((r - shift) % n) for r in range(n)]
+    derived = flat and d.count(d[0]) == n
+    if divided != derived:
+        raise InternalError("pair folds modulo [%d]^2: the divided route says %s, "
+                            "the derivative route %s" % (n, divided, derived))
+    return divided
+
+
+def packed_report(claim_id, params, factors, n, note=None, rhs=None):
+    """Report whether [n] divides the product of packed ``factors`` or, for
+    rhs = (sign, shift) and two factors, whether their product is
+    sign * q^shift * [n] modulo [n]^2.
+
+    ``packed_divides`` or ``packed_square_congruent`` decides a pass alone.
+    A fail is decided again by ``congruence_report`` on the unpacked
+    factors, which gives the witness; if that route passes, the packed
+    route is broken and InternalError is raised.
+    """
+    if rhs is None:
+        e, target = 1, ZERO
+        passed = packed_divides(factors, n)
+    else:
+        sign, shift = rhs
+        e, target = 2, IntPoly._make([0] * shift + [sign] * n)
+        passed = packed_square_congruent(factors, sign, shift, n)
+    if passed:
         return make_report(claim_id, params, PASS, note=note)
     report = congruence_report(claim_id, params, tuple(f.poly() for f in factors),
-                               ZERO, n, note=note)
+                               target, n, e, note=note)
     if report.status == PASS:
-        raise InternalError("%s %r: the packed residue modulo [%d] is nonzero, the "
-                            "unpacked one zero" % (claim_id, params, n))
+        raise InternalError("%s %r: the packed residue modulo [%d]%s is nonzero, the "
+                            "unpacked one zero" % (claim_id, params, n, "^2" * (e - 1)))
     return report
 
 

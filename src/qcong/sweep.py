@@ -177,6 +177,8 @@ class SweepConfig:
         for name in ("n_max", "m_max", "a_max"):
             if not _is_int(getattr(self, name)) or getattr(self, name) < 1:
                 raise UsageError("%s must be a positive integer" % name)
+        if not isinstance(self.prime_set, tuple):
+            raise UsageError("prime_set must be a tuple of primes, got %r" % (self.prime_set,))
         for p in self.prime_set:
             if not is_prime(p):
                 raise UsageError("prime_set entry %r is not prime" % (p,))
@@ -188,6 +190,9 @@ class SweepConfig:
             raise UsageError("unknown format %r" % (self.format,))
         if not _is_int(self.rng_seed):
             raise UsageError("rng_seed must be an integer")
+        for name in ("fail_fast", "stable_output"):
+            if not isinstance(getattr(self, name), bool):
+                raise UsageError("%s must be True or False" % name)
 
 
 def _is_int(value):

@@ -21,7 +21,7 @@ thm2
         == (-1)^(a-b) * q^(ab - C(a,2) - C(b,2)) * [p]   (mod [p]^2),
     the right side's exponent reduced into [0, p-1]; the reduction is
     legitimate because (q^p - 1)[p] = (q - 1)[p]^2.  The checker also runs
-    an independent route: with denominators cleared (both sides times q^|e|
+    a second route: with denominators cleared (both sides times q^|e|
     when the raw exponent e is negative), the difference D of the sides is
     divisible by [p]^2 exactly when [p] divides both D and its derivative
     D', since [p] = Phi_p is irreducible and separable.  The two verdicts
@@ -84,13 +84,14 @@ InternalError instead of reaching a verdict.  The recurrence's own memo is
 local to one call.
 
 Each congruence names its modulus [n]^e by the pair (n, e): thm1 and the
-p - 1 lemma take (n, 1), thm2 takes (p, 2) and its cross-check (p, 1).
-thm1 hands its packed prefactor and weighted sum to ``packed_report``,
-which decides on the integers: each is folded modulo X^n - 1, the folds are
+p - 1 lemma take (n, 1), thm2 takes (p, 2).  thm1 and thm2 hand their
+packed prefactor and weighted sum to ``packed_report``, which decides on
+the integers.  For thm1 each is folded modulo X^n - 1, the folds are
 multiplied and folded again, and [n] divides iff all n slots are equal.
-Only a fail unpacks them, to decide again by long division and render the
-witness.  thm2 unpacks both and multiplies in full, since its derivative
-cross-check reads the whole denominator-cleared difference.
+For thm2 each is folded into its pair of block sums modulo (X^p - 1)^2,
+one multiply gives the product's pair, and both routes above are read off
+that pair.  Only a fail unpacks them, to decide again by long division
+and render the witness.
 """
 
 from __future__ import annotations
@@ -99,7 +100,6 @@ import math
 from fractions import Fraction
 
 from .congruence import (
-    PASS,
     SKIPPED,
     VANISHING_SUM,
     congruence_report,
@@ -108,14 +108,13 @@ from .congruence import (
     is_prime,
     make_report,
     packed_report,
-    rem_mod,
 )
 from .errors import (
     InternalError,
     InvalidParamsError,
     SingularSpecialization,
 )
-from .poly import ONE, ZERO, IntPoly
+from .poly import ONE, ZERO
 from .qcomb import BINOMIAL_MEMO, LaurentPoly, q_int, q_pochhammer_eval
 
 
@@ -327,31 +326,24 @@ def check_symmetric_identity(a, b):
 def check_thm2(p, a, b):
     """The mod [p]^2 refinement for pairs (claim id thm2).
 
-    Verifies the congruence with the right-hand exponent normalized into
-    [0, p-1], and again by a second route: with denominators cleared by
-    q^|e|, the difference D of the two sides must satisfy [p] | D and
-    [p] | D'.  That is exact because [p] = Phi_p is irreducible and
-    separable.  The two routes must agree (anything else is an
-    InternalError).
+    Decided by ``packed_report`` on the packed prefactor and W(p), with the
+    right-hand exponent normalized into [0, p-1]: ``packed_square_congruent``
+    folds each into block sums, multiplies once and checks the result two
+    ways, by dividing out [p] and, on the denominator-cleared difference D
+    of the sides, by [p] | D and [p] | D'.  That is exact because [p] =
+    Phi_p is irreducible and separable.  The two routes must agree
+    (anything else is an InternalError), and a fail is decided again on the
+    unpacked factors, which gives its witness.
     """
     if not is_prime(p):
         raise InvalidParamsError("p must be prime, got %r" % (p,))
     if not _naturals(a, b) or p <= max(a, b):
         raise InvalidParamsError("need integers 0 <= a, b < p")
-    mod_p = q_int(p)
     ab = a_key((a, b))
-    lhs = BINOMIAL_MEMO.prefactor(ab).poly() * BINOMIAL_MEMO.weighted_sum(p, ab).poly()
     e = a * b - math.comb(a, 2) - math.comb(b, 2)
-    signed = mod_p if _sign(a - b) > 0 else -mod_p
-    report = congruence_report("thm2", {"p": p, "a": a, "b": b}, (lhs,),
-                               signed.shift(e % p), p, 2)
-    cleared = lhs.shift(max(-e, 0)) - signed.shift(max(e, 0))
-    derivative = IntPoly._make([i * c for i, c in enumerate(cleared.coeffs)][1:])
-    ok_clear = not rem_mod(cleared, p) and not rem_mod(derivative, p)
-    if (report.status == PASS) != ok_clear:
-        raise InternalError(
-            "normalized and cleared checks disagree at p=%d a=%d b=%d" % (p, a, b))
-    return report
+    return packed_report("thm2", {"p": p, "a": a, "b": b},
+                         (BINOMIAL_MEMO.prefactor(ab), BINOMIAL_MEMO.weighted_sum(p, ab)),
+                         p, rhs=(_sign(a - b), e % p))
 
 
 # --- the balanced 3phi2 summation at rational points ---------------------------------

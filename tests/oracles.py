@@ -8,7 +8,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from qcong import qcomb, theorems
-from qcong.poly import ONE, ZERO, Packed, _pack_nonneg, _slot_bytes
+from qcong.congruence import congruence_report, rem_mod
+from qcong.poly import ONE, ZERO, IntPoly, Packed, _pack_nonneg, _slot_bytes
 from qcong.qcomb import q_binomial, q_factorial, q_int, q_pochhammer_eval
 from qcong.sweep import run_instance
 
@@ -97,6 +98,28 @@ def execute_each(instances):
     return [run_instance(item) for item in instances]
 
 
+def thm2_full_product(p, a, b):
+    """thm2 on the full product of the unpacked prefactor and W(p), by two
+    routes: long division modulo [p]^2, and [p] dividing both the
+    denominator-cleared difference D of the sides and D'.  Raises
+    AssertionError if they disagree; ``theorems.check_thm2`` decides on
+    pair folds of the packed factors and never builds the product on a
+    pass.
+    """
+    ab = theorems.a_key((a, b))
+    lhs = (qcomb.BINOMIAL_MEMO.prefactor(ab).poly()
+           * qcomb.BINOMIAL_MEMO.weighted_sum(p, ab).poly())
+    e = a * b - math.comb(a, 2) - math.comb(b, 2)
+    signed = q_int(p) if (a - b) % 2 == 0 else -q_int(p)
+    report = congruence_report("thm2", {"p": p, "a": a, "b": b}, (lhs,),
+                               signed.shift(e % p), p, 2)
+    cleared = lhs.shift(max(-e, 0)) - signed.shift(max(e, 0))
+    derivative = IntPoly([i * c for i, c in enumerate(cleared.coeffs)][1:])
+    cleared_pass = not rem_mod(cleared, p) and not rem_mod(derivative, p)
+    assert (report.status == "pass") == cleared_pass, (p, a, b)
+    return report
+
+
 def packed(p):
     """The ``Packed`` form of an IntPoly with nonnegative coefficients."""
     at_one = sum(p.coeffs)
@@ -107,23 +130,20 @@ def packed(p):
 def modulus_shifted(monkeypatch):
     """Corrupt every modulus the checkers name: [n]^e becomes [n+1]^e.
 
-    Shifts the n that ``theorems`` hands to ``packed_report`` (thm1, which
-    then decides on packed integers), ``congruence_report`` and ``rem_mod``,
-    and ``theorems.q_int``, which thm2's right side reads.
+    Shifts the n that ``theorems`` hands to ``packed_report`` (thm1 and
+    thm2, which then decide on packed integers, thm2 against the right side
+    sign * q^shift * [n+1]) and to ``congruence_report`` (the p - 1 lemma).
     """
-    report, rem = theorems.congruence_report, theorems.rem_mod
-    packed_report = theorems.packed_report
+    report, packed_report = theorems.congruence_report, theorems.packed_report
 
     def shifted_report(claim_id, params, factors, rhs, n, e=1, note=None):
         return report(claim_id, params, factors, rhs, n + 1, e, note)
 
-    def shifted_packed_report(claim_id, params, factors, n, note=None):
-        return packed_report(claim_id, params, factors, n + 1, note)
+    def shifted_packed_report(claim_id, params, factors, n, note=None, rhs=None):
+        return packed_report(claim_id, params, factors, n + 1, note, rhs)
 
-    monkeypatch.setattr(theorems, "q_int", lambda n: q_int(n + 1))
     monkeypatch.setattr(theorems, "congruence_report", shifted_report)
     monkeypatch.setattr(theorems, "packed_report", shifted_packed_report)
-    monkeypatch.setattr(theorems, "rem_mod", lambda a, n, e=1: rem(a, n + 1, e))
 
 
 class _BinomialsPlusOne(qcomb.QBinomialCache):

@@ -123,6 +123,23 @@ class TestConfigValidation:
         with pytest.raises(UsageError, match="^%s$" % message):
             _cfg(**{field: flag}).validate()
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("prime_set", 5, "prime_set must be a tuple of primes, got 5"),
+        ("prime_set", {5, 7}, r"prime_set must be a tuple of primes, got \{5, 7\}"),
+        ("prime_set", "57", "prime_set must be a tuple of primes, got '57'"),
+        ("prime_set", [5, 7], r"prime_set must be a tuple of primes, got \[5, 7\]"),
+        ("fail_fast", "no", "fail_fast must be True or False"),
+        ("fail_fast", 0, "fail_fast must be True or False"),
+        ("stable_output", "no", "stable_output must be True or False"),
+        ("stable_output", None, "stable_output must be True or False"),
+    ])
+    def test_mistyped_field_rejected(self, field, value, message):
+        # from Python, not the CLI: a bare prime is not iterable, a list leaves
+        # the frozen config unhashable, and "no" is truthy, so each would fail
+        # with a TypeError or act as true
+        with pytest.raises(UsageError, match="^%s$" % message):
+            _cfg(**{field: value}).validate()
+
 
 class TestEnumeration:
     def test_deterministic_and_deduplicated(self):

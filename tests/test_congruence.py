@@ -24,9 +24,11 @@ from qcong.congruence import (
     is_prime,
     make_report,
     packed_divides,
+    packed_square_congruent,
+    pair_folds,
     rem_mod,
 )
-from qcong.errors import NotDivisibleError
+from qcong.errors import InternalError, NotDivisibleError
 from qcong.poly import ONE, ZERO, IntPoly, _slot_bytes
 from qcong.qcomb import BINOMIAL_MEMO, LaurentPoly, q_int
 from qcong.theorems import a_key
@@ -307,6 +309,85 @@ def test_packed_decision_needs_slots_for_the_product(p, w):
     assert p * w - 1 in (1 << 32, 1 << 64) and max(f.k for f in factors) in (4, 8)
     assert packed_divides(factors, 2) is False
     assert _list_divides(factors, 2) is False
+
+
+# --- thm2 decided on pair folds ------------------------------------------------------
+
+def _list_pair_fold(poly, n):
+    """(A, B) of a polynomial's length-n blocks P_j: A = sum_j P_j and
+    B = sum_j j*P_j, read off ``fold``, which writes P modulo (q^n - 1)^2
+    as (A - B) + q^n B."""
+    c = list(fold(poly, n, 2).coeffs) + [0] * 2 * n
+    return [c[r] + c[n + r] for r in range(n)], c[n:2 * n]
+
+
+def test_pair_folds_match_the_list_fold():
+    # F*G == S + (q^n - 1) T modulo (q^n - 1)^2, S and T the pair fold of the
+    # full product; coefficients below 2, 2^8, ..., 2^140 give slots of 1 to
+    # 40 bytes, and factors shorter than n or zero are included
+    rng = random.Random(2015)
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        top = 1 << rng.choice((1, 8, 16, 40, 70, 140))
+        f, g = (IntPoly([rng.randrange(top) for _ in range(rng.randint(0, 5 * n))])
+                for _ in range(2))
+        assert pair_folds((packed(f), packed(g)), n) == _list_pair_fold(f * g, n), (n, f, g)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_pair_folds_widen_slots_for_b(n):
+    # F = 255 q^(8n) fills its one-byte slot, and sits in block 8, so
+    # B = 8 * 255 needs two bytes: summing B in F's own slots would carry
+    f = IntPoly([0] * 8 * n + [255])
+    assert packed(f).k == 1
+    want_a, want_b = [255] + [0] * (n - 1), [8 * 255] + [0] * (n - 1)
+    assert pair_folds((packed(f), packed(ONE)), n) == (want_a, want_b)
+    assert _list_pair_fold(f, n) == (want_a, want_b)
+
+
+def test_pair_folds_are_checked_against_the_values_at_one():
+    # S sums to A_F(1) A_G(1), which must be the F(1) G(1) the factors carry
+    f = packed(IntPoly([3, 1, 4, 1, 5]))
+    assert sum(pair_folds((f, f), 2)[0]) == 14 * 14
+    with pytest.raises(InternalError, match=r"S sums to 196, not to F\(1\) G\(1\) = 210"):
+        pair_folds((f._replace(at_one=15), f), 2)
+
+
+def test_packed_square_decision_matches_the_list_route():
+    # every sign s and shift t at (p, 2) for every (a, b) < p: 7,992 right
+    # sides s q^t [p], of which only the one thm2 names passes
+    verdicts = {True: 0, False: 0}
+    for p in (5, 7, 11, 13):
+        for a in range(p):
+            for b in range(p):
+                ab = a_key((a, b))
+                factors = (BINOMIAL_MEMO.prefactor(ab), BINOMIAL_MEMO.weighted_sum(p, ab))
+                unpacked = tuple(f.poly() for f in factors)
+                for sign in (1, -1):
+                    for t in range(p):
+                        got = packed_square_congruent(factors, sign, t, p)
+                        want = congruence_report("thm2", {}, unpacked,
+                                                 sign * q_int(p).shift(t), p, 2)
+                        assert got == (want.status == PASS), (p, a, b, sign, t)
+                        verdicts[got] += 1
+    assert sum(verdicts.values()) == 7992 and verdicts[True] == 25 + 49 + 121 + 169
+
+
+def test_packed_square_decision_at_small_moduli():
+    # [1]^2 = 1 divides anything; a zero product is never +-q^t [n] modulo
+    # [n]^2 for n >= 2
+    one, zero = packed(ONE), packed(ZERO)
+    assert packed_square_congruent((one, one), 1, 0, 1) is True
+    assert packed_square_congruent((zero, one), -1, 0, 1) is True
+    for n in (2, 3, 7):
+        for sign in (1, -1):
+            assert packed_square_congruent((zero, one), sign, n - 1, n) is False
+    # [2] == q^0 [2] == -q [2] modulo [2]^2, since [2] + q [2] = [2]^2; but
+    # [2]^2 == 0 is neither
+    pair = packed(IntPoly([1, 1]))
+    for g, rhs, want in ((one, (1, 0), True), (one, (-1, 1), True), (one, (1, 1), False),
+                         (one, (-1, 0), False), (pair, (1, 0), False), (pair, (-1, 1), False)):
+        assert packed_square_congruent((pair, g), *rhs, 2) is want, (g, rhs)
 
 
 def test_is_prime_small():

@@ -13,6 +13,7 @@ from oracles import (
     multinom_factor_oracle,
     pfaff_lhs_oracle,
     steps_plus_one,
+    thm2_full_product,
     weighted_sum_oracle,
     weighted_sum_plus_modulus,
     weighted_sums_plus_one,
@@ -348,25 +349,65 @@ def test_thm2_lhs_symmetric_in_a_b():
 
 
 def test_thm2_cross_check_catches_a_fold_without_its_b_term(monkeypatch):
-    # a mutant fold that reduces mod [n]^2 as if y^j == 1 (dropping B) breaks
-    # the first route only; the derivative route folds mod [p] and must disagree
-    fold = congruence.fold
+    # a mutant pair fold that drops B = sum_j j*F_j, reducing modulo
+    # (q^p - 1)^2 as if y^j == 1, moves T.  Both packed routes read the same
+    # S and T, so they agree and mostly fail; each fail is decided again on
+    # the unpacked factors, which pass, and that raises: the mutant never
+    # reaches a verdict fail
+    block_sums = congruence._block_sums
 
-    def without_b(a, n, e):
-        c = a.coeffs
-        if e == 2 and n > 1 and len(c) > 2 * n:
-            return IntPoly([sum(c[i::n]) for i in range(n)])
-        return fold(a, n, e)
+    def without_b(value, block_bits, blocks, weighted=False):
+        return block_sums(value, block_bits, blocks)[0], 0
 
-    monkeypatch.setattr(congruence, "fold", without_b)
+    monkeypatch.setattr(congruence, "_block_sums", without_b)
     raised = 0
     for a in range(7):
         for b in range(7):
             try:
                 assert check_thm2(7, a, b).status == "pass"
-            except InternalError:
+            except InternalError as exc:
+                assert "packed residue modulo [7]^2 is nonzero" in str(exc)
                 raised += 1
     assert raised > 0
+
+
+def test_thm2_matches_the_full_product_route():
+    # every (p, a, b) with p <= 23: 1,556 instances, decided on pair folds and
+    # by the full product's long division and derivative route
+    checked = 0
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+        for a in range(p):
+            for b in range(p):
+                assert check_thm2(p, a, b) == thm2_full_product(p, a, b), (p, a, b)
+                checked += 1
+    assert checked == 1556
+
+
+def test_thm2_pass_multiplies_and_divides_no_polynomial(monkeypatch):
+    # a pass is decided on the packed prefactor and W(p), built cold here:
+    # no IntPoly multiply and no long division
+    p, a, b = 11, 4, 3
+    assert len(multinom_factor([a, b]).coeffs) > p  # both factors are long
+    assert len(weighted_sum(p, [a, b]).coeffs) > 2 * p
+    qcomb.BINOMIAL_MEMO.clear()
+    calls = []
+    mul, divrem_lists = poly.IntPoly.__mul__, poly._divrem_lists
+    monkeypatch.setattr(poly.IntPoly, "__mul__",
+                        lambda self, other: calls.append("mul") or mul(self, other))
+    monkeypatch.setattr(poly, "_divrem_lists",
+                        lambda a, b: calls.append("divrem") or divrem_lists(a, b))
+    assert check_thm2(p, a, b).status == "pass"
+    assert calls == []
+    # the checks still count: a fail multiplies and divides, for its witness
+    modulus_shifted(monkeypatch)
+    assert check_thm2(p, a, b).status == "fail"
+    assert "mul" in calls and "divrem" in calls
+
+
+def test_thm2_packed_fail_that_the_list_route_passes_raises(monkeypatch):
+    monkeypatch.setattr(congruence, "packed_square_congruent", lambda *args: False)
+    with pytest.raises(InternalError, match=r"thm2 .* packed residue modulo \[5\]\^2"):
+        check_thm2(5, 1, 2)
 
 
 def test_thm2_validation():
