@@ -339,7 +339,7 @@ def packed_square_congruent(factors, sign, shift, n):
     return divided
 
 
-def packed_report(claim_id, params, factors, n, note=None, rhs=None):
+def packed_report(claim_id, params, factors, n, note=None, rhs=None, unpacked=None):
     """Report whether [n] divides the product of packed ``factors`` or, for
     rhs = (sign, shift) and two factors, whether their product is
     sign * q^shift * [n] modulo [n]^2.
@@ -347,7 +347,9 @@ def packed_report(claim_id, params, factors, n, note=None, rhs=None):
     ``packed_divides`` or ``packed_square_congruent`` decides a pass alone.
     A fail is decided again by ``congruence_report`` on the unpacked
     factors, which gives the witness; if that route passes, the packed
-    route is broken and InternalError is raised.
+    route is broken and InternalError is raised.  A caller that hands in a
+    factor already folded passes ``unpacked``, which returns the factors in
+    full, so the witness shows the full product.
     """
     if rhs is None:
         e, target = 1, ZERO
@@ -358,8 +360,8 @@ def packed_report(claim_id, params, factors, n, note=None, rhs=None):
         passed = packed_square_congruent(factors, sign, shift, n)
     if passed:
         return make_report(claim_id, params, PASS, note=note)
-    report = congruence_report(claim_id, params, tuple(f.poly() for f in factors),
-                               target, n, e, note=note)
+    full = unpacked() if unpacked else tuple(f.poly() for f in factors)
+    report = congruence_report(claim_id, params, full, target, n, e, note=note)
     if report.status == PASS:
         raise InternalError("%s %r: the packed residue modulo [%d]%s is nonzero, the "
                             "unpacked one zero" % (claim_id, params, n, "^2" * (e - 1)))

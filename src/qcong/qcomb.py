@@ -8,23 +8,29 @@ Notation used throughout the package:
                  zero whenever k < 0, k > n, or n < 0
     (x;q)_k    = (1-x)(1-xq)...(1-xq^(k-1))     (q-Pochhammer; empty = 1)
 
-Every product of Gaussian binomials is built one way, as one integer at
-q = X = 2^(8k), the k-byte slots holding its value at q = 1: from 1, by
-gauss(n, i+1) = gauss(n, i) (X^(n-i) - 1) / (X^(i+1) - 1), a shift-subtract
-and a checked exact division (``_times_gauss``).  That builds
-``q_binomial``, the thm1 prefactor [A+1]!/prod_i [a_i]! and the first row
-of the weighted sum W(n) = sum_{h<n} q^h prod_i gauss(h, a_i); each later
-row of W follows from the last by the same two operations.  A division that
-is not exact, or unpacked coefficients that do not sum to the value at
-q = 1, raise InternalError, so a corrupted step never reaches a verdict.
+Every product of Gaussian binomials in full is built one way, as one
+integer at q = X = 2^(8k), the k-byte slots holding its value at q = 1:
+from 1, by gauss(n, i+1) = gauss(n, i) (X^(n-i) - 1) / (X^(i+1) - 1), a
+shift-subtract and a checked exact division (``_times_gauss``).  That
+builds ``q_binomial``, the thm1 prefactor [A+1]!/prod_i [a_i]! and the
+first row of the weighted sum W(n) = sum_{h<n} q^h prod_i gauss(h, a_i);
+each later row of W follows from the last by the same two operations.
+W(n) modulo q^n - 1, all thm1 needs, is built another way, in n slots
+(``QBinomialCache.folded_weighted_sum``): each row is a product of
+gauss(h, a_i) modulo X^n - 1, read off a table built by q-Pascal with adds
+and rotations.  A division that is not exact, or unpacked coefficients that
+do not sum to the value at q = 1, raise InternalError, so a corrupted step
+never reaches a verdict.
 
 ``BINOMIAL_MEMO``, the package's one memo, holds them under flat keys:
-``(n, k)``, ``(a_key,)`` and ``(n, a_key)``, in one table with one bound;
-each worker process of a sweep holds its own copy.  A binomial is held as
-an IntPoly; the prefactor and W(n) stay packed (``poly.Packed``), and a
-caller that wants an IntPoly unpacks one.  An a-list is keyed on its
-sorted nonzero entries, since gauss(h, 0) = [0]! = 1.  Every checker in
-:mod:`qcong.theorems` asks the memo, never ``q_binomial`` directly.
+``(n, k)``, ``(a_key,)``, ``(n, a_key)`` and, for the q-Pascal table
+modulo X^n - 1 in k-byte slots, ``("pascal", n, k)``, in one table with
+one bound; each worker process of a sweep holds its own copy.  A binomial
+is held as an IntPoly; the prefactor and W(n) stay packed
+(``poly.Packed``), and a caller that wants an IntPoly unpacks one.  An
+a-list is keyed on its sorted nonzero entries, since gauss(h, 0) = [0]! =
+1.  Every checker in :mod:`qcong.theorems` asks the memo, never
+``q_binomial`` directly.
 
 ``LaurentPoly`` extends the kernel with negative powers of q for identities
 whose natural exponents dip below zero.
@@ -45,6 +51,7 @@ from .poly import (
     IntPoly,
     Packed,
     _format_terms,
+    _pack_nonneg,
     _repack,
     _slot_bytes,
     _unpack_nonneg,
@@ -127,6 +134,18 @@ def _div_pow2_minus_one(value, s, width):
     return quot
 
 
+def rows_at_one(a_key, lo, hi):
+    """sum_{lo <= h < hi} prod_i C(h, a_i): rows lo..hi-1 of W at q = 1.
+    The rows below max(a_i) vanish and are skipped."""
+    total = 0
+    for h in range(max(lo, a_key[-1] if a_key else 0), hi):
+        row = 1
+        for a in a_key:
+            row *= comb(h, a)
+        total += row
+    return total
+
+
 def _require_key(a_key):
     """Raise ValueError unless ``a_key`` is a sorted tuple of a_i >= 1, the
     key ``theorems.a_key`` gives an a-list (empty for one of zeros alone)."""
@@ -155,10 +174,12 @@ class QBinomialCache:
     A prefactor is keyed on ``(a_key,)`` and a weighted sum on
     ``(n, a_key)``, ``a_key`` an a-list's sorted nonzero entries; both are
     held packed, as a ``poly.Packed`` whose slots hold its value at q = 1,
-    and the weighted sum's entry also holds its last row.  All share one
-    table and one bound, with insertion-ordered eviction (oldest entry
-    first).  Cached values are immutable, so a hit is indistinguishable
-    from a fresh computation.
+    and the weighted sum's entry also holds its last row.  The q-Pascal
+    table that W(n) modulo q^n - 1 is read from is keyed on
+    ``("pascal", n, k)``; W(n) modulo q^n - 1 itself is not stored.  All
+    share one table and one bound, with insertion-ordered eviction (oldest
+    entry first).  Cached values are immutable, so a hit is
+    indistinguishable from a fresh computation.
     """
 
     __slots__ = ("max_entries", "_table")
@@ -197,11 +218,11 @@ class QBinomialCache:
         """W(n) = sum_{h<n} q^h prod_i gauss(h, a_i), packed, over an a-list's key.
 
         Computed as one integer at X = 2^(8k), the slots holding W(1) =
-        sum_{h<n} prod_i C(h, a_i), which no coefficient of W(n), of a row
-        or of a step between rows exceeds.  The first row, h = max(a_i),
-        comes from ``_times_gauss``.  Row h follows from row h - 1 since
-        gauss(h, a) = gauss(h-1, a) [h] / [h-a]: for each a_i, one
-        shift-subtract (times X^h - 1) and one exact division by
+        sum_{h<n} prod_i C(h, a_i) (``rows_at_one``), which no coefficient
+        of W(n), of a row or of a step between rows exceeds.  The first row,
+        h = max(a_i), comes from ``_times_gauss``.  Row h follows from row
+        h - 1 since gauss(h, a) = gauss(h-1, a) [h] / [h-a]: for each a_i,
+        one shift-subtract (times X^h - 1) and one exact division by
         X^(h-a_i) - 1.  The rows are summed, row h shifted by h slots, and
         their sum is checked, unpacked, to add up to B = sum_h prod_i
         C(h, a_i) over the rows added.
@@ -227,7 +248,7 @@ class QBinomialCache:
             if base is not None:
                 h, (held, row) = below, base
                 break
-        bound = sum(prod([comb(j, a) for a in a_key]) for j in range(h, n))
+        bound = rows_at_one(a_key, h, n)
         k = _slot_bytes(held.at_one + bound)
         bits = 8 * k
         if row is None:
@@ -249,6 +270,82 @@ class QBinomialCache:
         total = Packed(_repack(held.value, held.k, held.size, k) + (part << bits * h),
                        k, n + degree, held.at_one + bound)
         return self._store(key, (total, row))[0]
+
+    def within_one_row(self, n, a_key):
+        """True when ``weighted_sum(n, a_key)`` adds at most one row: W(n) or
+        W(n - 1) is held, or W(n - 1) is zero since n - 1 <= max(a_i)."""
+        return (n - 1 <= (a_key[-1] if a_key else 0) or (n - 1, a_key) in self._table
+                or (n, a_key) in self._table)
+
+    def folded_weighted_sum(self, n, a_key):
+        """W(n) modulo q^n - 1, packed in n slots of k = _slot_bytes(W(1))
+        bytes, W(1) being its value at q = 1 (``rows_at_one``).
+
+        Each row prod_i gauss(h, a_i) is the product of its entries in
+        ``_pascal_columns``, one multiply per a_i after the first, each
+        followed by one fold that adds the high n slots onto the low n.  The
+        rows are added, row h shifted by h slots, and folded once more.  A
+        row's coefficients sum to prod_i C(h, a_i), so nothing on the way
+        exceeds W(1); the rows are taken in slots that also hold every table
+        entry's C(h, a), wider than k only when max(a_i) > (n - 1)/2, and
+        packed back into k bytes.  The n slots, unpacked, must sum to W(1),
+        or InternalError is raised.  n <= max(a_i) gives zero.  Only the
+        table is stored.
+        """
+        _require_key(a_key)
+        top = a_key[-1] if a_key else 0
+        if n <= top:
+            return _NO_ROWS
+        at_one = rows_at_one(a_key, top, n)
+        k = _slot_bytes(at_one)
+        wide = max(k, _slot_bytes(comb(n - 1, min(top, (n - 1) // 2))))
+        bits = 8 * wide
+        width = bits * n
+        mask = (1 << width) - 1
+        columns = self._pascal_columns(n, wide, top)
+        first, *rest = [columns[a] for a in a_key] or [columns[0]]
+        total = 0
+        for h in range(top, n):
+            row = first[h]
+            for column in rest:
+                row *= column[h]
+                row = (row & mask) + (row >> width)
+            total += row << bits * h
+        total = (total & mask) + (total >> width)
+        slots = _unpack_nonneg(total, wide, n)
+        if sum(slots) != at_one:
+            raise InternalError("W(%d) for %r modulo q^%d - 1: slots do not sum to %d"
+                                % (n, a_key, n, at_one))
+        return Packed(total if wide == k else _pack_nonneg(slots, k), k, n, at_one)
+
+    def _pascal_columns(self, n, k, top):
+        """Columns 0..top, at least, of gauss(h, a) modulo X^n - 1 at X =
+        2^(8k): column a holds rows h = 0..n-1, each an n-slot integer.
+        Needs top < n, and k-byte slots that hold C(h, a) for every h < n
+        and a <= top.
+
+        Built by q-Pascal, gauss(h, a) = gauss(h-1, a-1) + q^a gauss(h-1, a),
+        where q^a times an n-slot value rotates it by a slots; gauss(h, a) is
+        0 for h < a and 1 for h = a.  Held under ``("pascal", n, k)`` and
+        extended by the columns a caller lacks.
+        """
+        key = ("pascal", n, k)
+        columns = self._table.get(key, ())
+        if len(columns) > top:
+            return columns
+        bits = 8 * k
+        width = bits * n
+        mask = (1 << width) - 1
+        grown = list(columns) or [(1,) * n]
+        for a in range(len(grown), top + 1):
+            left = grown[a - 1]
+            column = [0] * a + [1]
+            for h in range(a + 1, n):
+                turned = column[h - 1] << bits * a
+                column.append(left[h - 1] + (turned & mask) + (turned >> width))
+            grown.append(tuple(column))
+        self._table.pop(key, None)
+        return self._store(key, tuple(grown))
 
     def _store(self, key, value):
         if len(self._table) >= self.max_entries:

@@ -78,7 +78,8 @@ checker takes a cache argument.  The memo takes the prefactor's and W's
 a-list as its key ``a_key``, the sorted nonzero entries, so every
 permutation of one a-list, with or without zeros, shares its entries
 (gauss(h, 0) = [0]! = 1).  thm1, q1 and thm2 read their a-list through
-that key once and hand it to both memo calls.  The memo builds both as
+that key once and hand it to both memo calls; q1 sums its rows at q = 1
+with the memo's own ``qcomb.rows_at_one``.  The memo builds both as
 packed integers, one checked step at a time, so a corrupted step raises
 InternalError instead of reaching a verdict.  The recurrence's own memo is
 local to one call.
@@ -87,11 +88,13 @@ Each congruence names its modulus [n]^e by the pair (n, e): thm1 and the
 p - 1 lemma take (n, 1), thm2 takes (p, 2).  thm1 and thm2 hand their
 packed prefactor and weighted sum to ``packed_report``, which decides on
 the integers.  For thm1 each is folded modulo X^n - 1, the folds are
-multiplied and folded again, and [n] divides iff all n slots are equal.
-For thm2 each is folded into its pair of block sums modulo (X^p - 1)^2,
-one multiply gives the product's pair, and both routes above are read off
-that pair.  Only a fail unpacks them, to decide again by long division
-and render the witness.
+multiplied and folded again, and [n] divides iff all n slots are equal;
+unless the memo's W(n) is at most one row away, thm1 asks it for W(n)
+modulo q^n - 1 alone.  For thm2 each is folded into its pair of block
+sums modulo (X^p - 1)^2, one multiply gives the product's pair, and both
+routes above are read off that pair.  Only a fail unpacks them, to decide
+again by long division and render the witness; thm1 then builds W(n) in
+full.
 """
 
 from __future__ import annotations
@@ -115,7 +118,7 @@ from .errors import (
     SingularSpecialization,
 )
 from .poly import ONE, ZERO
-from .qcomb import BINOMIAL_MEMO, LaurentPoly, q_int, q_pochhammer_eval
+from .qcomb import BINOMIAL_MEMO, LaurentPoly, q_int, q_pochhammer_eval, rows_at_one
 
 
 def _naturals(*values):
@@ -170,11 +173,24 @@ def weighted_sum(n, a_list):
 
 
 def check_thm1(n, a_list):
-    """Divisibility of the prefactored weighted sum by [n] (claim id thm1)."""
+    """Divisibility of the prefactored weighted sum by [n] (claim id thm1).
+
+    W(n) comes from the memo's extension when that adds at most one row
+    (``within_one_row``: W(n) or W(n - 1) is held, or W(n - 1) is zero);
+    otherwise only W(n) modulo q^n - 1 is built (``folded_weighted_sum``),
+    all [n] needs.  A fail is decided again on the full W(n), which gives
+    the witness.
+    """
     key = a_key(_a_tuple(n, a_list))
-    w = BINOMIAL_MEMO.weighted_sum(n, key)
-    return packed_report("thm1", a_params(n, a_list), (BINOMIAL_MEMO.prefactor(key), w),
-                         n, note=None if w.value else VANISHING_SUM)
+    if BINOMIAL_MEMO.within_one_row(n, key):
+        w = BINOMIAL_MEMO.weighted_sum(n, key)
+    else:
+        w = BINOMIAL_MEMO.folded_weighted_sum(n, key)
+    prefactor = BINOMIAL_MEMO.prefactor(key)
+    return packed_report("thm1", a_params(n, a_list), (prefactor, w), n,
+                         note=None if w.value else VANISHING_SUM,
+                         unpacked=lambda: (prefactor.poly(),
+                                           BINOMIAL_MEMO.weighted_sum(n, key).poly()))
 
 
 def q1_check(n, a_list):
@@ -188,14 +204,7 @@ def q1_check(n, a_list):
     factor, rem = divmod(numer, denom)
     if rem:
         raise InternalError("integer multinomial quotient not exact")
-    total = 0
-    for h in range(n):
-        term = 1
-        for a in a_tuple:
-            term *= math.comb(h, a)
-            if term == 0:
-                break
-        total += term
+    total = rows_at_one(a_tuple, 0, n)
     return integer_report("q1", a_params(n, a_list), factor * total, n,
                           note=VANISHING_SUM if total == 0 else None)
 

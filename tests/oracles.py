@@ -5,10 +5,9 @@ fail branch."""
 import json
 import math
 from fractions import Fraction
-from types import SimpleNamespace
 
 from qcong import qcomb, theorems
-from qcong.congruence import congruence_report, rem_mod
+from qcong.congruence import _block_sums, congruence_report, fold, rem_mod
 from qcong.poly import ONE, ZERO, IntPoly, Packed, _pack_nonneg, _slot_bytes
 from qcong.qcomb import q_binomial, q_factorial, q_int, q_pochhammer_eval
 from qcong.sweep import run_instance
@@ -127,23 +126,38 @@ def packed(p):
     return Packed(_pack_nonneg(p.coeffs, k), k, len(p.coeffs), at_one)
 
 
+def folded(w, n):
+    """The ``Packed`` w folded modulo X^n - 1 by ``congruence._block_sums``,
+    in w's own slots: what ``QBinomialCache.folded_weighted_sum(n, key)``
+    must equal for w = ``weighted_sum(n, key)``."""
+    value, _ = _block_sums(w.value, 8 * w.k * n, -(-w.size // n))
+    return Packed(value, w.k, min(w.size, n), w.at_one)
+
+
 def modulus_shifted(monkeypatch):
     """Corrupt every modulus the checkers name: [n]^e becomes [n+1]^e.
 
     Shifts the n that ``theorems`` hands to ``packed_report`` (thm1 and
     thm2, which then decide on packed integers, thm2 against the right side
     sign * q^shift * [n+1]) and to ``congruence_report`` (the p - 1 lemma).
+    thm1's W(n) modulo q^n - 1 becomes W(n) modulo q^(n+1) - 1, folded from
+    the full W(n), so thm1 decides on what it would decide on unfolded.
     """
     report, packed_report = theorems.congruence_report, theorems.packed_report
 
     def shifted_report(claim_id, params, factors, rhs, n, e=1, note=None):
         return report(claim_id, params, factors, rhs, n + 1, e, note)
 
-    def shifted_packed_report(claim_id, params, factors, n, note=None, rhs=None):
-        return packed_report(claim_id, params, factors, n + 1, note, rhs)
+    def shifted_packed_report(claim_id, params, factors, n, note=None, rhs=None,
+                              unpacked=None):
+        return packed_report(claim_id, params, factors, n + 1, note, rhs, unpacked)
+
+    def shifted_fold(memo, n, a_key):
+        return folded(memo.weighted_sum(n, a_key), n + 1)
 
     monkeypatch.setattr(theorems, "congruence_report", shifted_report)
     monkeypatch.setattr(theorems, "packed_report", shifted_packed_report)
+    monkeypatch.setattr(qcomb.QBinomialCache, "folded_weighted_sum", shifted_fold)
 
 
 class _BinomialsPlusOne(qcomb.QBinomialCache):
@@ -163,12 +177,12 @@ def binomials_plus_one(monkeypatch):
 
 class _WeightedSumsPlus(qcomb.QBinomialCache):
     """Stand-in for ``BINOMIAL_MEMO`` whose every W(n) is off by ``offset(n)``,
-    as a whole.
+    as a whole, and every W(n) modulo q^n - 1 by ``offset(n)`` folded.
 
     Each W(n) is built and stored correctly in its own table, and only the
     value handed out is corrupted, packed as the memo hands out W, so no
     corrupted value seeds a later W and thm1 decides on the corrupted
-    integer.
+    integer by either route.
     """
 
     def __init__(self, offset):
@@ -177,6 +191,10 @@ class _WeightedSumsPlus(qcomb.QBinomialCache):
 
     def weighted_sum(self, n, a_key):
         return packed(super().weighted_sum(n, a_key).poly() + self.offset(n))
+
+    def folded_weighted_sum(self, n, a_key):
+        w = super().folded_weighted_sum(n, a_key).poly() + self.offset(n)
+        return packed(fold(w, n, 1))
 
 
 def weighted_sums_plus_one(monkeypatch):
@@ -200,7 +218,10 @@ def steps_plus_one(monkeypatch):
 
 
 def comb_row_zero_is_one(monkeypatch):
-    """q1's integer binomials, each one too large in the row h = 0."""
-    fake = SimpleNamespace(factorial=math.factorial,
-                           comb=lambda h, a: math.comb(h, a) + (h == 0))
-    monkeypatch.setattr(theorems, "math", fake)
+    """q1's sum of rows at q = 1 with its row h = 0 taken as 1, which it is
+    only for an a-list of zeros: ``qcomb.rows_at_one`` as ``theorems`` sees
+    it, one too large from lo = 0 on a nonempty key.  W's bounds, which
+    ``qcomb`` takes itself, stay true."""
+    rows = qcomb.rows_at_one
+    monkeypatch.setattr(theorems, "rows_at_one",
+                        lambda key, lo, hi: rows(key, lo, hi) + (bool(key) and lo == 0 < hi))

@@ -1,11 +1,13 @@
 """q-object tests: defining values, oracle agreement, structural properties."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 from oracles import (
+    folded,
     multinom_factor_oracle,
     q_binomial_oracle,
     q_pochhammer_oracle,
@@ -13,6 +15,7 @@ from oracles import (
 )
 
 from qcong import poly, qcomb
+from qcong.congruence import packed_divides
 from qcong.errors import InternalError
 from qcong.poly import ONE, ZERO, IntPoly, _slot_bytes
 from qcong.qcomb import (
@@ -23,6 +26,7 @@ from qcong.qcomb import (
     q_factorial,
     q_int,
     q_pochhammer_eval,
+    rows_at_one,
 )
 from qcong.theorems import a_key
 
@@ -283,6 +287,8 @@ def test_weighted_sum_rejects_an_a_list_not_sorted(a_sorted):
     # nonzero entries
     with pytest.raises(ValueError, match="sorted tuple"):
         QBinomialCache().weighted_sum(6, a_sorted)
+    with pytest.raises(ValueError, match="sorted tuple"):
+        QBinomialCache().folded_weighted_sum(6, a_sorted)
 
 
 def test_weighted_sum_evicting_mid_build():
@@ -329,6 +335,97 @@ class TestPackedWeightedSum:
         for key in sorted(want) + sorted(want, reverse=True):
             assert _unpacked(small.weighted_sum(*key)) == want[key], key
             assert len(small) <= 4
+
+
+# --- W(n) modulo q^n - 1 ------------------------------------------------------------
+
+# (n, key) pairs on either side of each slot-width boundary of W(1): the width
+# grows between n and n + 1
+_WIDTH_STEPS = ((23, (1,)), (36, (3,)), (37, (1, 8)), (39, (3, 7, 8)),
+                (9, (2, 7, 8, 8)), (38, (8, 8, 8, 8, 8)))
+
+
+def _assert_folded_matches_full(memo, n, key):
+    """The folded route equals the full W(n) folded by block sums, in value,
+    k, size and at_one, and [n] divides the same products with either."""
+    got = memo.folded_weighted_sum(n, key)
+    full = memo.weighted_sum(n, key)
+    assert got == folded(full, n), (n, key)
+    prefactor = memo.prefactor(key)
+    assert packed_divides((prefactor, got), n) == packed_divides((prefactor, full), n)
+
+
+class TestFoldedWeightedSum:
+    """W(n) modulo q^n - 1 read off the q-Pascal table, against the full W(n)."""
+
+    def test_every_key_of_three_entries_in_1_to_6(self):
+        memo = QBinomialCache()
+        for m in range(4):
+            for key in itertools.combinations_with_replacement(range(1, 7), m):
+                for n in range(1, 31):
+                    _assert_folded_matches_full(memo, n, key)
+
+    def test_seeded_wide_keys(self):
+        rng = random.Random(22)
+        memo = QBinomialCache()
+        for _ in range(300):
+            key = a_key([rng.randint(1, 8) for _ in range(rng.randint(1, 5))])
+            _assert_folded_matches_full(memo, rng.randint(1, 40), key)
+
+    def test_cases_straddle_every_slot_width_boundary(self):
+        steps = [(_slot_bytes(rows_at_one(key, 0, n)), _slot_bytes(rows_at_one(key, 0, n + 1)))
+                 for n, key in _WIDTH_STEPS]
+        assert sorted(steps) == [(1, 2), (1, 4), (2, 4), (4, 8), (8, 16), (16, 24)]
+
+    @pytest.mark.parametrize("n, key", _WIDTH_STEPS)
+    def test_either_side_of_a_slot_width_boundary(self, n, key):
+        memo = QBinomialCache()
+        _assert_folded_matches_full(memo, n, key)
+        _assert_folded_matches_full(memo, n + 1, key)
+
+    def test_table_wider_than_w(self):
+        # W(12) for (8,) sums to C(12, 9) = 220, one byte, but the table's
+        # column 5 holds C(11, 5) = 462: the rows are taken in two-byte slots
+        # and the result is packed back into one
+        assert (rows_at_one((8,), 0, 12), math.comb(11, 5)) == (220, 462)
+        memo = QBinomialCache()
+        got = memo.folded_weighted_sum(12, (8,))
+        assert got.k == 1
+        _assert_folded_matches_full(memo, 12, (8,))
+        assert ("pascal", 12, 2) in memo._table
+
+    @pytest.mark.parametrize("n, key", [(3, (3,)), (5, (2, 5)), (1, (1,)), (4, (4, 4))])
+    def test_no_rows_below_max_a(self, n, key):
+        memo = QBinomialCache()
+        assert memo.folded_weighted_sum(n, key) == (0, 1, 0, 0)
+        _assert_folded_matches_full(memo, n, key)
+        assert len(memo) == 1  # the prefactor alone: no table, no W
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_empty_key_is_q_int(self, n):
+        memo = QBinomialCache()
+        got = memo.folded_weighted_sum(n, ())
+        assert (got.poly(), got.at_one) == (q_int(n), n)
+        _assert_folded_matches_full(memo, n, ())
+
+    def test_table_holds_only_the_columns_asked_for(self):
+        # all three W(12) take two-byte slots
+        memo = QBinomialCache()
+        memo.folded_weighted_sum(12, (1, 3))
+        assert len(memo._table[("pascal", 12, 2)]) == 4  # columns 0..3
+        memo.folded_weighted_sum(12, (1, 2))
+        assert len(memo._table[("pascal", 12, 2)]) == 4
+        memo.folded_weighted_sum(12, (2, 5))
+        assert len(memo._table[("pascal", 12, 2)]) == 6
+        # the table is the only entry: no binomial, prefactor or W is stored
+        assert list(memo._table) == [("pascal", 12, 2)]
+
+
+def test_rows_at_one_matches_a_loop_per_row():
+    for key in ((), (1,), (2, 3), (1, 1, 4)):
+        for lo, hi in ((0, 0), (0, 9), (3, 9), (5, 4)):
+            want = sum(math.prod(math.comb(h, a) for a in key) for h in range(lo, hi))
+            assert rows_at_one(key, lo, hi) == want
 
 
 def test_cache_rejects_nonpositive_bound():

@@ -19,7 +19,7 @@ from oracles import (
     weighted_sums_plus_one,
 )
 
-from qcong import congruence, poly, qcomb, theorems
+from qcong import congruence, poly, qcomb, sweep, theorems
 from qcong.errors import InternalError, InvalidParamsError, SingularSpecialization
 from qcong.poly import ONE, ZERO, IntPoly
 from qcong.qcomb import LaurentPoly, q_binomial, q_factorial, q_int
@@ -573,10 +573,10 @@ def test_fail_branch_witness(monkeypatch, corrupt, check, witness):
 
 
 @pytest.mark.parametrize("check, match", [
-    pytest.param(lambda: check_thm1(5, [1, 2]), r"not a multiple of 2\^", id="thm1-division"),
+    pytest.param(lambda: check_thm1(5, [2, 4]), r"not a multiple of 2\^", id="thm1-division"),
     pytest.param(lambda: check_thm2(7, 3, 3), r"not a multiple of 2\^", id="thm2-division"),
     pytest.param(lambda: q_binomial(6, 3), r"not a multiple of 2\^", id="q_binomial-division"),
-    pytest.param(lambda: check_thm1(5, [3]), r"W\(5\) for \(3,\): .* do not sum to 5",
+    pytest.param(lambda: check_thm1(4, [1, 3]), r"W\(4\) for \(1, 3\): .* do not sum to 3",
                  id="thm1-sum"),
     pytest.param(lambda: check_sum_lemma(4, 2), r"W\(4\) for \(2,\): .* do not sum to 4",
                  id="sum_lemma-sum"),
@@ -591,7 +591,9 @@ def test_corrupted_row_raises_internal_error(monkeypatch, check, match):
     # or, where no later division could see it, only the sum of the unpacked
     # coefficients does.  Either way q_binomial, the prefactor (thm2 builds
     # it first) and W(n) (thm1 builds it first) raise, and no checker
-    # reports a verdict.
+    # reports a verdict.  thm1 builds the full W(n) here since n = max(a_i)
+    # + 1 adds one row; W(n) modulo q^n - 1 takes no division (see
+    # test_folded_row_corrupted_raises_on_the_sum).
     qcomb.BINOMIAL_MEMO.clear()
     steps_plus_one(monkeypatch)
     with pytest.raises(InternalError, match=match):
@@ -640,6 +642,117 @@ def test_packed_fail_that_the_list_route_passes_raises(monkeypatch):
     monkeypatch.setattr(congruence, "packed_divides", lambda factors, n: False)
     with pytest.raises(InternalError, match=r"thm1 .* packed residue modulo \[3\]"):
         check_thm1(3, [1, 2])
+
+
+# --- W(n) modulo q^n - 1: when thm1 builds it, and how a fail is decided ------------
+
+def _folded_builds(monkeypatch):
+    """The (n, key) of every W(n) modulo q^n - 1 built with rows (n > max(a_i))."""
+    seen = []
+    build = qcomb.QBinomialCache.folded_weighted_sum
+
+    def spy(memo, n, key):
+        if n > (key[-1] if key else 0):
+            seen.append((n, key))
+        return build(memo, n, key)
+
+    monkeypatch.setattr(qcomb.QBinomialCache, "folded_weighted_sum", spy)
+    return seen
+
+
+def _table_entry_changed(monkeypatch, h, change):
+    """Every table entry gauss(h, a) for the largest a_i of a key, as
+    ``change(entry, k, n)`` hands it back; the memo keeps the true table."""
+    columns = qcomb.QBinomialCache._pascal_columns
+
+    def changed(memo, n, k, top):
+        out = list(columns(memo, n, k, top))
+        out[top] = out[top][:h] + (change(out[top][h], k, n),) + out[top][h + 1:]
+        return out
+
+    monkeypatch.setattr(qcomb.QBinomialCache, "_pascal_columns", changed)
+
+
+def _turned(entry, k, n):
+    """The n-slot entry times q modulo X^n - 1: rotated one slot further.  Its
+    row then comes out rotated by h + 1 slots, and the slots keep their sum."""
+    turned = entry << 8 * k
+    return (turned & ((1 << 8 * k * n) - 1)) + (turned >> 8 * k * n)
+
+
+def test_within_one_row():
+    memo = qcomb.QBinomialCache()
+    memo.weighted_sum(6, (2, 3))
+    assert memo.within_one_row(6, (2, 3))  # W(6) is held
+    assert memo.within_one_row(7, (2, 3))  # one row past W(6)
+    assert not memo.within_one_row(8, (2, 3))  # W(6) is two rows short
+    assert memo.within_one_row(4, (2, 3))  # W(3) is zero
+    assert not memo.within_one_row(5, (2, 3))  # W(4) is neither zero nor held
+    assert memo.within_one_row(1, ())  # W(0) is zero
+    assert not memo.within_one_row(3, ())
+
+
+def test_thm1_folds_w_unless_one_row_is_left(monkeypatch):
+    qcomb.BINOMIAL_MEMO.clear()
+    folds = _folded_builds(monkeypatch)
+    for n in (9, 8, 4, 5, 6, 7, 8, 9):
+        assert check_thm1(n, [3, 2]).status == "pass"
+    # cold, W(9) and W(8) are folded and not stored; W(4) is its first row,
+    # and each later n adds one row to the last
+    assert folds == [(9, (2, 3)), (8, (2, 3))]
+
+
+def test_thm1_grid_folds_no_w_with_rows(monkeypatch):
+    # the thm1-grid benchmark's sweep: every key meets each n after n - 1
+    qcomb.BINOMIAL_MEMO.clear()
+    folds = _folded_builds(monkeypatch)
+    instances = sweep.enumerate_instances(
+        sweep.SweepConfig(suite="thm1", n_max=22, m_max=3, a_max=5))
+    assert all(r.status == "pass" for r in sweep.execute(instances))
+    assert folds == []
+
+
+def test_wide_samples_fold_most_w(monkeypatch):
+    # the thm1-wide-jobs2 benchmark's samples, checked serially from a cold
+    # memo: a sampled n seldom follows its key's n - 1
+    qcomb.BINOMIAL_MEMO.clear()
+    folds = _folded_builds(monkeypatch)
+    reports = sweep.execute(sweep.thm1_sample_instances(1000, 1, 40, 5, 8))
+    assert all(r.status == "pass" for r in reports)
+    assert sum(r.claim_id == "thm1" for r in reports) == 1000
+    assert len(folds) >= 700
+
+
+def test_folded_fail_takes_the_witness_of_the_full_w(monkeypatch):
+    # row 5 of W(7) modulo q^7 - 1 is rotated one slot too far, and [7]
+    # becomes [8] for the decision alone: the folded W fails, and the fail
+    # is decided again on the full W(7), whose witness is test_fail_branch_witness's
+    qcomb.BINOMIAL_MEMO.clear()
+    fold = qcomb.QBinomialCache.folded_weighted_sum
+    modulus_shifted(monkeypatch)
+    monkeypatch.setattr(qcomb.QBinomialCache, "folded_weighted_sum", fold)
+    folds = _folded_builds(monkeypatch)
+    _table_entry_changed(monkeypatch, 5, _turned)
+    r = check_thm1(7, [3, 2])
+    assert folds == [(7, (2, 3))]
+    assert (r.status, r.witness) == ("fail", congruence.Witness(
+        _LHS_7_3_2, "0", "q + 2*q^2 + 3*q^3 + 3*q^4 + 2*q^5 + q^6"))
+
+
+def test_folded_fail_that_the_full_route_passes_raises(monkeypatch):
+    qcomb.BINOMIAL_MEMO.clear()
+    _table_entry_changed(monkeypatch, 5, _turned)
+    with pytest.raises(InternalError, match=r"thm1 .* packed residue modulo \[7\]"):
+        check_thm1(7, [3, 2])
+
+
+def test_folded_row_corrupted_raises_on_the_sum(monkeypatch):
+    # one table entry one too large: W(7)'s slots then sum to W(1) + 1 = 428
+    qcomb.BINOMIAL_MEMO.clear()
+    _table_entry_changed(monkeypatch, 5, lambda entry, k, n: entry + 1)
+    with pytest.raises(InternalError,
+                       match=r"W\(7\) for \(2, 3\) modulo q\^7 - 1: slots do not sum to 427$"):
+        check_thm1(7, [3, 2])
 
 
 @pytest.mark.parametrize("n, a_list, note", [
