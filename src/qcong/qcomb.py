@@ -12,9 +12,10 @@ Every product of Gaussian binomials in full is built one way, as one
 integer at q = X = 2^(8k), the k-byte slots holding its value at q = 1:
 from 1, by gauss(n, i+1) = gauss(n, i) (X^(n-i) - 1) / (X^(i+1) - 1), a
 shift-subtract and a checked exact division (``_times_gauss``).  That
-builds ``q_binomial``, the thm1 prefactor [A+1]!/prod_i [a_i]! and the
-first row of the weighted sum W(n) = sum_{h<n} q^h prod_i gauss(h, a_i);
-each later row of W follows from the last by the same two operations.
+builds ``q_binomial``, the thm1 prefactor [A+1]!/prod_i [a_i]!, the first
+row of the weighted sum W(n) = sum_{h<n} q^h prod_i gauss(h, a_i) and each
+term of the Laurent identities (``QBinomialCache.packed_product``); each
+later row of W follows from the last by the same two operations.
 W(n) modulo q^n - 1, all thm1 needs, is built another way, in n slots
 (``QBinomialCache.folded_weighted_sum``): each row is a product of
 gauss(h, a_i) modulo X^n - 1, read off a table built by q-Pascal with adds
@@ -33,7 +34,8 @@ a-list is keyed on its sorted nonzero entries, since gauss(h, 0) = [0]! =
 ``q_binomial`` directly.
 
 ``LaurentPoly`` extends the kernel with negative powers of q for identities
-whose natural exponents dip below zero.
+whose natural exponents dip below zero; the identities decide a pass on
+packed integers and build LaurentPolys only for a fail's witness.
 """
 
 from __future__ import annotations
@@ -270,6 +272,15 @@ class QBinomialCache:
         total = Packed(_repack(held.value, held.k, held.size, k) + (part << bits * h),
                        k, n + degree, held.at_one + bound)
         return self._store(key, (total, row))[0]
+
+    def packed_product(self, pairs, bits):
+        """prod gauss(n, a) over ``pairs`` of 0 <= a <= n at X = 2^bits, from
+        ``_times_gauss``; the slots must hold its value at q = 1.
+
+        Nothing is stored: the support identities build each product once.
+        It is read through the memo so that a stand-in memo reaches them too.
+        """
+        return _times_gauss(pairs, bits)[0]
 
     def within_one_row(self, n, a_key):
         """True when ``weighted_sum(n, a_key)`` adds at most one row: W(n) or

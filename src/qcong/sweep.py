@@ -17,18 +17,28 @@ implementation can reproduce instance sets from the seed alone.
 check call and stamps the report's elapsed_ms.  ``execute`` checks each
 class once: instances of an order-free claim whose first param and class
 key agree share one check (for thm1 and q1 the key is the a-list's sorted
-nonzero entries), and every later one gets a copy of the first one's
-report with its own params and elapsed_ms 0, since nothing was checked for
-it.  A pool starts at most as many workers as there are checks to run and
-CPUs this process may use.  Reports are aggregated in (claim_id, params)
-order no matter how many worker processes ran the checks, so identical
-configs yield identical output; ``stable_output`` additionally zeroes
-elapsed_ms for byte-exact diffs.
+nonzero entries, computed once per distinct a-list), and every later
+member gets a ``MemberReport``: its own claim_id and params, the status,
+witness and note of the class's report, and elapsed_ms 0, since nothing
+was checked for it.  No report is copied.  A pool starts at most as many
+workers as there are checks to run and CPUs this process may use.
+Reports are sorted on (claim_id, params) no matter how many worker
+processes ran the checks, so identical configs yield identical output;
+``stable_output`` additionally zeroes elapsed_ms for byte-exact diffs.
 
-The json format is the list of ``CongruenceReport.to_json_obj`` objects in
-the layout of ``json.dumps(objs, indent=2)`` plus a newline, written by a
-fixed template per report; strings are escaped by the encoder's own
+``render_report`` renders each params tuple once (thm1 and q1 share every
+one) and each status, witness and elapsed_ms tail once (every member of a
+class shares one), in all three formats.  The json format is the list of
+``CongruenceReport.to_json_obj`` objects in the layout of
+``json.dumps(objs, indent=2)`` plus a newline, written from fixed
+templates; strings are escaped by the encoder's own
 ``encode_basestring_ascii``.  The tests pin the bytes to ``json.dumps``.
+
+``execute`` returns one report per instance, each with the fields
+``render_report`` reads and a ``sort_key``, since the benchmark in
+``perfbench/`` sorts and renders that list itself, and ``run_suite`` calls
+``execute`` and ``render_report`` by their module names, which the
+benchmark times.
 
 Exit codes: 0 all pass/skip, 1 a theorem or identity check failed (an
 implementation bug or a falsified theorem), 2 usage error (including a
@@ -45,12 +55,14 @@ import itertools
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
-from .congruence import FAIL, PASS, SKIPPED, is_prime
+from .congruence import FAIL, PASS, SKIPPED, CongruenceReport, is_prime
 from .faulhaber import check_conjecture, check_faulhaber_cong
 from .theorems import (
     a_key,
@@ -345,14 +357,46 @@ def run_instance(item):
     return replace(report, elapsed_ms=elapsed_ms)
 
 
-def _order_class(item):
-    """An order-free instance's claim, first param and class key of the
-    other params; any other instance is its own class."""
-    claim_id, params = item
-    class_key = CLAIMS[claim_id].class_key
-    if class_key is not None:
-        return claim_id, params[0], class_key([v for _, v in params[1:]])
-    return item
+def _class_keys(instances):
+    """Each instance's class: for an order-free claim, its claim, first param
+    and class key of the other params, the key computed once per distinct
+    tail and key function (thm1 and q1 share theirs); any other instance is
+    its own class."""
+    keys = []
+    tail_keys = {}
+    for item in instances:
+        claim_id, params = item
+        class_key = CLAIMS[claim_id].class_key
+        if class_key is None:
+            keys.append(item)
+            continue
+        tail = (class_key, params[1:])
+        key = tail_keys.get(tail)
+        if key is None:
+            key = tail_keys[tail] = class_key([v for _, v in params[1:]])
+        keys.append((claim_id, params[0], key))
+    return keys
+
+
+class MemberReport:
+    """The report of a class member that was not checked itself: its own
+    claim_id and params, the status, witness and note of ``report``, the
+    one checked for its class, and elapsed_ms 0.  It reads like a
+    ``CongruenceReport`` and is no copy of one."""
+
+    __slots__ = ("claim_id", "params", "report")
+
+    elapsed_ms = 0
+    status = property(lambda self: self.report.status)
+    witness = property(lambda self: self.report.witness)
+    note = property(lambda self: self.report.note)
+    sort_key = CongruenceReport.sort_key
+    to_json_obj = CongruenceReport.to_json_obj
+
+    def __init__(self, claim_id, params, report):
+        self.claim_id = claim_id
+        self.params = params
+        self.report = report
 
 
 def _cpu_count():
@@ -365,11 +409,11 @@ def _cpu_count():
 def execute(instances, jobs=1, fail_fast=False):
     """Run instances, optionally across processes; results in submission order.
 
-    Only the first instance of each class is checked; every later one gets
-    a copy of its report with its own params and elapsed_ms 0.  The pool
-    has min(jobs, checks to run, usable CPUs) workers, and none if that is 1.
+    Only the first instance of each class is checked and gets its report;
+    every later one gets a ``MemberReport`` of it.  The pool has min(jobs,
+    checks to run, usable CPUs) workers, and none if that is 1.
     """
-    keys = [_order_class(item) for item in instances]
+    keys = _class_keys(instances)
     firsts = {}
     for key, item in zip(keys, instances):
         firsts.setdefault(key, item)
@@ -387,12 +431,12 @@ def execute(instances, jobs=1, fail_fast=False):
         else:
             chunk = max(1, len(todo) // (workers * 8))
             results = pool.map(run_instance, todo, chunksize=chunk)
-        for key, (_, params) in zip(keys, instances):
+        for key, (claim_id, params) in zip(keys, instances):
             report = done.get(key)
             if report is None:
                 report = done[key] = next(results)
             else:
-                report = replace(report, params=params, elapsed_ms=0)
+                report = MemberReport(claim_id, params, report)
             reports.append(report)
             if fail_fast and report.status == FAIL:
                 break
@@ -420,59 +464,104 @@ def exit_code_for(reports):
 
 # --- rendering ----------------------------------------------------------------------
 
-def _params_str(report):
-    return ";".join("%s=%d" % (k, v) for k, v in report.params)
+def _text_pair(kv):
+    return "%s=%d" % kv
 
 
-_JSON_REPORT = ('  {\n    "claim_id": %s,\n    "params": %s,\n    "status": %s,\n'
-                '    "witness": %s,\n    "elapsed_ms": %d\n  }')
+def _params_text(params):
+    return ";".join(map(_text_pair, params))
+
+
+def _params_renderer(render_pair, render_pairs):
+    """``render_pairs`` of the rendered (name, value) pairs, once per params
+    tuple; a pair, shared by many tuples, is rendered once too."""
+    pairs = _Rendered(render_pair)
+    return _Rendered(lambda params: render_pairs([pairs[kv] for kv in params]))
+
+
+class _Rendered(dict):
+    """``render(key)`` per key, each rendered once, on first lookup."""
+
+    __slots__ = ("render",)
+
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, key):
+        value = self[key] = self.render(key)
+        return value
+
+
+_JSON_HEAD = '  {\n    "claim_id": %s,\n    "params": '
+_JSON_TAIL = ',\n    "status": %s,\n    "witness": %s,\n    "elapsed_ms": %d\n  },\n'
 _JSON_WITNESS = '{\n      "lhs": %s,\n      "rhs": %s,\n      "difference": %s\n    }'
 
 
-def _json_report(r, stable):
-    """One report in the layout ``json.dumps(r.to_json_obj(stable), indent=2)``
-    takes as an element of the top-level list."""
-    params = ("{\n%s\n    }" % ",\n".join("      %s: %d" % (_quote(k), v) for k, v in r.params)
-              if r.params else "{}")
-    w = r.witness
+def _json_pair(kv):
+    return "      %s: %d" % (_quote(kv[0]), kv[1])
+
+
+def _json_pairs(pairs):
+    return "{\n%s\n    }" % ",\n".join(pairs) if pairs else "{}"
+
+
+def _json_tail(tail):
+    status, w, elapsed_ms = tail
     witness = ("null" if w is None else
                _JSON_WITNESS % (_quote(w.lhs), _quote(w.rhs), _quote(w.difference)))
-    return _JSON_REPORT % (_quote(r.claim_id), params, _quote(r.status), witness,
-                           0 if stable else r.elapsed_ms)
+    return _JSON_TAIL % (_quote(status), witness, elapsed_ms)
 
 
 def render_report(reports, fmt, stable=False):
-    """Render sorted reports as text, json, or csv; returns a string."""
+    """Render sorted reports as text, json, or csv; returns a string.
+
+    A params tuple is rendered once, though thm1 and q1 share each, and so
+    is a status, witness and elapsed_ms tail, which every member of a class
+    shares; json and text then join the rendered pieces of all reports at
+    once.  json is the layout ``json.dumps([r.to_json_obj(stable) for r in
+    reports], indent=2)`` plus a newline.
+    """
+    ms = (lambda r: 0) if stable else (lambda r: r.elapsed_ms)
     if fmt == "json":
         if not reports:
             return "[]\n"
-        return "[\n%s\n]\n" % ",\n".join([_json_report(r, stable) for r in reports])
+        heads = _Rendered(lambda claim_id: _JSON_HEAD % _quote(claim_id))
+        params, tails = _params_renderer(_json_pair, _json_pairs), _Rendered(_json_tail)
+        parts = ["[\n"]
+        for r in reports:
+            parts += heads[r.claim_id], params[r.params], tails[r.status, r.witness, ms(r)]
+        parts[-1] = parts[-1][:-2] + "\n]\n"  # no comma after the last report
+        return "".join(parts)
+    params = _params_renderer(_text_pair, ";".join)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["claim_id", "params", "status", "elapsed_ms"])
-        for r in reports:
-            writer.writerow([r.claim_id, _params_str(r), r.status,
-                             0 if stable else r.elapsed_ms])
+        writer.writerows([(r.claim_id, params[r.params], r.status, ms(r)) for r in reports])
         return buf.getvalue()
     if fmt != "text":
         raise UsageError("unknown format %r" % (fmt,))
-    rows = [("claim", "params", "status", "ms", "note")]
-    for r in reports:
-        rows.append((r.claim_id, _params_str(r), r.status,
-                     str(0 if stable else r.elapsed_ms), r.note or ""))
-    widths = [max(len(row[i]) for row in rows) for i in range(5)]
-    lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-             for row in rows]
-    counts = {PASS: 0, FAIL: 0, SKIPPED: 0}
-    for r in reports:
-        counts[r.status] += 1
-    lines.append("summary: %d pass, %d fail, %d skipped"
+    rows = [("claim", "params", ("status", "ms", "note"))]
+    rows += [(r.claim_id, params[r.params], (r.status, str(ms(r)), r.note or ""))
+             for r in reports]
+    claims, texts, tails = ({row[i] for row in rows} for i in range(3))
+    claim_width = max([len(c) for c in claims])
+    params_width = max([len(p) for p in texts])
+    widths = [max([len(t[i]) for t in tails]) for i in range(3)]
+    claim_cells = {c: c.ljust(claim_width) + "  " for c in claims}
+    params_cells = {p: p.ljust(params_width) + "  " for p in texts}
+    tail_cells = {t: "  ".join(map(str.ljust, t, widths)).rstrip() + "\n" for t in tails}
+    parts = []
+    for c, p, t in rows:
+        parts += claim_cells[c], params_cells[p], tail_cells[t]
+    counts = Counter([t[0] for _, _, t in rows[1:]])
+    parts.append("summary: %d pass, %d fail, %d skipped\n"
                  % (counts[PASS], counts[FAIL], counts[SKIPPED]))
-    if any(_is_conjecture(r) for r in reports) and counts[FAIL] == 0:
-        lines.append("conjecture sweep: no counterexample in the swept range "
-                     "(evidence only, not proof)")
-    return "\n".join(lines) + "\n"
+    if any(CLAIMS[c].conjecture for c in claims - {"claim"}) and counts[FAIL] == 0:
+        parts.append("conjecture sweep: no counterexample in the swept range "
+                     "(evidence only, not proof)\n")
+    return "".join(parts)
 
 
 def run_suite(config, out=None, err=None):
@@ -485,16 +574,16 @@ def run_suite(config, out=None, err=None):
         raise UsageError("suite %r selects no instances with these bounds and primes"
                          % (config.suite,))
     reports = execute(instances, jobs=config.jobs, fail_fast=config.fail_fast)
-    reports = sorted(reports, key=lambda r: r.sort_key)
+    reports.sort(key=attrgetter("claim_id", "params"))
     out.write(render_report(reports, config.format, stable=config.stable_output))
     for r in reports:
         if r.status != FAIL:
             continue
         if _is_conjecture(r):
             err.write("CONJECTURE COUNTEREXAMPLE: %s\n  value: %s\n  residue: %s\n"
-                      % (_params_str(r), r.witness.lhs, r.witness.difference))
+                      % (_params_text(r.params), r.witness.lhs, r.witness.difference))
         else:
             err.write("CHECK FAILED: %s %s\n  lhs: %s\n  rhs: %s\n  difference: %s\n"
-                      % (r.claim_id, _params_str(r), r.witness.lhs,
+                      % (r.claim_id, _params_text(r.params), r.witness.lhs,
                          r.witness.rhs, r.witness.difference))
     return exit_code_for(reports)

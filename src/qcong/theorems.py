@@ -32,7 +32,8 @@ sum_lemma
 
 chu_vandermonde
     sum_{k=0}^{n} gauss(a,k) gauss(b,n-k) q^(k(b-n+k)) = gauss(a+b, n),
-    checked in Laurent form since the exponent may drop below zero.
+    an identity of Laurent polynomials, since the exponent may drop below
+    zero.
 
 p_minus_one
     For p prime and 0 <= j <= p-1:
@@ -55,8 +56,11 @@ qpfaff
     = (z/x;q)_n (z/y;q)_n / ((z;q)_n (z/(xy);q)_n).
     Specializations that zero a denominator are reported skipped.  The
     left side is summed in one pass: term k+1 is term k times
-    (1-xq^k)(1-yq^k)(1-q^(k-n)) q / ((1-q^(k+1))(1-zq^k)(1-xy q^(1-n+k)/z)),
-    with q^k carried along; the right side is a product of Pochhammers.
+    (1-xq^k)(1-yq^k)(1-q^(k-n)) q / ((1-q^(k+1))(1-zq^k)(1-xy q^(1-n+k)/z));
+    the right side is a product of Pochhammers.  Both are summed on
+    integer numerators and denominators (``_pfaff_integers``); only a
+    singular point or a fail is summed again on Fractions, with q^k carried
+    along (``_pfaff_sides``), which gives the skip note or the witness.
 
 The quotient polynomial sum_quotient(n, a_list), the thm1 product divided
 by [n], has a closed base case and a contiguous recurrence:
@@ -95,14 +99,26 @@ sums modulo (X^p - 1)^2, one multiply gives the product's pair, and both
 routes above are read off that pair.  Only a fail unpacks them, to decide
 again by long division and render the witness; thm1 then builds W(n) in
 full.
+
+The Laurent identities, chu_vandermonde, residue_identity and
+symmetric_identity, move every term to one side, as (sign, e, pairs) for
+sign * q^e * prod gauss(n, a), and ``_sum_vanishes`` decides whether they
+sum to zero: the two signs must agree at q = 1, on a sum S, and the terms
+of each sign, packed by ``BINOMIAL_MEMO.packed_product`` in slots that
+hold S and shifted by e - min e slots, must add up to one integer.  A fail
+is decided again in ``LaurentPoly`` form, which gives the witness.  For
+these identities and for qpfaff, a second route that passes where the
+first failed raises InternalError.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import starmap
 
 from .congruence import (
+    PASS,
     SKIPPED,
     VANISHING_SUM,
     congruence_report,
@@ -117,7 +133,7 @@ from .errors import (
     InvalidParamsError,
     SingularSpecialization,
 )
-from .poly import ONE, ZERO
+from .poly import ONE, ZERO, _slot_bytes
 from .qcomb import BINOMIAL_MEMO, LaurentPoly, q_int, q_pochhammer_eval, rows_at_one
 
 
@@ -272,18 +288,67 @@ def check_sum_lemma(n, a):
     return identity_report("sum_lemma", {"n": n, "a": a}, lhs, rhs)
 
 
+def _sum_vanishes(terms):
+    """True when sum sign * q^e * prod gauss(n, a) over ``terms``, triples
+    (sign, e, pairs) with 0 <= a <= n in every pair, is zero.
+
+    The terms of each sign are added into one integer at X = 2^(8k), the
+    product from ``BINOMIAL_MEMO.packed_product`` shifted by e - min e
+    slots.  The two sides must have one value S at q = 1, summed from the
+    prod C(n, a) of the factors multiplied; then no coefficient of either
+    side exceeds S, so in slots of k = ``_slot_bytes(S)`` bytes the two
+    integers are equal iff the two sides are.
+    """
+    at_one = [0, 0]
+    for sign, _, pairs in terms:
+        at_one[sign < 0] += math.prod(starmap(math.comb, pairs))
+    if at_one[0] != at_one[1]:
+        return False
+    bits = 8 * _slot_bytes(at_one[0])
+    low = min([e for _, e, _ in terms], default=0)
+    sides = [0, 0]
+    for sign, e, pairs in terms:
+        sides[sign < 0] += BINOMIAL_MEMO.packed_product(pairs, bits) << bits * (e - low)
+    return sides[0] == sides[1]
+
+
+def _identity_report(claim_id, params, terms, sides):
+    """Report whether ``terms`` sum to zero (``_sum_vanishes``).
+
+    A fail is decided again by ``identity_report`` on ``sides()``, the
+    Laurent polynomials of the two sides, which gives the witness; if that
+    route passes, the packed one is broken and InternalError is raised.
+    """
+    if _sum_vanishes(terms):
+        return make_report(claim_id, params, PASS)
+    report = identity_report(claim_id, params, *sides())
+    if report.status == PASS:
+        raise InternalError("%s %r: the packed sides differ, the Laurent sides agree"
+                            % (claim_id, params))
+    return report
+
+
 def check_chu_vandermonde(a, b, n):
-    """The q-Chu-Vandermonde convolution, in Laurent form (claim id chu_vandermonde)."""
+    """The q-Chu-Vandermonde convolution (claim id chu_vandermonde), decided
+    on packed integers, a fail again in Laurent form."""
     if not _naturals(a, b, n):
         raise InvalidParamsError("need integers a, b, n >= 0")
+    terms = [(1, k * (b - n + k), ((a, k), (b, n - k)))
+             for k in range(max(0, n - b), min(a, n) + 1)]
+    if n <= a + b:
+        terms.append((-1, 0, ((a + b, n),)))
+    return _identity_report("chu_vandermonde", {"a": a, "b": b, "n": n}, terms,
+                            lambda: _chu_sides(a, b, n))
+
+
+def _chu_sides(a, b, n):
     lhs = LaurentPoly()
     for k in range(n + 1):
         coeff = BINOMIAL_MEMO.binomial(a, k) * BINOMIAL_MEMO.binomial(b, n - k)
         if coeff.is_zero:
             continue
         lhs = lhs + LaurentPoly(coeff, k * (b - n + k))
-    rhs = LaurentPoly.from_poly(BINOMIAL_MEMO.binomial(a + b, n))
-    return identity_report("chu_vandermonde", {"a": a, "b": b, "n": n}, lhs, rhs)
+    return lhs, LaurentPoly.from_poly(BINOMIAL_MEMO.binomial(a + b, n))
 
 
 def check_p_minus_one_lemma(p, j):
@@ -296,38 +361,67 @@ def check_p_minus_one_lemma(p, j):
     return congruence_report("p_minus_one", {"p": p, "j": j}, (lhs,), _sign(j) * ONE, p)
 
 
+def _ab_exponent(a, b):
+    """ab - C(a,2) - C(b,2): the exponent of q on the right of the residue
+    identity and, reduced modulo p, of thm2."""
+    return a * b - math.comb(a, 2) - math.comb(b, 2)
+
+
+def _residue_exponent(a, b, k):
+    """The exponent of q in term k of the residue identity's left side."""
+    return k * (a - b + k) + a + k - math.comb(a + k + 1, 2)
+
+
 def check_residue_identity(a, b):
-    """The alternating triple-product sum equal to (-1)^b q^(ab - C(a,2) - C(b,2))."""
+    """The alternating triple-product sum equal to (-1)^b q^(ab - C(a,2) - C(b,2)),
+    decided on packed integers, a fail again in Laurent form."""
     if not _naturals(a, b):
         raise InvalidParamsError("need integers a, b >= 0")
+    terms = [(_sign(k), _residue_exponent(a, b, k),
+              ((a + b + 1, b - k), (a + k, a), (a + k, b)))
+             for k in range(max(0, b - a), b + 1)]
+    terms.append((-_sign(b), _ab_exponent(a, b), ()))
+    return _identity_report("residue_identity", {"a": a, "b": b}, terms,
+                            lambda: _residue_sides(a, b))
+
+
+def _residue_sides(a, b):
     lhs = LaurentPoly()
     for k in range(b + 1):
         coeff = (BINOMIAL_MEMO.binomial(a + b + 1, b - k)
                  * BINOMIAL_MEMO.binomial(a + k, a) * BINOMIAL_MEMO.binomial(a + k, b))
         if coeff.is_zero:
             continue
-        e = k * (a - b + k) + a + k - math.comb(a + k + 1, 2)
-        lhs = lhs + LaurentPoly(_sign(k) * coeff, e)
-    rhs = LaurentPoly(_sign(b) * ONE,
-                      a * b - math.comb(a, 2) - math.comb(b, 2))
-    return identity_report("residue_identity", {"a": a, "b": b}, lhs, rhs)
+        lhs = lhs + LaurentPoly(_sign(k) * coeff, _residue_exponent(a, b, k))
+    return lhs, LaurentPoly(_sign(b) * ONE, _ab_exponent(a, b))
+
+
+def _symmetric_exponent(a, b, k):
+    """The exponent of q in term k of the symmetric identity's left side."""
+    return math.comb(k + 1, 2) + math.comb(a + 1, 2) + math.comb(b + 1, 2) - (k + 1) * (a + b)
 
 
 def check_symmetric_identity(a, b):
-    """The a<->b symmetric alternating sum equal to (-1)^(a-b)."""
+    """The a<->b symmetric alternating sum equal to (-1)^(a-b), decided on
+    packed integers, a fail again in Laurent form."""
     if not _naturals(a, b):
         raise InvalidParamsError("need integers a, b >= 0")
+    terms = [(_sign(k), _symmetric_exponent(a, b, k), ((k, a), (k, b), (a + b + 1, k + 1)))
+             for k in range(max(a, b), a + b + 1)]
+    terms.append((-_sign(a - b), 0, ()))
+    return _identity_report("symmetric_identity", {"a": a, "b": b}, terms,
+                            lambda: _symmetric_sides(a, b))
+
+
+def _symmetric_sides(a, b):
     lhs = LaurentPoly()
-    base = math.comb(a + 1, 2) + math.comb(b + 1, 2)
     for k in range(a, a + b + 1):
         coeff = (BINOMIAL_MEMO.binomial(k, a) * BINOMIAL_MEMO.binomial(k, b)
                  * BINOMIAL_MEMO.binomial(a + b + 1, k + 1))
         if coeff.is_zero:
             continue
-        e = math.comb(k + 1, 2) + base - (k + 1) * (a + b)
-        lhs = lhs + LaurentPoly(_sign(k) * coeff, e)
-    rhs = LaurentPoly(_sign(a - b) * ONE, 0)
-    return identity_report("symmetric_identity", {"a": a, "b": b}, lhs, rhs)
+        lhs = lhs + LaurentPoly(_sign(k) * coeff, _symmetric_exponent(a, b, k))
+    return lhs, LaurentPoly(_sign(a - b) * ONE, 0)
 
 
 # --- the prime-squared refinement ----------------------------------------------------
@@ -349,7 +443,7 @@ def check_thm2(p, a, b):
     if not _naturals(a, b) or p <= max(a, b):
         raise InvalidParamsError("need integers 0 <= a, b < p")
     ab = a_key((a, b))
-    e = a * b - math.comb(a, 2) - math.comb(b, 2)
+    e = _ab_exponent(a, b)
     return packed_report("thm2", {"p": p, "a": a, "b": b},
                          (BINOMIAL_MEMO.prefactor(ab), BINOMIAL_MEMO.weighted_sum(p, ab)),
                          p, rhs=(_sign(a - b), e % p))
@@ -358,7 +452,13 @@ def check_thm2(p, a, b):
 # --- the balanced 3phi2 summation at rational points ---------------------------------
 
 def check_pfaff_saalschutz(x, y, z, q, n):
-    """Terminating balanced summation at exact rationals (claim id qpfaff)."""
+    """Terminating balanced summation at exact rationals (claim id qpfaff).
+
+    Decided on integers by ``_pfaff_integers``.  A singular point, where it
+    decides nothing, and a fail are decided again on Fractions by
+    ``_pfaff_sides``, which gives the skip note or the witness; if that
+    route passes, the integer one is broken and InternalError is raised.
+    """
     if not _naturals(n):
         raise InvalidParamsError("n must be an integer >= 0")
     x, y, z, q = Fraction(x), Fraction(y), Fraction(z), Fraction(q)
@@ -369,11 +469,67 @@ def check_pfaff_saalschutz(x, y, z, q, n):
         "q_num": q.numerator, "q_den": q.denominator,
         "n": n,
     }
+    sides = _pfaff_integers(x, y, z, q, n)
+    if sides is not None:
+        (lhs_num, lhs_den), (rhs_num, rhs_den) = sides
+        if lhs_num * rhs_den == rhs_num * lhs_den:
+            return make_report("qpfaff", params, PASS)
     try:
         lhs, rhs = _pfaff_sides(x, y, z, q, n)
     except SingularSpecialization as exc:
         return make_report("qpfaff", params, SKIPPED, note=str(exc))
-    return identity_report("qpfaff", params, lhs, rhs)
+    report = identity_report("qpfaff", params, lhs, rhs)
+    if report.status == PASS:
+        raise InternalError("qpfaff %r: the integer route finds no pass, the Fraction "
+                            "route passes" % (params,))
+    return report
+
+
+def _pfaff_integers(x, y, z, q, n):
+    """Both sides of the balanced sum as unreduced integer fractions,
+    ((L, td), (rhs_num, rhs_den)), or None when a denominator vanishes or
+    q, x, y or z is singular as in ``_pfaff_sides``.
+
+    With x = xn/xd, y, z and q = qn/qd written the same way, every factor
+    1 - t*q^i of a Pochhammer, t = u/v, is (v*qd^i - u*qn^i) / (v*qd^i).
+    In the term ratio of the module docstring the monomials cancel down to
+    zn*zd, so term k+1 is term k times num/den with
+        num = zn zd (xd qd^k - xn qn^k)(yd qd^k - yn qn^k)(qn^(n-k) - qd^(n-k)),
+        den = (qd^(k+1) - qn^(k+1))(zd qd^k - zn qn^k)(wd qn^j - wn qd^j),
+    for w q^k = wn qd^j / (wd qn^j), wn = xn yn zd, wd = xd yd zn and
+    j = n-1-k.  The left side is L/td over the current term tn/td, each
+    step L, tn, td = L*den + tn*num, tn*num, td*den, with no gcd.  On the
+    right the monomials cancel altogether:
+        rhs_num = prod_{i<n} (zd xn qd^i - zn xd qn^i)(zd yn qd^i - zn yd qn^i),
+        rhs_den = prod_{i<n} (zd qd^i - zn qn^i)(zd xn yn qd^i - zn xd yd qn^i).
+    """
+    qn, qd = q.numerator, q.denominator
+    xn, xd, yn, yd, zn, zd = (x.numerator, x.denominator, y.numerator, y.denominator,
+                              z.numerator, z.denominator)
+    if qn == 0 or abs(qn) == qd or not (xn and yn and zn):
+        return None
+    up, down = [1], [1]  # qn^i and qd^i, i <= n
+    for _ in range(n):
+        up.append(up[-1] * qn)
+        down.append(down[-1] * qd)
+    wn, wd = xn * yn * zd, xd * yd * zn
+    lhs_num = tn = td = 1
+    for k in range(n):
+        j = n - 1 - k
+        den = ((down[k + 1] - up[k + 1]) * (zd * down[k] - zn * up[k])
+               * (wd * up[j] - wn * down[j]))
+        if not den:
+            return None
+        num = (zn * zd * (xd * down[k] - xn * up[k]) * (yd * down[k] - yn * up[k])
+               * (up[n - k] - down[n - k]))
+        lhs_num, tn, td = lhs_num * den + tn * num, tn * num, td * den
+    rhs_num = rhs_den = 1
+    for i in range(n):
+        rhs_num *= (zd * xn * down[i] - zn * xd * up[i]) * (zd * yn * down[i] - zn * yd * up[i])
+        rhs_den *= (zd * down[i] - zn * up[i]) * (zd * xn * yn * down[i] - zn * xd * yd * up[i])
+    if not rhs_den:
+        return None
+    return (lhs_num, td), (rhs_num, rhs_den)
 
 
 def _pfaff_sides(x, y, z, q, n):

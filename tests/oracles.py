@@ -2,15 +2,26 @@
 corruptions that both the checker and the sweep tests use to reach every
 fail branch."""
 
+import csv
+import io
 import json
 import math
 from fractions import Fraction
 
 from qcong import qcomb, theorems
-from qcong.congruence import _block_sums, congruence_report, fold, rem_mod
+from qcong.congruence import (
+    SKIPPED,
+    _block_sums,
+    congruence_report,
+    fold,
+    identity_report,
+    make_report,
+    rem_mod,
+)
+from qcong.errors import SingularSpecialization
 from qcong.poly import ONE, ZERO, IntPoly, Packed, _pack_nonneg, _slot_bytes
-from qcong.qcomb import q_binomial, q_factorial, q_int, q_pochhammer_eval
-from qcong.sweep import run_instance
+from qcong.qcomb import LaurentPoly, q_binomial, q_factorial, q_int, q_pochhammer_eval
+from qcong.sweep import CLAIMS, run_instance
 
 
 def q_binomial_oracle(n, k):
@@ -85,15 +96,79 @@ def pfaff_lhs_oracle(x, y, z, q, n):
     return lhs
 
 
+def pfaff_fraction_report(x, y, z, q, n):
+    """The qpfaff report on Fractions alone, by ``theorems._pfaff_sides``:
+    skipped with its note at a singular point, else whether the sides are
+    equal.  ``theorems.check_pfaff_saalschutz`` decides on integers first.
+    """
+    x, y, z, q = Fraction(x), Fraction(y), Fraction(z), Fraction(q)
+    params = {"x_num": x.numerator, "x_den": x.denominator,
+              "y_num": y.numerator, "y_den": y.denominator,
+              "z_num": z.numerator, "z_den": z.denominator,
+              "q_num": q.numerator, "q_den": q.denominator, "n": n}
+    try:
+        lhs, rhs = theorems._pfaff_sides(x, y, z, q, n)
+    except SingularSpecialization as exc:
+        return make_report("qpfaff", params, SKIPPED, note=str(exc))
+    return identity_report("qpfaff", params, lhs, rhs)
+
+
+def terms_sum_oracle(terms):
+    """sum sign * q^e * prod gauss(n, a) over ``terms`` (sign, e, pairs) as a
+    LaurentPoly, every binomial from ``q_binomial`` and multiplied as
+    IntPolys; ``theorems._sum_vanishes`` adds packed integers instead."""
+    total = LaurentPoly()
+    for sign, e, pairs in terms:
+        product = IntPoly([sign])
+        for n, a in pairs:
+            product = product * q_binomial(n, a)
+        total = total + LaurentPoly(product, e)
+    return total
+
+
 def json_report_oracle(reports, stable=False):
     """The JSON report through the standard encoder; ``sweep.render_report``
     writes the same bytes from a fixed template."""
     return json.dumps([r.to_json_obj(stable) for r in reports], indent=2) + "\n"
 
 
+def _params_text(r):
+    return ";".join("%s=%d" % kv for kv in r.params)
+
+
+def csv_report_oracle(reports, stable=False):
+    """The csv report, one ``csv.writer`` row per report, every cell
+    rendered afresh; ``sweep.render_report`` renders each params tuple
+    once."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["claim_id", "params", "status", "elapsed_ms"])
+    for r in reports:
+        writer.writerow([r.claim_id, _params_text(r), r.status, 0 if stable else r.elapsed_ms])
+    return buf.getvalue()
+
+
+def text_report_oracle(reports, stable=False):
+    """The text report, every row padded cell by cell; ``sweep.render_report``
+    pads each status, ms and note tail once."""
+    rows = [("claim", "params", "status", "ms", "note")]
+    rows += [(r.claim_id, _params_text(r), r.status, str(0 if stable else r.elapsed_ms),
+              r.note or "") for r in reports]
+    widths = [max(len(row[i]) for row in rows) for i in range(5)]
+    lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
+             for row in rows]
+    counts = {s: sum(r.status == s for r in reports) for s in ("pass", "fail", "skipped")}
+    lines.append("summary: %d pass, %d fail, %d skipped"
+                 % (counts["pass"], counts["fail"], counts["skipped"]))
+    if any(CLAIMS[r.claim_id].conjecture for r in reports) and not counts["fail"]:
+        lines.append("conjecture sweep: no counterexample in the swept range "
+                     "(evidence only, not proof)")
+    return "\n".join(lines) + "\n"
+
+
 def execute_each(instances):
     """Every instance checked on its own, in order; ``sweep.execute`` checks
-    one ordering of each order-free class and copies its report."""
+    one ordering of each order-free class and shares its report."""
     return [run_instance(item) for item in instances]
 
 
@@ -161,14 +236,23 @@ def modulus_shifted(monkeypatch):
 
 
 class _BinomialsPlusOne(qcomb.QBinomialCache):
-    """Stand-in for ``BINOMIAL_MEMO`` whose every Gaussian binomial is off by one.
+    """Stand-in for ``BINOMIAL_MEMO`` whose every Gaussian binomial is off by one,
+    in each product of binomials the identities add packed too.
 
     Nothing corrupted reaches the shared memo.  The prefactor and W(n) read
     no binomial from the memo, so only the identities see the corruption.
+    A corrupted product may have a coefficient too wide for its slot; it is
+    packed at X = 2^bits with the carry.
     """
 
     def binomial(self, n, k):
         return qcomb.BINOMIAL_MEMO.binomial(n, k) + 1
+
+    def packed_product(self, pairs, bits):
+        product = ONE
+        for n, a in pairs:
+            product = product * self.binomial(n, a)
+        return sum(c << bits * i for i, c in enumerate(product.coeffs))
 
 
 def binomials_plus_one(monkeypatch):

@@ -7,6 +7,7 @@ sampled instances.
 
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
 import multiprocessing
@@ -19,19 +20,22 @@ import time
 import pytest
 from oracles import (
     comb_row_zero_is_one,
+    csv_report_oracle,
     execute_each,
     json_report_oracle,
     modulus_shifted,
+    text_report_oracle,
     weighted_sum_plus_modulus,
     weighted_sums_plus_one,
 )
 
-from qcong.congruence import FAIL, PASS, Witness, make_report
+from qcong.congruence import FAIL, PASS, CongruenceReport, Witness, make_report
 from qcong.errors import InvalidParamsError
 from qcong.cli import build_parser, main
 from qcong.sweep import (
     CLAIMS,
     SUITES,
+    MemberReport,
     SplitMix64,
     SweepConfig,
     UsageError,
@@ -286,6 +290,30 @@ class TestRendering:
             assert any(r.status == "skipped" for r in reports)
         for stable in (False, True):
             assert render_report(reports, "json", stable) == json_report_oracle(reports, stable)
+
+    @pytest.mark.parametrize("corrupt", [None, modulus_shifted], ids=["true", "shifted-modulus"])
+    def test_every_format_matches_rendering_cell_by_cell(self, monkeypatch, corrupt):
+        # render_report renders each params tuple and each tail once; the
+        # oracles render every cell of every row
+        if corrupt is not None:
+            corrupt(monkeypatch)
+        config = _cfg(suite="all", n_max=4, m_max=3, a_max=2, sample_count=12, rng_seed=2)
+        swept = sorted(execute(enumerate_instances(config)), key=lambda r: r.sort_key)
+        assert any(isinstance(r, MemberReport) for r in swept)
+        assert any(r.status == FAIL for r in swept) == (corrupt is not None)
+        odd = make_report('say "q,\\', {"n": 2, "a1": -3}, FAIL, elapsed_ms=7,
+                          witness=Witness("q^-2 + 1", '"\\"', "2"), note="a, b")
+        bare = make_report("qpfaff", {}, "skipped", elapsed_ms=12345)
+        members = [MemberReport("thm1", (("n", 9),), odd), MemberReport("q1", (), bare)]
+        for reports in ([], [bare], swept, self._reports() + [odd, bare] + members):
+            known = [r for r in reports if r.claim_id in CLAIMS]  # text asks CLAIMS
+            for stable in (False, True):
+                assert render_report(known, "text", stable) \
+                    == text_report_oracle(known, stable), (known, stable)
+                assert render_report(reports, "csv", stable) \
+                    == csv_report_oracle(reports, stable), (reports, stable)
+                assert render_report(reports, "json", stable) \
+                    == json_report_oracle(reports, stable), (reports, stable)
 
     def test_json_matches_encoder_on_edge_reports(self):
         odd = make_report('say "q\\', {"n": 2, "a1": -3}, FAIL, elapsed_ms=7,
@@ -571,6 +599,39 @@ class TestOrderClasses:
                                ("thm2", (("p", 5), ("a", 2), ("b", 1)))])
         assert first.elapsed_ms >= 15 and first.params == (("p", 5), ("a", 1), ("b", 2))
         assert copy.elapsed_ms == 0 and copy.params == (("p", 5), ("a", 2), ("b", 1))
+
+    def test_one_report_per_class_and_no_copy(self, monkeypatch):
+        # every CongruenceReport built is a check's, or the copy run_instance
+        # stamps with a check's time; every other member is a MemberReport
+        built, copies = [], []
+        post_init, replace = CongruenceReport.__post_init__, sweep_mod.replace
+        monkeypatch.setattr(CongruenceReport, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        monkeypatch.setattr(sweep_mod, "replace",
+                            lambda *args, **kw: copies.append(args) or replace(*args, **kw))
+        instances = _class_instances()
+        reports = execute(instances)
+        classes = {_class_of(item) for item in instances}
+        assert len(built) == len(classes) + len(copies) and len(copies) <= len(classes)
+        members = [r for r in reports if isinstance(r, MemberReport)]
+        assert len(members) == len(instances) - len(classes)
+        assert [(r.claim_id, r.params) for r in reports] == instances
+        assert {r.elapsed_ms for r in members} == {0}
+        assert all(isinstance(r.report, CongruenceReport) for r in members)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    def test_the_benchmark_child_path_matches_run_suite(self, fmt, jobs):
+        # perfbench/child.py sorts execute's reports by sort_key and renders
+        # them itself; run_suite sorts on (claim_id, params)
+        config = SweepConfig(suite="all", n_max=5, m_max=3, a_max=3, prime_set=(5, 7),
+                             sample_count=30, rng_seed=3, jobs=jobs, format=fmt,
+                             stable_output=True)
+        out = io.StringIO()
+        assert run_suite(config, out=out, err=io.StringIO()) == 0
+        reports = sorted(execute(enumerate_instances(config), jobs=jobs),
+                         key=lambda r: r.sort_key)
+        assert render_report(reports, fmt, stable=True) == out.getvalue()
 
     @pytest.mark.parametrize("jobs", JOBS)
     def test_fail_fast_matches_checking_each_instance(self, monkeypatch, jobs):

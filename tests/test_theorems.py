@@ -11,8 +11,10 @@ from oracles import (
     comb_row_zero_is_one,
     modulus_shifted,
     multinom_factor_oracle,
+    pfaff_fraction_report,
     pfaff_lhs_oracle,
     steps_plus_one,
+    terms_sum_oracle,
     thm2_full_product,
     weighted_sum_oracle,
     weighted_sum_plus_modulus,
@@ -126,9 +128,12 @@ def test_weighted_sum_independent_of_visit_order():
 @pytest.mark.parametrize("check, args", [
     (check_sum_lemma, (5, 2)),
     (check_chu_vandermonde, (3, 2, 4)),
+    (theorems._chu_sides, (3, 2, 4)),
     (check_p_minus_one_lemma, (5, 2)),
     (check_residue_identity, (2, 3)),
+    (theorems._residue_sides, (2, 3)),
     (check_symmetric_identity, (3, 2)),
+    (theorems._symmetric_sides, (3, 2)),
     (sum_quotient_recurrence, (6, [2, 1])),
     (check_thm1, (7, [3, 2])),
     (check_thm2, (7, 3, 2)),
@@ -137,8 +142,12 @@ def test_weighted_sum_independent_of_visit_order():
 ])
 def test_checker_draws_binomials_from_the_shared_memo(monkeypatch, check, args):
     # the prefactor and W(n) are packed products that the memo builds whole,
-    # so thm1 and thm2 build no binomial at all
-    builds = check not in (check_thm1, check_thm2, weighted_sum, multinom_factor)
+    # so thm1 and thm2 build no binomial at all; an identity adds packed
+    # products on a pass and reads the memo's binomials only on its fail
+    # route, the Laurent sides
+    builds = check not in (check_thm1, check_thm2, weighted_sum, multinom_factor,
+                           check_chu_vandermonde, check_residue_identity,
+                           check_symmetric_identity)
     calls = []
 
     def counting(n, k):
@@ -318,6 +327,94 @@ def test_symmetric_identity_grid():
             assert check_symmetric_identity(a, b).status == "pass", (a, b)
 
 
+# --- the identities on packed integers --------------------------------------------------
+
+def _identity_terms(monkeypatch, check, *args):
+    """The terms ``check`` hands to ``_sum_vanishes``."""
+    seen = []
+    decide = theorems._sum_vanishes
+    monkeypatch.setattr(theorems, "_sum_vanishes",
+                        lambda terms: seen.append(terms) or decide(terms))
+    check(*args)
+    monkeypatch.setattr(theorems, "_sum_vanishes", decide)
+    (terms,) = seen
+    return terms
+
+
+_IDENTITY_GRID = (
+    [(check_chu_vandermonde, theorems._chu_sides, (a, b, n))
+     for a in range(9) for b in range(9) for n in range(19)]
+    + [(check, sides, (a, b))
+       for check, sides in ((check_residue_identity, theorems._residue_sides),
+                            (check_symmetric_identity, theorems._symmetric_sides))
+       for a in range(9) for b in range(9)])
+
+
+def test_packed_identities_match_the_laurent_route():
+    # every chu_vandermonde check with a, b <= 8 and n <= 18, every residue
+    # and symmetric check with a, b <= 8: the Laurent sides agree, and so
+    # does the packed route
+    for check, sides, args in _IDENTITY_GRID:
+        lhs, rhs = sides(*args)
+        assert lhs == rhs, (check.__name__, args)
+        assert check(*args).status == "pass", (check.__name__, args)
+
+
+def test_packed_sum_matches_the_laurent_sum_on_broken_terms(monkeypatch):
+    # each identity's terms with one exponent moved by one or one sign
+    # flipped no longer sum to zero; the packed route must say so exactly
+    # when the Laurent sum of the same terms is nonzero
+    checked = vanishing = 0
+    for check, _, args in _IDENTITY_GRID[::7]:
+        terms = _identity_terms(monkeypatch, check, *args)
+        for i, (sign, e, pairs) in enumerate(terms):
+            for broken in ((sign, e + 1, pairs), (sign, e - 1, pairs), (-sign, e, pairs)):
+                moved = terms[:i] + [broken] + terms[i + 1:]
+                zero = terms_sum_oracle(moved).is_zero
+                assert theorems._sum_vanishes(moved) == zero, (check.__name__, args, i)
+                checked += 1
+                vanishing += zero
+    assert checked > 1000 and vanishing < checked
+
+
+def test_packed_sum_needs_equal_sides_at_one():
+    # q against 256: at X = 2^8, the slots S = 1 asks for, both are 256
+    assert not theorems._sum_vanishes([(1, 1, ())] + [(-1, 0, ())] * 256)
+    # q^2 + 256 against 257q: equal at q = 1 and at X = 2^8, but S = 257 needs
+    # two-byte slots, where they differ
+    assert not theorems._sum_vanishes([(1, 2, ())] + [(1, 0, ())] * 256
+                                      + [(-1, 1, ())] * 257)
+    assert theorems._sum_vanishes([(1, 0, ((4, 2),)), (-1, 0, ((4, 2),))])
+    assert theorems._sum_vanishes([])
+
+
+def test_identity_pass_builds_no_laurent_poly_and_multiplies_nothing(monkeypatch):
+    calls = []
+    for cls, name in ((LaurentPoly, "__init__"), (IntPoly, "__mul__")):
+        method = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda *args, method=method, name=name:
+                            calls.append(name) or method(*args))
+    qcomb.BINOMIAL_MEMO.clear()
+    for check, _, args in _IDENTITY_GRID[::5]:
+        assert check(*args).status == "pass"
+    assert calls == []
+    # the spies are live: a fail is decided again on the Laurent sides
+    binomials_plus_one(monkeypatch)
+    assert check_chu_vandermonde(2, 1, 1).status == "fail"
+    assert "__init__" in calls and "__mul__" in calls
+
+
+@pytest.mark.parametrize("check, args", [
+    (check_chu_vandermonde, (3, 2, 4)),
+    (check_residue_identity, (2, 3)),
+    (check_symmetric_identity, (3, 2)),
+])
+def test_packed_identity_fail_that_the_laurent_route_passes_raises(monkeypatch, check, args):
+    monkeypatch.setattr(theorems, "_sum_vanishes", lambda terms: False)
+    with pytest.raises(InternalError, match="the packed sides differ, the Laurent sides agree"):
+        check(*args)
+
+
 # --- the mod [p]^2 refinement ------------------------------------------------------------
 
 def test_thm2_frozen_2_1_1():
@@ -479,6 +576,90 @@ def test_pfaff_singular_specialization_skipped():
     assert r2.status == "skipped"
 
 
+def _pfaff_points(rng, count, n_max):
+    """Random points with x, y, z in +-1..7 over 1..4 and q in +-2..7 over 1..3,
+    about a third of them made singular in one of the ways the Fraction route
+    names, and some with x = q^-j, whose terms vanish partway."""
+    def rational(top, den):
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, top), rng.randint(1, den))
+
+    points = []
+    while len(points) < count:
+        x, y, z = rational(7, 4), rational(7, 4), rational(7, 4)
+        q = Fraction(rng.choice([-1, 1]) * rng.randint(2, 7), rng.randint(1, 3))
+        n = rng.randint(0, n_max)
+        if q in (1, -1):
+            continue
+        i = rng.randint(0, max(n - 1, 0))
+        kind = rng.randrange(6)
+        if kind == 0:
+            z = q ** -i  # (z;q)_n vanishes
+        elif kind == 1:
+            z = x * y * q ** (1 - n + i)  # (xy q^(1-n)/z;q)_n vanishes
+        elif kind == 2:
+            z = x * y * q ** -i  # (z/(xy);q)_n and (xy q^(1-n)/z;q)_n vanish
+        elif kind == 3:
+            x = q ** -i
+        points.append((x, y, z, q, n))
+    return points
+
+
+@pytest.mark.parametrize("count, n_max", [(2000, 8), (300, 40)])
+def test_pfaff_integer_route_matches_the_fraction_route(count, n_max):
+    rng = random.Random(count)
+    points = _pfaff_points(rng, count, n_max)
+    points += [(2, 3, 5, q, 3) for q in (0, 1, -1)] + [(0, 3, 5, 2, 2), (2, 3, 5, 2, 0)]
+    notes = set()
+    for point in points:
+        want = pfaff_fraction_report(*point)
+        assert check_pfaff_saalschutz(*point) == want, point
+        sides = theorems._pfaff_integers(*map(Fraction, point[:4]), point[4])
+        if want.status == "skipped":
+            assert sides is None, point
+            notes.add(want.note)
+        else:
+            (lhs_num, lhs_den), (rhs_num, rhs_den) = sides
+            lhs, rhs = theorems._pfaff_sides(*map(Fraction, point[:4]), point[4])
+            assert (Fraction(lhs_num, lhs_den), Fraction(rhs_num, rhs_den)) == (lhs, rhs), point
+    # the bases xy q^(1-n)/z and z/(xy) multiply to q^(1-n), so their
+    # Pochhammers vanish together, and the first is named
+    assert notes == {"(z;q)_n vanishes", "(xy q^(1-n)/z;q)_n vanishes",
+                     "q in {0, 1, -1}", "x, y, z must be nonzero"}
+
+
+def test_pfaff_sample_instances_match_the_fraction_route():
+    # the points the sweep draws, with n up to 8
+    items = sweep.pfaff_sample_instances(400, 11, 8)
+    statuses = set()
+    for _, params in items:
+        p = dict(params)
+        point = [Fraction(p[v + "_num"], p[v + "_den"]) for v in "xyzq"] + [p["n"]]
+        want = pfaff_fraction_report(*point)
+        assert check_pfaff_saalschutz(*point) == want, point
+        statuses.add(want.status)
+    assert statuses == {"pass", "skipped"}
+
+
+def test_pfaff_pass_calls_no_fraction_route(monkeypatch):
+    calls = []
+    for name in ("_pfaff_sides", "q_pochhammer_eval"):
+        fn = getattr(theorems, name)
+        monkeypatch.setattr(theorems, name, lambda *args, fn=fn, name=name:
+                            calls.append(name) or fn(*args))
+    for point in _pfaff_points(random.Random(3), 300, 8):
+        if check_pfaff_saalschutz(*point).status == "pass":
+            continue
+        assert calls, point  # the spies are live: a skip asks the Fraction route
+        del calls[:]
+    assert calls == []
+
+
+def test_pfaff_integer_fail_that_the_fraction_route_passes_raises(monkeypatch):
+    monkeypatch.setattr(theorems, "_pfaff_integers", lambda *args: ((1, 1), (2, 1)))
+    with pytest.raises(InternalError, match="the integer route finds no pass"):
+        check_pfaff_saalschutz(2, 3, 5, 2, 1)
+
+
 def test_pfaff_params_encode_rationals():
     r = check_pfaff_saalschutz(Fraction(1, 2), 3, 5, 2, 1)
     d = dict(r.params)
@@ -495,13 +676,20 @@ def test_pfaff_validation():
 # --- every checker's fail branch, reached by corrupting one input ---------------------------
 
 def _pfaff_lhs_plus_one(monkeypatch):
-    sides = theorems._pfaff_sides
+    """The left side plus one on both routes: the integer one, L/td, and the
+    Fraction one, which gives the witness."""
+    sides, integers = theorems._pfaff_sides, theorems._pfaff_integers
 
     def shifted(*args):
         lhs, rhs = sides(*args)
         return lhs + 1, rhs
 
+    def shifted_integers(*args):
+        (lhs_num, lhs_den), rhs = integers(*args)
+        return (lhs_num + lhs_den, lhs_den), rhs
+
     monkeypatch.setattr(theorems, "_pfaff_sides", shifted)
+    monkeypatch.setattr(theorems, "_pfaff_integers", shifted_integers)
 
 
 # thm1 (7, [3, 2]) and thm2 (7, 3, 2) share this product; it is long enough
