@@ -4,22 +4,21 @@ Usage:
     qcong --suite thm1 --n-max 20 --samples 100 --seed 7 --format json
 
 The parser only parses: each flag's dest is a ``SweepConfig`` field whose
-default it takes from the dataclass (the help text prints those values), and
-``SweepConfig.validate`` judges every value, so an out-of-range flag is a
-usage error that names the field.
+default it takes from the named tuple's ``_field_defaults`` (the help text
+prints those values), and ``SweepConfig.validate`` judges every value, so an
+out-of-range flag is a usage error that names the field.
 
 Exit codes: 0 all checks passed (skips allowed), 1 a theorem or identity
 check failed, 2 usage error (including a selection with no instances), 3
 conjecture counterexample found, 4 a check crashed (the traceback goes to
-stderr).
+stderr; ``traceback`` is imported only then, so a sweep that does not crash
+does not pay for it).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import traceback
-from dataclasses import MISSING, fields
 
 from .sweep import FORMATS, SUITES, SweepConfig, UsageError, run_suite
 
@@ -33,7 +32,7 @@ def _prime_list(text):
 
 
 def build_parser():
-    defaults = {f.name: f.default for f in fields(SweepConfig) if f.default is not MISSING}
+    defaults = SweepConfig._field_defaults
     parser = argparse.ArgumentParser(
         prog="qcong",
         description="Exact-arithmetic verification sweeps for q-binomial "
@@ -81,6 +80,8 @@ def main(argv=None):
         return 2
     except Exception:
         # a crash must not read as exit 1, "a theorem was falsified"
+        import traceback  # only a crash pays for the module
+
         traceback.print_exc()
         return 4
 

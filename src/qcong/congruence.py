@@ -3,10 +3,13 @@
 A congruence a == b (mod m) here always means that m divides a - b exactly
 in the ring of integer polynomials; nothing is ever tested numerically.
 
-``CongruenceReport`` is the single result record every checker produces.
-Its JSON form has exactly the fields claim_id, params, status, witness,
-elapsed_ms; the optional ``note`` (e.g. the vanishing-sum marker on
-trivially-true instances) only appears in the human-readable text rendering.
+``CongruenceReport`` is the single result record every checker produces,
+a named tuple that checks its status and witness when built.  Its JSON form
+has exactly the fields claim_id, params, status, witness, elapsed_ms; the
+optional ``note`` (e.g. the vanishing-sum marker on trivially-true
+instances) only appears in the human-readable text rendering.  Every
+decider below takes params as the tuple of (name, int) pairs the report
+keeps, which the checker has validated, and builds its report directly.
 
 Every verdict is built by one core, ``_verdict``, from one residue computed
 by one of three deciders: ``congruence_report`` (a product of factors ==
@@ -42,10 +45,10 @@ Checkers read no clock: ``sweep.run_instance`` stamps each report's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from math import prod
 from operator import mul
+from typing import NamedTuple
 
 from .errors import InternalError
 from .poly import ZERO, IntPoly, _repack, _slot_bytes, _unpack_nonneg
@@ -113,8 +116,7 @@ def is_prime(n):
     return True
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Renderings of the two sides of a failed claim and their difference."""
 
     lhs: str
@@ -122,8 +124,16 @@ class Witness:
     difference: str
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class _ReportFields(NamedTuple):
+    claim_id: str
+    params: tuple
+    status: str
+    witness: Witness | None = None
+    elapsed_ms: int = 0
+    note: str | None = None
+
+
+class CongruenceReport(_ReportFields):
     """Outcome of one checked claim instance.
 
     ``params`` is an ordered tuple of (name, integer value) pairs so reports
@@ -132,23 +142,23 @@ class CongruenceReport:
     ``elapsed_ms`` is the sweep's wall time for the instance in whole
     milliseconds; it is 0 for a checker called directly and is rendered as
     0 under ``--stable-output``.
+
+    A named tuple, so a report pickles to a pool worker and back, and
+    ``_replace`` stamps a copy with a new ``elapsed_ms`` without checking
+    the fields again; building one checks status and witness.
     """
 
-    claim_id: str
-    params: tuple
-    status: str
-    witness: Witness | None = None
-    elapsed_ms: int = 0
-    note: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.status not in _STATUSES:
-            raise ValueError("bad status %r" % (self.status,))
-        if self.status == FAIL:
-            if self.witness is None:
+    def __new__(cls, claim_id, params, status, witness=None, elapsed_ms=0, note=None):
+        if status not in _STATUSES:
+            raise ValueError("bad status %r" % (status,))
+        if status == FAIL:
+            if witness is None:
                 raise ValueError("fail report needs a witness")
-            if self.witness.difference == "0":
+            if witness.difference == "0":
                 raise ValueError("fail witness must have a nonzero difference")
+        return tuple.__new__(cls, (claim_id, params, status, witness, elapsed_ms, note))
 
     @property
     def sort_key(self):
@@ -169,27 +179,12 @@ class CongruenceReport:
         }
 
 
-def make_report(claim_id, params, status, witness=None, elapsed_ms=0, note=None):
-    """Build a report from a plain mapping of parameter names to integers.
-
-    A ``bool`` is refused like any other non-integer: the JSON report writes
-    params with ``%d``, which prints ``1`` where ``json`` prints ``true``.
-    """
-    items = []
-    for name, value in params.items():
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise TypeError("param %r must be int, got %r" % (name, value))
-        items.append((name, value))
-    return CongruenceReport(claim_id, tuple(items), status,
-                            witness=witness, elapsed_ms=elapsed_ms, note=note)
-
-
 def _verdict(claim_id, params, lhs, rhs, residue, note):
     """``pass`` with the note when residue is zero, else ``fail`` showing it."""
     if not residue:
-        return make_report(claim_id, params, PASS, note=note)
-    return make_report(claim_id, params, FAIL,
-                       witness=Witness(str(lhs), str(rhs), str(residue)))
+        return CongruenceReport(claim_id, params, PASS, note=note)
+    return CongruenceReport(claim_id, params, FAIL,
+                            witness=Witness(str(lhs), str(rhs), str(residue)))
 
 
 def congruence_report(claim_id, params, factors, rhs, n, e=1, note=None):
@@ -359,7 +354,7 @@ def packed_report(claim_id, params, factors, n, note=None, rhs=None, unpacked=No
         e, target = 2, IntPoly._make([0] * shift + [sign] * n)
         passed = packed_square_congruent(factors, sign, shift, n)
     if passed:
-        return make_report(claim_id, params, PASS, note=note)
+        return CongruenceReport(claim_id, params, PASS, note=note)
     full = unpacked() if unpacked else tuple(f.poly() for f in factors)
     report = congruence_report(claim_id, params, full, target, n, e, note=note)
     if report.status == PASS:

@@ -40,7 +40,7 @@ def check_faulhaber_cong(n, m):
     if not _ints(n, m) or n < 1 or m < 1:
         raise InvalidParamsError("need integers n >= 1 and m >= 1")
     value = math.factorial(2 * m + 2) * power_sum(n, 2 * m + 1)
-    return integer_report("faulhaber", {"n": n, "m": m}, value, n * n)
+    return integer_report("faulhaber", (("n", n), ("m", m)), value, n * n)
 
 
 def conjecture_coefficient(m, k):
@@ -66,5 +66,5 @@ def check_conjecture(n, m, k):
         raise InvalidParamsError("need an integer n >= 1")
     coeff = conjecture_coefficient(m, k)
     total = sum(math.comb(h, 2 * k + 1) ** (2 * m + 1) for h in range(n))
-    return integer_report("conjecture", {"n": n, "m": m, "k": k}, coeff * total, n * n,
+    return integer_report("conjecture", (("n", n), ("m", m), ("k", k)), coeff * total, n * n,
                           note=VANISHING_SUM if total == 0 else None)

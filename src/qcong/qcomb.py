@@ -17,21 +17,20 @@ row of the weighted sum W(n) = sum_{h<n} q^h prod_i gauss(h, a_i) and each
 term of the Laurent identities (``QBinomialCache.packed_product``); each
 later row of W follows from the last by the same two operations.
 W(n) modulo q^n - 1, all thm1 needs, is built another way, in n slots
-(``QBinomialCache.folded_weighted_sum``): each row is a product of
-gauss(h, a_i) modulo X^n - 1, read off a table built by q-Pascal with adds
-and rotations.  A division that is not exact, or unpacked coefficients that
-do not sum to the value at q = 1, raise InternalError, so a corrupted step
-never reaches a verdict.
+of as many bits as its bound needs (``QBinomialCache.folded_weighted_sum``):
+each row is a product of gauss(h, a_i) modulo X^n - 1, read off a table
+built by q-Pascal with adds and rotations (``_pascal_columns``), neither
+of them stored.  A division that is not exact, or unpacked coefficients
+that do not sum to the value at q = 1, raise InternalError, so a
+corrupted step never reaches a verdict.
 
 ``BINOMIAL_MEMO``, the package's one memo, holds them under flat keys:
-``(n, k)``, ``(a_key,)``, ``(n, a_key)`` and, for the q-Pascal table
-modulo X^n - 1 in k-byte slots, ``("pascal", n, k)``, in one table with
-one bound; each worker process of a sweep holds its own copy.  A binomial
-is held as an IntPoly; the prefactor and W(n) stay packed
-(``poly.Packed``), and a caller that wants an IntPoly unpacks one.  An
-a-list is keyed on its sorted nonzero entries, since gauss(h, 0) = [0]! =
-1.  Every checker in :mod:`qcong.theorems` asks the memo, never
-``q_binomial`` directly.
+``(n, k)``, ``(a_key,)`` and ``(n, a_key)``, in one table with one bound;
+each worker process of a sweep holds its own copy.  A binomial is held as
+an IntPoly; the prefactor and W(n) stay packed (``poly.Packed``), and a
+caller that wants an IntPoly unpacks one.  An a-list is keyed on its
+sorted nonzero entries, since gauss(h, 0) = [0]! = 1.  Every checker in
+:mod:`qcong.theorems` asks the memo, never ``q_binomial`` directly.
 
 ``LaurentPoly`` extends the kernel with negative powers of q for identities
 whose natural exponents dip below zero; the identities decide a pass on
@@ -156,6 +155,28 @@ def _require_key(a_key):
         raise ValueError("need a sorted tuple of a_i >= 1, got %r" % (a_key,))
 
 
+def _pascal_columns(n, bits, top):
+    """Columns 0..top of gauss(h, a) modulo X^n - 1 at X = 2^bits: column a
+    holds rows h = 0..n-1, each an n-slot integer.  Needs top < n, and
+    slots of ``bits`` bits that hold C(h, a) for every h < n and a <= top.
+
+    Built by q-Pascal, gauss(h, a) = gauss(h-1, a-1) + q^a gauss(h-1, a),
+    where q^a times an n-slot value rotates it by a slots; gauss(h, a) is 0
+    for h < a and 1 for h = a.
+    """
+    width = bits * n
+    mask = (1 << width) - 1
+    columns = [(1,) * n]
+    for a in range(1, top + 1):
+        left = columns[a - 1]
+        column = [0] * a + [1]
+        for h in range(a + 1, n):
+            turned = column[h - 1] << bits * a
+            column.append(left[h - 1] + (turned & mask) + (turned >> width))
+        columns.append(column)
+    return columns
+
+
 def q_pochhammer_eval(x, q, k):
     """(x;q)_k evaluated at exact rationals: prod_{i<k} (1 - x*q^i), x*q^i carried."""
     if k < 0:
@@ -176,9 +197,8 @@ class QBinomialCache:
     A prefactor is keyed on ``(a_key,)`` and a weighted sum on
     ``(n, a_key)``, ``a_key`` an a-list's sorted nonzero entries; both are
     held packed, as a ``poly.Packed`` whose slots hold its value at q = 1,
-    and the weighted sum's entry also holds its last row.  The q-Pascal
-    table that W(n) modulo q^n - 1 is read from is keyed on
-    ``("pascal", n, k)``; W(n) modulo q^n - 1 itself is not stored.  All
+    and the weighted sum's entry also holds its last row.  W(n) modulo
+    q^n - 1, and the q-Pascal table it is read from, are not stored.  All
     share one table and one bound, with insertion-ordered eviction (oldest
     entry first).  Cached values are immutable, so a hit is
     indistinguishable from a fresh computation.
@@ -292,16 +312,21 @@ class QBinomialCache:
         """W(n) modulo q^n - 1, packed in n slots of k = _slot_bytes(W(1))
         bytes, W(1) being its value at q = 1 (``rows_at_one``).
 
-        Each row prod_i gauss(h, a_i) is the product of its entries in
+        The rows are taken in slots of b bits, the fewest that hold W(1)
+        and every table entry's C(h, a), h < n and a <= max(a_i).  Each row
+        prod_i gauss(h, a_i) is the product of its entries in
         ``_pascal_columns``, one multiply per a_i after the first, each
         followed by one fold that adds the high n slots onto the low n.  The
         rows are added, row h shifted by h slots, and folded once more.  A
-        row's coefficients sum to prod_i C(h, a_i), so nothing on the way
-        exceeds W(1); the rows are taken in slots that also hold every table
-        entry's C(h, a), wider than k only when max(a_i) > (n - 1)/2, and
-        packed back into k bytes.  The n slots, unpacked, must sum to W(1),
-        or InternalError is raised.  n <= max(a_i) gives zero.  Only the
-        table is stored.
+        row's coefficients sum to prod_i C(h, a_i), and a partial product's
+        to a part of it, so nothing on the way exceeds W(1).  The n slots,
+        unpacked, must sum to W(1), or InternalError is raised, and are
+        packed into k bytes once, at the end.  n <= max(a_i) gives zero.
+
+        Nothing is stored.  The table is built for each call: at b bits it
+        is seldom asked for again (the thm1-wide-jobs2 samples fold 755 W
+        in 636 distinct (n, b)), and held, such tables would only grow the
+        memo.
         """
         _require_key(a_key)
         top = a_key[-1] if a_key else 0
@@ -309,11 +334,10 @@ class QBinomialCache:
             return _NO_ROWS
         at_one = rows_at_one(a_key, top, n)
         k = _slot_bytes(at_one)
-        wide = max(k, _slot_bytes(comb(n - 1, min(top, (n - 1) // 2))))
-        bits = 8 * wide
+        bits = max(at_one, comb(n - 1, min(top, (n - 1) // 2))).bit_length()
         width = bits * n
         mask = (1 << width) - 1
-        columns = self._pascal_columns(n, wide, top)
+        columns = _pascal_columns(n, bits, top)
         first, *rest = [columns[a] for a in a_key] or [columns[0]]
         total = 0
         for h in range(top, n):
@@ -323,40 +347,12 @@ class QBinomialCache:
                 row = (row & mask) + (row >> width)
             total += row << bits * h
         total = (total & mask) + (total >> width)
-        slots = _unpack_nonneg(total, wide, n)
+        low = (1 << bits) - 1
+        slots = [(total >> bits * i) & low for i in range(n)]
         if sum(slots) != at_one:
             raise InternalError("W(%d) for %r modulo q^%d - 1: slots do not sum to %d"
                                 % (n, a_key, n, at_one))
-        return Packed(total if wide == k else _pack_nonneg(slots, k), k, n, at_one)
-
-    def _pascal_columns(self, n, k, top):
-        """Columns 0..top, at least, of gauss(h, a) modulo X^n - 1 at X =
-        2^(8k): column a holds rows h = 0..n-1, each an n-slot integer.
-        Needs top < n, and k-byte slots that hold C(h, a) for every h < n
-        and a <= top.
-
-        Built by q-Pascal, gauss(h, a) = gauss(h-1, a-1) + q^a gauss(h-1, a),
-        where q^a times an n-slot value rotates it by a slots; gauss(h, a) is
-        0 for h < a and 1 for h = a.  Held under ``("pascal", n, k)`` and
-        extended by the columns a caller lacks.
-        """
-        key = ("pascal", n, k)
-        columns = self._table.get(key, ())
-        if len(columns) > top:
-            return columns
-        bits = 8 * k
-        width = bits * n
-        mask = (1 << width) - 1
-        grown = list(columns) or [(1,) * n]
-        for a in range(len(grown), top + 1):
-            left = grown[a - 1]
-            column = [0] * a + [1]
-            for h in range(a + 1, n):
-                turned = column[h - 1] << bits * a
-                column.append(left[h - 1] + (turned & mask) + (turned >> width))
-            grown.append(tuple(column))
-        self._table.pop(key, None)
-        return self._store(key, tuple(grown))
+        return Packed(_pack_nonneg(slots, k), k, n, at_one)
 
     def _store(self, key, value):
         if len(self._table) >= self.max_entries:

@@ -11,20 +11,27 @@ pure function of the config.  Random samples come from SplitMix64 (the
 64-bit mixer with golden-gamma increment 0x9E3779B97F4A7C15), seeded from
 ``rng_seed``; bounded draws use plain ``next_u64() % bound``.  The exact
 sampling procedures are documented in the README so an independent
-implementation can reproduce instance sets from the seed alone.
+implementation can reproduce instance sets from the seed alone.  A thm1
+or q1 params tuple is (("n", n),) + tail, its pairs built once per sweep:
+the grid builds each a-list's tail once and shares it across every n, and
+thm1 and q1 share the whole tuple.
 
 ``run_instance`` is the one place that reads a clock: it times each
 check call and stamps the report's elapsed_ms.  ``execute`` checks each
 class once: instances of an order-free claim whose first param and class
 key agree share one check (for thm1 and q1 the key is the a-list's sorted
-nonzero entries, computed once per distinct a-list), and every later
+nonzero entries, computed once per claim and distinct a-list), and every later
 member gets a ``MemberReport``: its own claim_id and params, the status,
 witness and note of the class's report, and elapsed_ms 0, since nothing
-was checked for it.  No report is copied.  A pool starts at most as many
-workers as there are checks to run and CPUs this process may use.
-Reports are sorted on (claim_id, params) no matter how many worker
-processes ran the checks, so identical configs yield identical output;
-``stable_output`` additionally zeroes elapsed_ms for byte-exact diffs.
+was checked for it.  No report is copied.  Classes are numbered in one
+pass with one tail lookup and one first-param lookup per instance
+(``_classes``).  A pool starts at most as many workers as there are checks
+to run and CPUs this process may use.  Reports are sorted on (claim_id,
+params) no matter how many worker processes ran the checks, so identical
+configs yield identical output; ``run_suite`` sorts stably on params and
+then on claim_id, which is that order and compares no (claim_id, params)
+pair.  ``stable_output`` additionally zeroes elapsed_ms for byte-exact
+diffs.
 
 ``render_report`` renders each params tuple once (thm1 and q1 share every
 one) and each status, witness and elapsed_ms tail once (every member of a
@@ -37,8 +44,8 @@ templates; strings are escaped by the encoder's own
 ``execute`` returns one report per instance, each with the fields
 ``render_report`` reads and a ``sort_key``, since the benchmark in
 ``perfbench/`` sorts and renders that list itself, and ``run_suite`` calls
-``execute`` and ``render_report`` by their module names, which the
-benchmark times.
+``enumerate_instances``, ``execute`` and ``render_report`` by their module
+names, which the benchmark times.
 
 Exit codes: 0 all pass/skip, 1 a theorem or identity check failed (an
 implementation bug or a falsified theorem), 2 usage error (including a
@@ -49,14 +56,12 @@ counterexample.  An exception escaping a checker propagates out of
 
 from __future__ import annotations
 
-import csv
 import io
 import itertools
 import os
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
@@ -66,7 +71,7 @@ from .congruence import FAIL, PASS, SKIPPED, CongruenceReport, is_prime
 from .faulhaber import check_conjecture, check_faulhaber_cong
 from .theorems import (
     a_key,
-    a_params,
+    a_names,
     check_chu_vandermonde,
     check_p_minus_one_lemma,
     check_pfaff_saalschutz,
@@ -166,9 +171,12 @@ class SplitMix64:
         return self.next_u64() % bound
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Everything a sweep needs; validation happens in ``validate``."""
+class SweepConfig(NamedTuple):
+    """Everything a sweep needs; validation happens in ``validate``.
+
+    A named tuple: immutable, and its fields and their defaults are
+    ``_fields`` and ``_field_defaults``, which the CLI builds its flags from.
+    """
 
     suite: str
     n_max: int = 10
@@ -218,29 +226,43 @@ def _params(**kw):
     return tuple(kw.items())
 
 
+def _a_pairs(m_max, a_max):
+    """Row i - 1 holds the pairs ("ai", a) for a = 0..a_max, each built once,
+    so every a-list's params share them."""
+    return [[(name, a) for a in range(a_max + 1)] for name in a_names(m_max)]
+
+
 def thm1_grid_instances(n_max, m_max, a_max):
-    """Exhaustive (n, a-list) grid, each emitted as a thm1 and a q1 instance."""
+    """Exhaustive (n, a-list) grid, each emitted as a thm1 and a q1 instance.
+
+    n runs slowest, then the length m, then the a-list in lexicographic
+    order.  Each params tuple is (("n", n),) + tail, the tail of an a-list
+    built once and shared by every n, and thm1 and q1 share the tuple.
+    """
+    rows = _a_pairs(m_max, a_max)
+    tails = [tail for m in range(1, m_max + 1) for tail in itertools.product(*rows[:m])]
     out = []
     for n in range(1, n_max + 1):
-        for m in range(1, m_max + 1):
-            for a_list in itertools.product(range(a_max + 1), repeat=m):
-                params = tuple(a_params(n, a_list).items())
-                out.append(("thm1", params))
-                out.append(("q1", params))
+        head = (("n", n),)
+        for tail in tails:
+            params = head + tail
+            out += ("thm1", params), ("q1", params)
     return out
 
 
 def thm1_sample_instances(count, seed, n_max, m_max, a_max):
-    """Seeded random (n, a-list) draws: n, m uniform from 1, each a_i from 0."""
-    rng = SplitMix64(seed)
+    """Seeded random (n, a-list) draws: n, m uniform from 1, each a_i from 0.
+
+    The ("ai", a) pairs are built once and shared, as in the grid.
+    """
+    below = SplitMix64(seed).below
+    rows = _a_pairs(m_max, a_max)
     out = []
     for _ in range(count):
-        n = 1 + rng.below(n_max)
-        m = 1 + rng.below(m_max)
-        a_list = tuple(rng.below(a_max + 1) for _ in range(m))
-        params = tuple(a_params(n, a_list).items())
-        out.append(("thm1", params))
-        out.append(("q1", params))
+        head = (("n", 1 + below(n_max)),)
+        m = 1 + below(m_max)
+        params = head + tuple([row[below(a_max + 1)] for row in rows[:m]])
+        out += ("thm1", params), ("q1", params)
     return out
 
 
@@ -354,28 +376,42 @@ def run_instance(item):
     elapsed_ms = round((time.perf_counter() - t0) * 1000)
     if elapsed_ms == report.elapsed_ms:  # checkers report 0; most checks take < 0.5 ms
         return report
-    return replace(report, elapsed_ms=elapsed_ms)
+    return report._replace(elapsed_ms=elapsed_ms)
 
 
-def _class_keys(instances):
-    """Each instance's class: for an order-free claim, its claim, first param
-    and class key of the other params, the key computed once per distinct
-    tail and key function (thm1 and q1 share theirs); any other instance is
-    its own class."""
-    keys = []
-    tail_keys = {}
+def _classes(instances):
+    """The class number of each instance, and the first instance of each
+    class, in order of first appearance.
+
+    An instance of an order-free claim is in the class of its claim, first
+    param and class key of the other params, its tail.  Each claim maps a
+    tail, looked up once per instance, to a table shared by all its tails
+    with one class key (computed once per distinct tail), and the table
+    maps the first param to the class number.  Any other instance is its
+    own class.
+    """
+    rows = {}
+    numbers, firsts = [], []
     for item in instances:
         claim_id, params = item
-        class_key = CLAIMS[claim_id].class_key
+        row = rows.get(claim_id)
+        if row is None:
+            row = rows[claim_id] = CLAIMS[claim_id].class_key, {}, {}
+        class_key, tables, by_key = row
         if class_key is None:
-            keys.append(item)
+            numbers.append(len(firsts))
+            firsts.append(item)
             continue
-        tail = (class_key, params[1:])
-        key = tail_keys.get(tail)
-        if key is None:
-            key = tail_keys[tail] = class_key([v for _, v in params[1:]])
-        keys.append((claim_id, params[0], key))
-    return keys
+        tail = params[1:]
+        table = tables.get(tail)
+        if table is None:
+            table = tables[tail] = by_key.setdefault(class_key([v for _, v in tail]), {})
+        number = table.get(params[0])
+        if number is None:
+            number = table[params[0]] = len(firsts)
+            firsts.append(item)
+        numbers.append(number)
+    return numbers, firsts
 
 
 class MemberReport:
@@ -413,13 +449,9 @@ def execute(instances, jobs=1, fail_fast=False):
     every later one gets a ``MemberReport`` of it.  The pool has min(jobs,
     checks to run, usable CPUs) workers, and none if that is 1.
     """
-    keys = _class_keys(instances)
-    firsts = {}
-    for key, item in zip(keys, instances):
-        firsts.setdefault(key, item)
-    todo = list(firsts.values())
+    numbers, todo = _classes(instances)
     reports = []
-    done = {}
+    done = [None] * len(todo)
     pool = None
     workers = min(jobs, len(todo), _cpu_count())
     if workers > 1:
@@ -431,10 +463,10 @@ def execute(instances, jobs=1, fail_fast=False):
         else:
             chunk = max(1, len(todo) // (workers * 8))
             results = pool.map(run_instance, todo, chunksize=chunk)
-        for key, (claim_id, params) in zip(keys, instances):
-            report = done.get(key)
+        for number, (claim_id, params) in zip(numbers, instances):
+            report = done[number]
             if report is None:
-                report = done[key] = next(results)
+                report = done[number] = next(results)
             else:
                 report = MemberReport(claim_id, params, report)
             reports.append(report)
@@ -475,8 +507,8 @@ def _params_text(params):
 def _params_renderer(render_pair, render_pairs):
     """``render_pairs`` of the rendered (name, value) pairs, once per params
     tuple; a pair, shared by many tuples, is rendered once too."""
-    pairs = _Rendered(render_pair)
-    return _Rendered(lambda params: render_pairs([pairs[kv] for kv in params]))
+    pair = _Rendered(render_pair).__getitem__
+    return _Rendered(lambda params: render_pairs(list(map(pair, params))))
 
 
 class _Rendered(dict):
@@ -507,7 +539,9 @@ def _json_pairs(pairs):
 
 
 def _json_tail(tail):
-    status, w, elapsed_ms = tail
+    """A report's (status, witness, elapsed_ms); (status, witness) alone
+    under ``--stable-output``, where elapsed_ms renders as 0."""
+    status, w, elapsed_ms = tail if len(tail) == 3 else tail + (0,)
     witness = ("null" if w is None else
                _JSON_WITNESS % (_quote(w.lhs), _quote(w.rhs), _quote(w.difference)))
     return _JSON_TAIL % (_quote(status), witness, elapsed_ms)
@@ -528,13 +562,15 @@ def render_report(reports, fmt, stable=False):
             return "[]\n"
         heads = _Rendered(lambda claim_id: _JSON_HEAD % _quote(claim_id))
         params, tails = _params_renderer(_json_pair, _json_pairs), _Rendered(_json_tail)
+        tail = attrgetter("status", "witness", *(() if stable else ("elapsed_ms",)))
         parts = ["[\n"]
         for r in reports:
-            parts += heads[r.claim_id], params[r.params], tails[r.status, r.witness, ms(r)]
+            parts += heads[r.claim_id], params[r.params], tails[tail(r)]
         parts[-1] = parts[-1][:-2] + "\n]\n"  # no comma after the last report
         return "".join(parts)
     params = _params_renderer(_text_pair, ";".join)
     if fmt == "csv":
+        import csv  # only a csv sweep pays for the module
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["claim_id", "params", "status", "elapsed_ms"])
@@ -574,7 +610,8 @@ def run_suite(config, out=None, err=None):
         raise UsageError("suite %r selects no instances with these bounds and primes"
                          % (config.suite,))
     reports = execute(instances, jobs=config.jobs, fail_fast=config.fail_fast)
-    reports.sort(key=attrgetter("claim_id", "params"))
+    reports.sort(key=attrgetter("params"))  # stable: sorted on (claim_id, params)
+    reports.sort(key=attrgetter("claim_id"))
     out.write(render_report(reports, config.format, stable=config.stable_output))
     for r in reports:
         if r.status != FAIL:

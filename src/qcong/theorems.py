@@ -121,11 +121,11 @@ from .congruence import (
     PASS,
     SKIPPED,
     VANISHING_SUM,
+    CongruenceReport,
     congruence_report,
     identity_report,
     integer_report,
     is_prime,
-    make_report,
     packed_report,
 )
 from .errors import (
@@ -167,12 +167,15 @@ def _sign(e):
     return 1 if e % 2 == 0 else -1
 
 
-def a_params(n, a_list):
-    """The params of a thm1/q1 instance: n, then a1, ..., am in list order."""
-    params = {"n": n}
-    for i, a in enumerate(a_list):
-        params["a%d" % (i + 1)] = a
-    return params
+def a_names(m):
+    """The names of an m-entry a-list's params: a1, ..., am."""
+    return tuple(["a%d" % i for i in range(1, m + 1)])
+
+
+def a_list_params(n, a_list):
+    """The params of a thm1/q1 instance: ("n", n), then ("a1", a1), ...,
+    ("am", am) in list order."""
+    return (("n", n),) + tuple(zip(a_names(len(a_list)), a_list))
 
 
 # --- the weighted sum and its prefactor ------------------------------------------
@@ -197,13 +200,14 @@ def check_thm1(n, a_list):
     all [n] needs.  A fail is decided again on the full W(n), which gives
     the witness.
     """
-    key = a_key(_a_tuple(n, a_list))
+    a_tuple = _a_tuple(n, a_list)
+    key = a_key(a_tuple)
     if BINOMIAL_MEMO.within_one_row(n, key):
         w = BINOMIAL_MEMO.weighted_sum(n, key)
     else:
         w = BINOMIAL_MEMO.folded_weighted_sum(n, key)
     prefactor = BINOMIAL_MEMO.prefactor(key)
-    return packed_report("thm1", a_params(n, a_list), (prefactor, w), n,
+    return packed_report("thm1", a_list_params(n, a_tuple), (prefactor, w), n,
                          note=None if w.value else VANISHING_SUM,
                          unpacked=lambda: (prefactor.poly(),
                                            BINOMIAL_MEMO.weighted_sum(n, key).poly()))
@@ -211,17 +215,17 @@ def check_thm1(n, a_list):
 
 def q1_check(n, a_list):
     """The q = 1 congruence of thm1, in pure integer arithmetic (claim id q1)."""
-    a_tuple = a_key(_a_tuple(n, a_list))
-    s = sum(a_tuple) + 1
-    numer = math.factorial(s)
+    a_tuple = _a_tuple(n, a_list)
+    key = a_key(a_tuple)
+    numer = math.factorial(sum(key) + 1)
     denom = 1
-    for a in a_tuple:
+    for a in key:
         denom *= math.factorial(a)
     factor, rem = divmod(numer, denom)
     if rem:
         raise InternalError("integer multinomial quotient not exact")
-    total = rows_at_one(a_tuple, 0, n)
-    return integer_report("q1", a_params(n, a_list), factor * total, n,
+    total = rows_at_one(key, 0, n)
+    return integer_report("q1", a_list_params(n, a_tuple), factor * total, n,
                           note=VANISHING_SUM if total == 0 else None)
 
 
@@ -285,7 +289,7 @@ def check_sum_lemma(n, a):
         raise InvalidParamsError("need integers n >= 1 and a >= 0")
     lhs = BINOMIAL_MEMO.weighted_sum(n, a_key((a,))).poly()
     rhs = BINOMIAL_MEMO.binomial(n, a + 1).shift(a)
-    return identity_report("sum_lemma", {"n": n, "a": a}, lhs, rhs)
+    return identity_report("sum_lemma", (("n", n), ("a", a)), lhs, rhs)
 
 
 def _sum_vanishes(terms):
@@ -320,7 +324,7 @@ def _identity_report(claim_id, params, terms, sides):
     route passes, the packed one is broken and InternalError is raised.
     """
     if _sum_vanishes(terms):
-        return make_report(claim_id, params, PASS)
+        return CongruenceReport(claim_id, params, PASS)
     report = identity_report(claim_id, params, *sides())
     if report.status == PASS:
         raise InternalError("%s %r: the packed sides differ, the Laurent sides agree"
@@ -337,7 +341,7 @@ def check_chu_vandermonde(a, b, n):
              for k in range(max(0, n - b), min(a, n) + 1)]
     if n <= a + b:
         terms.append((-1, 0, ((a + b, n),)))
-    return _identity_report("chu_vandermonde", {"a": a, "b": b, "n": n}, terms,
+    return _identity_report("chu_vandermonde", (("a", a), ("b", b), ("n", n)), terms,
                             lambda: _chu_sides(a, b, n))
 
 
@@ -358,7 +362,7 @@ def check_p_minus_one_lemma(p, j):
     if not _naturals(j) or j > p - 1:
         raise InvalidParamsError("need an integer 0 <= j <= p-1")
     lhs = BINOMIAL_MEMO.binomial(p - 1, j).shift(math.comb(j + 1, 2))
-    return congruence_report("p_minus_one", {"p": p, "j": j}, (lhs,), _sign(j) * ONE, p)
+    return congruence_report("p_minus_one", (("p", p), ("j", j)), (lhs,), _sign(j) * ONE, p)
 
 
 def _ab_exponent(a, b):
@@ -381,7 +385,7 @@ def check_residue_identity(a, b):
               ((a + b + 1, b - k), (a + k, a), (a + k, b)))
              for k in range(max(0, b - a), b + 1)]
     terms.append((-_sign(b), _ab_exponent(a, b), ()))
-    return _identity_report("residue_identity", {"a": a, "b": b}, terms,
+    return _identity_report("residue_identity", (("a", a), ("b", b)), terms,
                             lambda: _residue_sides(a, b))
 
 
@@ -409,7 +413,7 @@ def check_symmetric_identity(a, b):
     terms = [(_sign(k), _symmetric_exponent(a, b, k), ((k, a), (k, b), (a + b + 1, k + 1)))
              for k in range(max(a, b), a + b + 1)]
     terms.append((-_sign(a - b), 0, ()))
-    return _identity_report("symmetric_identity", {"a": a, "b": b}, terms,
+    return _identity_report("symmetric_identity", (("a", a), ("b", b)), terms,
                             lambda: _symmetric_sides(a, b))
 
 
@@ -444,7 +448,7 @@ def check_thm2(p, a, b):
         raise InvalidParamsError("need integers 0 <= a, b < p")
     ab = a_key((a, b))
     e = _ab_exponent(a, b)
-    return packed_report("thm2", {"p": p, "a": a, "b": b},
+    return packed_report("thm2", (("p", p), ("a", a), ("b", b)),
                          (BINOMIAL_MEMO.prefactor(ab), BINOMIAL_MEMO.weighted_sum(p, ab)),
                          p, rhs=(_sign(a - b), e % p))
 
@@ -462,22 +466,20 @@ def check_pfaff_saalschutz(x, y, z, q, n):
     if not _naturals(n):
         raise InvalidParamsError("n must be an integer >= 0")
     x, y, z, q = Fraction(x), Fraction(y), Fraction(z), Fraction(q)
-    params = {
-        "x_num": x.numerator, "x_den": x.denominator,
-        "y_num": y.numerator, "y_den": y.denominator,
-        "z_num": z.numerator, "z_den": z.denominator,
-        "q_num": q.numerator, "q_den": q.denominator,
-        "n": n,
-    }
+    params = (("x_num", x.numerator), ("x_den", x.denominator),
+              ("y_num", y.numerator), ("y_den", y.denominator),
+              ("z_num", z.numerator), ("z_den", z.denominator),
+              ("q_num", q.numerator), ("q_den", q.denominator),
+              ("n", n))
     sides = _pfaff_integers(x, y, z, q, n)
     if sides is not None:
         (lhs_num, lhs_den), (rhs_num, rhs_den) = sides
         if lhs_num * rhs_den == rhs_num * lhs_den:
-            return make_report("qpfaff", params, PASS)
+            return CongruenceReport("qpfaff", params, PASS)
     try:
         lhs, rhs = _pfaff_sides(x, y, z, q, n)
     except SingularSpecialization as exc:
-        return make_report("qpfaff", params, SKIPPED, note=str(exc))
+        return CongruenceReport("qpfaff", params, SKIPPED, note=str(exc))
     report = identity_report("qpfaff", params, lhs, rhs)
     if report.status == PASS:
         raise InternalError("qpfaff %r: the integer route finds no pass, the Fraction "

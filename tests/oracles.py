@@ -4,6 +4,7 @@ fail branch."""
 
 import csv
 import io
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -11,17 +12,17 @@ from fractions import Fraction
 from qcong import qcomb, theorems
 from qcong.congruence import (
     SKIPPED,
+    CongruenceReport,
     _block_sums,
     congruence_report,
     fold,
     identity_report,
-    make_report,
     rem_mod,
 )
 from qcong.errors import SingularSpecialization
 from qcong.poly import ONE, ZERO, IntPoly, Packed, _pack_nonneg, _slot_bytes
 from qcong.qcomb import LaurentPoly, q_binomial, q_factorial, q_int, q_pochhammer_eval
-from qcong.sweep import CLAIMS, run_instance
+from qcong.sweep import CLAIMS, SplitMix64, run_instance
 
 
 def q_binomial_oracle(n, k):
@@ -96,6 +97,23 @@ def pfaff_lhs_oracle(x, y, z, q, n):
     return lhs
 
 
+def make_report(claim_id, params, status, witness=None, elapsed_ms=0, note=None):
+    """Build a report from a plain mapping of parameter names to integers.
+
+    A ``bool`` is refused like any other non-integer: the JSON report writes
+    params with ``%d``, which prints ``1`` where ``json`` prints ``true``.
+    The package's checkers build ``CongruenceReport`` from params tuples
+    they have checked; the tests build theirs here.
+    """
+    items = []
+    for name, value in params.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError("param %r must be int, got %r" % (name, value))
+        items.append((name, value))
+    return CongruenceReport(claim_id, tuple(items), status,
+                            witness=witness, elapsed_ms=elapsed_ms, note=note)
+
+
 def pfaff_fraction_report(x, y, z, q, n):
     """The qpfaff report on Fractions alone, by ``theorems._pfaff_sides``:
     skipped with its note at a singular point, else whether the sides are
@@ -110,7 +128,7 @@ def pfaff_fraction_report(x, y, z, q, n):
         lhs, rhs = theorems._pfaff_sides(x, y, z, q, n)
     except SingularSpecialization as exc:
         return make_report("qpfaff", params, SKIPPED, note=str(exc))
-    return identity_report("qpfaff", params, lhs, rhs)
+    return identity_report("qpfaff", tuple(params.items()), lhs, rhs)
 
 
 def terms_sum_oracle(terms):
@@ -172,6 +190,42 @@ def execute_each(instances):
     return [run_instance(item) for item in instances]
 
 
+def a_params(n, a_list):
+    """The params of a thm1/q1 instance as a mapping: n, then a1, ..., am in
+    list order, every name and pair built afresh."""
+    params = {"n": n}
+    for i, a in enumerate(a_list):
+        params["a%d" % (i + 1)] = a
+    return params
+
+
+def thm1_grid_oracle(n_max, m_max, a_max):
+    """The thm1/q1 grid, each params tuple built through ``a_params``;
+    ``sweep.thm1_grid_instances`` shares one tail per a-list across n."""
+    out = []
+    for n in range(1, n_max + 1):
+        for m in range(1, m_max + 1):
+            for a_list in itertools.product(range(a_max + 1), repeat=m):
+                params = tuple(a_params(n, a_list).items())
+                out += ("thm1", params), ("q1", params)
+    return out
+
+
+def thm1_sample_oracle(count, seed, n_max, m_max, a_max):
+    """The seeded thm1/q1 samples, each params tuple built through
+    ``a_params``; ``sweep.thm1_sample_instances`` builds them from shared
+    pairs."""
+    rng = SplitMix64(seed)
+    out = []
+    for _ in range(count):
+        n = 1 + rng.below(n_max)
+        m = 1 + rng.below(m_max)
+        a_list = tuple(rng.below(a_max + 1) for _ in range(m))
+        params = tuple(a_params(n, a_list).items())
+        out += ("thm1", params), ("q1", params)
+    return out
+
+
 def thm2_full_product(p, a, b):
     """thm2 on the full product of the unpacked prefactor and W(p), by two
     routes: long division modulo [p]^2, and [p] dividing both the
@@ -185,7 +239,7 @@ def thm2_full_product(p, a, b):
            * qcomb.BINOMIAL_MEMO.weighted_sum(p, ab).poly())
     e = a * b - math.comb(a, 2) - math.comb(b, 2)
     signed = q_int(p) if (a - b) % 2 == 0 else -q_int(p)
-    report = congruence_report("thm2", {"p": p, "a": a, "b": b}, (lhs,),
+    report = congruence_report("thm2", (("p", p), ("a", a), ("b", b)), (lhs,),
                                signed.shift(e % p), p, 2)
     cleared = lhs.shift(max(-e, 0)) - signed.shift(max(e, 0))
     derivative = IntPoly([i * c for i, c in enumerate(cleared.coeffs)][1:])

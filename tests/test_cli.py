@@ -5,7 +5,6 @@ so any independent implementation seeded identically enumerates the same
 sampled instances.
 """
 
-import dataclasses
 import hashlib
 import io
 import itertools
@@ -23,13 +22,16 @@ from oracles import (
     csv_report_oracle,
     execute_each,
     json_report_oracle,
+    make_report,
     modulus_shifted,
     text_report_oracle,
+    thm1_grid_oracle,
+    thm1_sample_oracle,
     weighted_sum_plus_modulus,
     weighted_sums_plus_one,
 )
 
-from qcong.congruence import FAIL, PASS, CongruenceReport, Witness, make_report
+from qcong.congruence import FAIL, PASS, CongruenceReport, Witness
 from qcong.errors import InvalidParamsError
 from qcong.cli import build_parser, main
 from qcong.sweep import (
@@ -167,6 +169,34 @@ class TestEnumeration:
         thm1 = [p for c, p in instances if c == "thm1"]
         q1 = [p for c, p in instances if c == "q1"]
         assert thm1 == q1
+
+    # bounds with m_max >= 10 name a10, a11, ..., which sort before a2
+    BOUNDS = [(1, 1, 1), (4, 2, 2), (6, 3, 5), (3, 5, 3), (2, 10, 1), (2, 12, 1), (5, 1, 0)]
+
+    @pytest.mark.parametrize("n_max, m_max, a_max", BOUNDS)
+    def test_grid_equals_the_instances_built_name_by_name(self, n_max, m_max, a_max):
+        got = sweep_mod.thm1_grid_instances(n_max, m_max, a_max)
+        want = thm1_grid_oracle(n_max, m_max, a_max)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g == w and [type(v) for _, v in g[1]] == [int] * len(w[1])
+
+    @pytest.mark.parametrize("n_max, m_max, a_max", BOUNDS[:-1] + [(40, 5, 8), (9, 14, 2)])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_samples_equal_the_instances_built_name_by_name(self, n_max, m_max, a_max, seed):
+        got = sweep_mod.thm1_sample_instances(60, seed, n_max, m_max, a_max)
+        assert got == thm1_sample_oracle(60, seed, n_max, m_max, a_max)
+
+    @pytest.mark.parametrize("n_max, m_max, a_max", [(22, 3, 5), (4, 11, 1)])
+    def test_samples_inside_the_grid_are_deduplicated(self, n_max, m_max, a_max):
+        # samples drawn within the grid's own bounds are grid instances, so
+        # the suite enumerates the grid alone, in grid order
+        config = SweepConfig(suite="thm1", n_max=n_max, m_max=m_max, a_max=a_max,
+                             sample_count=60, rng_seed=4)
+        grid = thm1_grid_oracle(n_max, m_max, a_max)
+        samples = sweep_mod.thm1_sample_instances(60, 4, n_max, m_max, a_max)
+        assert set(samples) <= set(grid)
+        assert enumerate_instances(config) == grid
 
     def test_thm1_grid_size(self):
         # n in 1..4, m=1: 3 tuples, m=2: 9 tuples, twice for the q1 shadow
@@ -324,6 +354,18 @@ class TestRendering:
                 assert (render_report(reports, "json", stable)
                         == json_report_oracle(reports, stable)), (reports, stable)
         assert render_report([], "json") == "[]\n"
+
+    def test_member_renders_like_a_report(self):
+        checked = make_report("thm1", {"n": 4, "a1": 1, "a2": 2}, FAIL, elapsed_ms=7,
+                              witness=Witness("q", "0", "q"), note="a note")
+        member = MemberReport("thm1", (("n", 4), ("a1", 2), ("a2", 1)), checked)
+        alike = checked._replace(params=member.params, elapsed_ms=0)
+        for fmt in sweep_mod.FORMATS:
+            for stable in (False, True):
+                assert (render_report([member], fmt, stable)
+                        == render_report([alike], fmt, stable)), (fmt, stable)
+        assert member.sort_key == alike.sort_key
+        assert member.to_json_obj() == alike.to_json_obj()
 
     def test_bool_param_rejected(self):
         with pytest.raises(TypeError):
@@ -519,8 +561,8 @@ def test_bool_cases_cover_every_claim():
 
 @pytest.mark.parametrize("claim, name, flag", _BOOL_CASES)
 def test_bool_param_fails_before_any_work(claim, name, flag):
-    # a bool is an int to Python, but not to make_report, which would refuse
-    # it only after the whole computation
+    # a bool is an int to Python, and a report would print it with %d as 1;
+    # every checker refuses one before any work
     params = dict(_VALID_PARAMS[claim], **{name: flag})
     with pytest.raises(InvalidParamsError):
         CLAIMS[claim].check(**params)
@@ -602,13 +644,16 @@ class TestOrderClasses:
 
     def test_one_report_per_class_and_no_copy(self, monkeypatch):
         # every CongruenceReport built is a check's, or the copy run_instance
-        # stamps with a check's time; every other member is a MemberReport
+        # stamps with a check's time; every other member is a MemberReport.
+        # A copy is built by _make (which _replace calls), which skips
+        # __new__, so it counts as built too
         built, copies = [], []
-        post_init, replace = CongruenceReport.__post_init__, sweep_mod.replace
-        monkeypatch.setattr(CongruenceReport, "__post_init__",
-                            lambda self: built.append(self) or post_init(self))
-        monkeypatch.setattr(sweep_mod, "replace",
-                            lambda *args, **kw: copies.append(args) or replace(*args, **kw))
+        new, make = CongruenceReport.__new__, CongruenceReport._make
+        monkeypatch.setattr(CongruenceReport, "__new__",
+                            lambda cls, *args, **kw: built.append(args) or new(cls, *args, **kw))
+        monkeypatch.setattr(CongruenceReport, "_make",
+                            classmethod(lambda cls, fields: copies.append(fields)
+                                        or built.append(fields) or make(fields)))
         instances = _class_instances()
         reports = execute(instances)
         classes = {_class_of(item) for item in instances}
@@ -763,6 +808,25 @@ class TestMain:
         assert "Traceback" in captured.err
         assert "InternalError: routes disagree" in captured.err
 
+    def test_cli_import_loads_no_dataclasses_inspect_or_traceback(self):
+        # a fresh interpreter without site packages: importing the CLI loads
+        # none of the three, and a crash still exits 4 with its traceback
+        code = ("import sys\n"
+                "sys.path.insert(0, sys.argv[1])\n"
+                "import qcong.cli\n"
+                "print(sorted({'dataclasses', 'inspect', 'traceback'} & set(sys.modules)))\n"
+                "from qcong.sweep import CLAIMS\n"
+                "def crash(**params):\n"
+                "    raise RuntimeError('checker crashed')\n"
+                "CLAIMS['faulhaber'] = CLAIMS['faulhaber']._replace(check=crash)\n"
+                "sys.exit(qcong.cli.main(['--suite', 'faulhaber', '--n-max', '2']))\n")
+        proc = subprocess.run([sys.executable, "-S", "-c", code, os.path.join(ROOT, "src")],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.stdout == "[]\n", proc.stderr
+        assert proc.returncode == 4
+        assert "Traceback" in proc.stderr
+        assert "RuntimeError: checker crashed" in proc.stderr
+
     def test_failure_and_counterexample_both_reach_stderr(self, capsys, monkeypatch):
         def broken_faulhaber(**d):
             return make_report("faulhaber", d, FAIL, witness=Witness("9", "0", "1"))
@@ -790,7 +854,7 @@ class TestMain:
 
     def test_parser_dests_are_config_fields(self):
         dests = {a.dest for a in build_parser()._actions} - {"help"}
-        assert dests == {f.name for f in dataclasses.fields(SweepConfig)}
+        assert dests == set(SweepConfig._fields)
 
     @pytest.mark.parametrize("suite", SUITES)
     def test_parser_defaults_are_config_defaults(self, suite):
@@ -799,7 +863,7 @@ class TestMain:
 
     def test_help_prints_config_defaults(self):
         parser = build_parser()
-        defaults = {f.name: f.default for f in dataclasses.fields(SweepConfig)}
+        defaults = SweepConfig._field_defaults
         # one chunk per option: a line opening with "  -" starts the next one
         chunks = re.split(r"\n(?=  -)", parser.format_help())
         printed = {}

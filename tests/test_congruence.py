@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import pickle
 import random
 from fractions import Fraction
 from functools import reduce
@@ -10,7 +11,7 @@ from operator import mul
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import packed
+from oracles import make_report, packed
 
 from qcong.congruence import (
     FAIL,
@@ -22,7 +23,6 @@ from qcong.congruence import (
     identity_report,
     integer_report,
     is_prime,
-    make_report,
     packed_divides,
     packed_square_congruent,
     pair_folds,
@@ -105,7 +105,7 @@ def test_modulus_must_be_a_q_integer_or_its_square(n, e):
     with pytest.raises(ValueError):
         rem_mod(a, n, e)
     with pytest.raises(ValueError):
-        congruence_report("t", {}, (a,), ONE, n, e)
+        congruence_report("t", (), (a,), ONE, n, e)
 
 
 def test_qp_minus_one_times_qint_identity():
@@ -181,8 +181,8 @@ def test_fold_remainder_equals_divrem_hypothesis(coeffs, modulus):
 def _assert_factor_form_agrees(factors, rhs, n, e):
     """Several factors give the same verdict and witness as their product alone."""
     whole = reduce(mul, factors)
-    by_factors = congruence_report("t", {}, factors, rhs, n, e)
-    by_product = congruence_report("t", {}, (whole,), rhs, n, e)
+    by_factors = congruence_report("t", (), factors, rhs, n, e)
+    by_product = congruence_report("t", (), (whole,), rhs, n, e)
     assert by_factors == by_product, (factors, rhs, n, e)
     return by_factors.status
 
@@ -219,17 +219,17 @@ def test_factor_form_matches_product_form_hypothesis(factors, rhs, modulus):
 
 def test_factor_form_fail_renders_the_full_product():
     factors = (q_int(4), q_int(3).shift(2))  # [4] q^2 [3], not divisible by [5]
-    r = congruence_report("t", {}, factors, ZERO, 5)
+    r = congruence_report("t", (), factors, ZERO, 5)
     assert r.status == FAIL
     assert r.witness.lhs == str(q_int(4) * q_int(3).shift(2))
-    assert congruence_report("t", {}, (q_int(5), q_int(3)), ZERO, 5).status == PASS
+    assert congruence_report("t", (), (q_int(5), q_int(3)), ZERO, 5).status == PASS
 
 
 # --- thm1 decided on packed integers ------------------------------------------------
 
 def _list_divides(factors, n):
     """The list route: ``congruence_report`` on the unpacked factors."""
-    return congruence_report("thm1", {}, tuple(f.poly() for f in factors), ZERO, n).status \
+    return congruence_report("thm1", (), tuple(f.poly() for f in factors), ZERO, n).status \
         == PASS
 
 
@@ -366,7 +366,7 @@ def test_packed_square_decision_matches_the_list_route():
                 for sign in (1, -1):
                     for t in range(p):
                         got = packed_square_congruent(factors, sign, t, p)
-                        want = congruence_report("thm2", {}, unpacked,
+                        want = congruence_report("thm2", (), unpacked,
                                                  sign * q_int(p).shift(t), p, 2)
                         assert got == (want.status == PASS), (p, a, b, sign, t)
                         verdicts[got] += 1
@@ -402,23 +402,23 @@ def test_is_prime_small():
 # --- report record ---------------------------------------------------------------
 
 @pytest.mark.parametrize("decide, witness", [
-    (lambda note: identity_report("t", {}, q_int(3), q_int(3), note=note), None),
-    (lambda note: identity_report("t", {}, q_int(3), q_int(2), note=note),
+    (lambda note: identity_report("t", (), q_int(3), q_int(3), note=note), None),
+    (lambda note: identity_report("t", (), q_int(3), q_int(2), note=note),
      ("1 + q + q^2", "1 + q", "q^2")),
-    (lambda note: identity_report("t", {}, LaurentPoly(q_int(2), -2),
+    (lambda note: identity_report("t", (), LaurentPoly(q_int(2), -2),
                                   LaurentPoly(q_int(2), -2), note=note), None),
-    (lambda note: identity_report("t", {}, LaurentPoly(q_int(2), -2), LaurentPoly(ONE, 0),
+    (lambda note: identity_report("t", (), LaurentPoly(q_int(2), -2), LaurentPoly(ONE, 0),
                                   note=note), ("q^-2 + q^-1", "1", "q^-2 + q^-1 - 1")),
-    (lambda note: identity_report("t", {}, Fraction(1, 2), Fraction(2, 4), note=note), None),
-    (lambda note: identity_report("t", {}, Fraction(-1, 2), Fraction(-3, 2), note=note),
+    (lambda note: identity_report("t", (), Fraction(1, 2), Fraction(2, 4), note=note), None),
+    (lambda note: identity_report("t", (), Fraction(-1, 2), Fraction(-3, 2), note=note),
      ("-1/2", "-3/2", "1")),
-    (lambda note: integer_report("t", {}, 12, 4, note=note), None),
-    (lambda note: integer_report("t", {}, 14, 4, note=note), ("14", "0", "2")),
-    (lambda note: congruence_report("t", {}, (q_power(7),), q_power(2), 5, note=note),
+    (lambda note: integer_report("t", (), 12, 4, note=note), None),
+    (lambda note: integer_report("t", (), 14, 4, note=note), ("14", "0", "2")),
+    (lambda note: congruence_report("t", (), (q_power(7),), q_power(2), 5, note=note),
      None),
-    (lambda note: congruence_report("t", {}, (q_power(5),), q_power(1), 5, note=note),
+    (lambda note: congruence_report("t", (), (q_power(5),), q_power(1), 5, note=note),
      ("q^5", "q", "1 - q")),
-    (lambda note: congruence_report("t", {}, (q_power(6),), ZERO, 5, note=note),
+    (lambda note: congruence_report("t", (), (q_power(6),), ZERO, 5, note=note),
      ("q^6", "0", "q")),
 ])
 def test_deciders_share_one_verdict_core(decide, witness):
@@ -476,3 +476,49 @@ def test_note_kept_out_of_json():
     r = make_report("thm1", {"n": 1, "a1": 3}, "pass", note="vanishing-sum")
     assert r.note == "vanishing-sum"
     assert "note" not in r.to_json_obj()
+
+
+# --- the report type ---------------------------------------------------------------
+
+_FAILED = CongruenceReport("thm1", (("n", 4), ("a1", 1)), FAIL, Witness("q", "0", "q"), 7,
+                           "a note")
+
+
+def test_report_equality_hash_and_immutability():
+    same = CongruenceReport("thm1", (("n", 4), ("a1", 1)), FAIL,
+                            witness=Witness("q", "0", "q"), elapsed_ms=7, note="a note")
+    assert same == _FAILED and hash(same) == hash(_FAILED) and same is not _FAILED
+    assert same != same._replace(elapsed_ms=8)
+    assert len({same, _FAILED, same._replace(note=None)}) == 2
+    for field in CongruenceReport._fields:
+        with pytest.raises(AttributeError):
+            setattr(same, field, None)
+    with pytest.raises(AttributeError):
+        same.extra = 1
+    with pytest.raises(AttributeError):
+        same.witness.lhs = "1"
+    assert same == _FAILED
+
+
+def test_report_pickles_for_the_pool():
+    for report in (_FAILED, make_report("q1", {"n": 3, "a1": 5}, PASS, note="vanishing-sum")):
+        back = pickle.loads(pickle.dumps(report))
+        assert back == report and type(back) is CongruenceReport
+        assert type(back.witness) is type(report.witness)
+
+
+def test_report_checks_status_and_witness_when_built():
+    with pytest.raises(ValueError, match="fail report needs a witness"):
+        CongruenceReport("thm1", (("n", 2),), FAIL)
+    with pytest.raises(ValueError, match="nonzero difference"):
+        CongruenceReport("thm1", (("n", 2),), FAIL, Witness("1", "1", "0"))
+    with pytest.raises(ValueError, match="bad status"):
+        CongruenceReport("thm1", (("n", 2),), "maybe")
+
+
+def test_report_sort_key_and_json_obj_are_unchanged():
+    assert _FAILED.sort_key == ("thm1", (("n", 4), ("a1", 1)))
+    assert _FAILED.to_json_obj() == {
+        "claim_id": "thm1", "params": {"n": 4, "a1": 1}, "status": "fail",
+        "witness": {"lhs": "q", "rhs": "0", "difference": "q"}, "elapsed_ms": 7}
+    assert _FAILED.to_json_obj(stable=True)["elapsed_ms"] == 0

@@ -355,6 +355,35 @@ def _assert_folded_matches_full(memo, n, key):
     assert packed_divides((prefactor, got), n) == packed_divides((prefactor, full), n)
 
 
+def _tables_built(monkeypatch):
+    """The (n, bits, top) of every q-Pascal table built, each checked to
+    hold columns 0..top of n rows."""
+    seen = []
+    build = qcomb._pascal_columns
+
+    def spy(n, bits, top):
+        columns = build(n, bits, top)
+        assert [len(column) for column in columns] == [n] * (top + 1)
+        seen.append((n, bits, top))
+        return columns
+
+    monkeypatch.setattr(qcomb, "_pascal_columns", spy)
+    return seen
+
+
+def _fold_bits(n, key):
+    """The slot width, in bits, of the rows of W(n) modulo q^n - 1."""
+    top = key[-1] if key else 0
+    return max(rows_at_one(key, top, n), math.comb(n - 1, min(top, (n - 1) // 2))).bit_length()
+
+
+# (n, key) with the slot width one bit wider at n + 1 than at n
+_BIT_STEPS = [(n, key) for key in ((), (1,), (2,), (1, 3), (1, 8), (2, 2, 2), (1, 2, 4, 4),
+                                   (3, 3, 3, 3, 3))
+              for n in range(key[-1] + 1 if key else 1, 40)
+              if _fold_bits(n + 1, key) == _fold_bits(n, key) + 1]
+
+
 class TestFoldedWeightedSum:
     """W(n) modulo q^n - 1 read off the q-Pascal table, against the full W(n)."""
 
@@ -383,16 +412,26 @@ class TestFoldedWeightedSum:
         _assert_folded_matches_full(memo, n, key)
         _assert_folded_matches_full(memo, n + 1, key)
 
-    def test_table_wider_than_w(self):
-        # W(12) for (8,) sums to C(12, 9) = 220, one byte, but the table's
-        # column 5 holds C(11, 5) = 462: the rows are taken in two-byte slots
-        # and the result is packed back into one
+    def test_table_wider_than_w(self, monkeypatch):
+        # W(12) for (8,) sums to C(12, 9) = 220, eight bits, but the table's
+        # column 5 holds C(11, 5) = 462: the rows are taken in 9-bit slots
+        # and the result is packed into one byte
         assert (rows_at_one((8,), 0, 12), math.comb(11, 5)) == (220, 462)
+        tables = _tables_built(monkeypatch)
         memo = QBinomialCache()
         got = memo.folded_weighted_sum(12, (8,))
-        assert got.k == 1
+        assert got.k == 1 and tables == [(12, 9, 8)]
         _assert_folded_matches_full(memo, 12, (8,))
-        assert ("pascal", 12, 2) in memo._table
+
+    def test_table_holds_only_the_columns_asked_for(self, monkeypatch):
+        # each build makes its own table, columns 0..max(a_i) in its own
+        # slot width; the memo holds neither the table nor W(n) modulo q^n - 1
+        tables = _tables_built(monkeypatch)
+        memo = QBinomialCache()
+        for key in ((1, 3), (2, 2), (1, 7), (1, 3)):
+            memo.folded_weighted_sum(12, key)
+        assert tables == [(12, 13, 3), (12, 13, 2), (12, 13, 7), (12, 13, 3)]
+        assert len(memo) == 0
 
     @pytest.mark.parametrize("n, key", [(3, (3,)), (5, (2, 5)), (1, (1,)), (4, (4, 4))])
     def test_no_rows_below_max_a(self, n, key):
@@ -408,17 +447,27 @@ class TestFoldedWeightedSum:
         assert (got.poly(), got.at_one) == (q_int(n), n)
         _assert_folded_matches_full(memo, n, ())
 
-    def test_table_holds_only_the_columns_asked_for(self):
-        # all three W(12) take two-byte slots
+    @pytest.mark.parametrize("key", [(2, 2), (3, 3, 3), (1, 1, 1, 1), (2, 2, 2, 2, 2),
+                                     (1, 4, 4, 4, 4, 4), (1, 1, 2, 2, 2, 3, 3, 3, 3),
+                                     (5, 5, 5, 5, 5), (8, 8, 8, 8, 8)])
+    def test_repeated_entries(self, key):
+        # an entry repeated e times, e = 2..5
         memo = QBinomialCache()
-        memo.folded_weighted_sum(12, (1, 3))
-        assert len(memo._table[("pascal", 12, 2)]) == 4  # columns 0..3
-        memo.folded_weighted_sum(12, (1, 2))
-        assert len(memo._table[("pascal", 12, 2)]) == 4
-        memo.folded_weighted_sum(12, (2, 5))
-        assert len(memo._table[("pascal", 12, 2)]) == 6
-        # the table is the only entry: no binomial, prefactor or W is stored
-        assert list(memo._table) == [("pascal", 12, 2)]
+        for n in range(key[-1] + 1, 41):
+            _assert_folded_matches_full(memo, n, key)
+
+    def test_cases_straddle_every_bit_width_boundary(self):
+        # the slots are b bits wide, b that of max(W(1), the table's largest
+        # C(h, a)); b steps by one from each n to the next at least once for
+        # every b in 1..67, byte boundaries included
+        steps = {(_fold_bits(n, key), _fold_bits(n + 1, key)) for n, key in _BIT_STEPS}
+        assert {b for b, c in steps if c == b + 1} >= set(range(1, 68))
+
+    def test_either_side_of_a_bit_width_boundary(self):
+        memo = QBinomialCache()
+        for n, key in _BIT_STEPS:
+            _assert_folded_matches_full(memo, n, key)
+            _assert_folded_matches_full(memo, n + 1, key)
 
 
 def test_rows_at_one_matches_a_loop_per_row():

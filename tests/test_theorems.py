@@ -850,22 +850,22 @@ def _folded_builds(monkeypatch):
 
 def _table_entry_changed(monkeypatch, h, change):
     """Every table entry gauss(h, a) for the largest a_i of a key, as
-    ``change(entry, k, n)`` hands it back; the memo keeps the true table."""
-    columns = qcomb.QBinomialCache._pascal_columns
+    ``change(entry, bits, n)`` hands it back."""
+    columns = qcomb._pascal_columns
 
-    def changed(memo, n, k, top):
-        out = list(columns(memo, n, k, top))
-        out[top] = out[top][:h] + (change(out[top][h], k, n),) + out[top][h + 1:]
+    def changed(n, bits, top):
+        out = columns(n, bits, top)
+        out[top] = out[top][:h] + [change(out[top][h], bits, n)] + out[top][h + 1:]
         return out
 
-    monkeypatch.setattr(qcomb.QBinomialCache, "_pascal_columns", changed)
+    monkeypatch.setattr(qcomb, "_pascal_columns", changed)
 
 
-def _turned(entry, k, n):
+def _turned(entry, bits, n):
     """The n-slot entry times q modulo X^n - 1: rotated one slot further.  Its
     row then comes out rotated by h + 1 slots, and the slots keep their sum."""
-    turned = entry << 8 * k
-    return (turned & ((1 << 8 * k * n) - 1)) + (turned >> 8 * k * n)
+    turned = entry << bits
+    return (turned & ((1 << bits * n) - 1)) + (turned >> bits * n)
 
 
 def test_within_one_row():
@@ -937,7 +937,7 @@ def test_folded_fail_that_the_full_route_passes_raises(monkeypatch):
 def test_folded_row_corrupted_raises_on_the_sum(monkeypatch):
     # one table entry one too large: W(7)'s slots then sum to W(1) + 1 = 428
     qcomb.BINOMIAL_MEMO.clear()
-    _table_entry_changed(monkeypatch, 5, lambda entry, k, n: entry + 1)
+    _table_entry_changed(monkeypatch, 5, lambda entry, bits, n: entry + 1)
     with pytest.raises(InternalError,
                        match=r"W\(7\) for \(2, 3\) modulo q\^7 - 1: slots do not sum to 427$"):
         check_thm1(7, [3, 2])
