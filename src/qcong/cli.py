@@ -1,7 +1,8 @@
 """Command line front end.
 
 Usage:
-    qcong --suite thm1 --n-max 20 --samples 100 --seed 7 --format json
+    qcong --suite thm1 --n-max 20 --format json
+    qcong --suite identities --samples 100 --seed 7
 
 The parser only parses: each flag's dest is a ``SweepConfig`` field whose
 default it takes from the named tuple's ``_field_defaults`` (the help text
@@ -51,8 +52,8 @@ def build_parser():
                         help="primes for the prime-indexed suites (default %s)"
                              % ",".join(map(str, defaults["prime_set"])))
     parser.add_argument("--samples", dest="sample_count", type=int, metavar="SAMPLES",
-                        help="number of extra seeded random instances "
-                             "(default %(default)s)")
+                        help="number of seeded random qpfaff points for the "
+                             "identities suite (default %(default)s)")
     parser.add_argument("--seed", dest="rng_seed", type=int, metavar="SEED",
                         help="SplitMix64 seed for sampled instances (default %(default)s)")
     parser.add_argument("--jobs", type=int,

@@ -169,8 +169,19 @@ def _unpack_nonneg(value, k, n):
 
 
 def _repack(value, k, n, to):
-    """The n slots of ``value`` at X = 2^(8k) moved into slots of ``to`` bytes."""
-    return value if k == to else _pack_nonneg(_unpack_nonneg(value, k, n), to)
+    """The n slots of ``value`` at X = 2^(8k) moved into slots of ``to`` bytes.
+
+    Word slots, k and ``to`` at most 8, are read by one ``array`` and
+    written by another, in native byte order; on a big-endian host both
+    take the slots in reverse.  OverflowError if a slot does not fit.
+    """
+    if k == to:
+        return value
+    if k > 8 or to > 8:
+        return _pack_nonneg(_unpack_nonneg(value, k, n), to)
+    order = sys.byteorder
+    slots = array(_UWORDS[k], value.to_bytes(n * k, order)).tolist()
+    return int.from_bytes(array(_UWORDS[to], slots), order)
 
 
 def _divrem_lists(a, b):

@@ -39,7 +39,6 @@ packed integers and build LaurentPolys only for a fail's witness.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, prod
@@ -179,6 +178,8 @@ def _pascal_columns(n, bits, top):
 
 def q_pochhammer_eval(x, q, k):
     """(x;q)_k evaluated at exact rationals: prod_{i<k} (1 - x*q^i), x*q^i carried."""
+    from fractions import Fraction  # only qpfaff pays for the module
+
     if k < 0:
         raise ValueError("q_pochhammer_eval needs k >= 0, got %d" % k)
     x = Fraction(x)

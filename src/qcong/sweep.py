@@ -3,7 +3,11 @@
 One table, ``CLAIMS``, drives the sweep: each row names a claim's checker,
 the suite that runs it, whether it is the open conjecture, and whether it
 is order-free.  ``SUITES``, instance enumeration, execution, exit codes and
-rendering all read it.
+rendering all read it.  A row's checker takes an instance's params tuple
+as it is, and validates it, names and order included: the thm1 and q1
+rows through ``theorems.a_list_key`` and the cores ``thm1_report`` and
+``q1_report``, so their reports hold that very tuple, and every other
+row by calling its public checker on the values.
 
 A sweep instance is a pair (claim_id, params) with params an ordered tuple
 of (name, int) pairs; the full instance list for a given SweepConfig is a
@@ -14,7 +18,9 @@ sampling procedures are documented in the README so an independent
 implementation can reproduce instance sets from the seed alone.  A thm1
 or q1 params tuple is (("n", n),) + tail, its pairs built once per sweep:
 the grid builds each a-list's tail once and shares it across every n, and
-thm1 and q1 share the whole tuple.
+thm1 and q1 share the whole tuple.  The thm1 suite is the grid alone,
+since thm1 samples drawn within its bounds would be grid instances; only
+the qpfaff samples can repeat an instance, and they keep its first draw.
 
 ``run_instance`` is the one place that reads a clock: it times each
 check call and stamps the report's elapsed_ms.  ``execute`` checks each
@@ -34,12 +40,14 @@ pair.  ``stable_output`` additionally zeroes elapsed_ms for byte-exact
 diffs.
 
 ``render_report`` renders each params tuple once (thm1 and q1 share every
-one) and each status, witness and elapsed_ms tail once (every member of a
-class shares one), in all three formats.  The json format is the list of
-``CongruenceReport.to_json_obj`` objects in the layout of
-``json.dumps(objs, indent=2)`` plus a newline, written from fixed
-templates; strings are escaped by the encoder's own
-``encode_basestring_ascii``.  The tests pin the bytes to ``json.dumps``.
+one), as the renderings of its first pair and its tail, each of which is
+rendered once too, and each status, witness and elapsed_ms tail once
+(every member of a class shares one), in all three formats.  The json
+format is the list of ``CongruenceReport.to_json_obj`` objects in the
+layout of ``json.dumps(objs, indent=2)`` plus a newline, written from
+fixed templates; strings are escaped by ``_json.encode_basestring_ascii``,
+the C function that ``json.encoder`` wraps, so a sweep imports no
+``json``.  The tests pin the bytes to ``json.dumps``.
 
 ``execute`` returns one report per instance, each with the fields
 ``render_report`` reads and a ``sort_key``, since the benchmark in
@@ -62,15 +70,15 @@ import os
 import sys
 import time
 from collections import Counter
-from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from .congruence import FAIL, PASS, SKIPPED, CongruenceReport, is_prime
+from .errors import InvalidParamsError
 from .faulhaber import check_conjecture, check_faulhaber_cong
 from .theorems import (
     a_key,
+    a_list_key,
     a_names,
     check_chu_vandermonde,
     check_p_minus_one_lemma,
@@ -78,19 +86,25 @@ from .theorems import (
     check_residue_identity,
     check_sum_lemma,
     check_symmetric_identity,
-    check_thm1,
     check_thm2,
-    q1_check,
+    q1_report,
+    thm1_report,
 )
+
+try:  # the C escaper that json.encoder wraps, without importing json
+    from _json import encode_basestring_ascii as _quote
+except ImportError:  # an interpreter without it
+    from json.encoder import encode_basestring_ascii as _quote
 
 
 class Claim(NamedTuple):
     """One row of the claim table.
 
-    ``check`` takes an instance's params as keyword arguments and returns its
-    report.  ``suite`` is the ``--suite`` that runs the claim.  A failing
-    ``conjecture`` claim is a counterexample to an open problem (exit code
-    3), not a falsified theorem (exit code 1).
+    ``check`` takes an instance's params tuple, validates it, and returns
+    the instance's report; the thm1 and q1 reports hold that very tuple, the
+    others an equal one.  ``suite`` is the ``--suite`` that runs the claim.
+    A failing ``conjecture`` claim is a counterexample to an open problem
+    (exit code 3), not a falsified theorem (exit code 1).
 
     ``class_key``, when set, makes the claim order-free: it maps the values
     of the params after the first to a tuple, and ``execute`` checks one
@@ -110,14 +124,32 @@ class Claim(NamedTuple):
     class_key: Callable | None = None
 
 
-def _a_list_check(check):
-    """Adapt a checker of (n, a_list) to the params n, a1, ..., am."""
-    return lambda n, **a: check(n, list(a.values()))
+def _on_a_list(report):
+    """The checker of thm1 or q1 params: ``report(n, key, params)`` once
+    ``a_list_key`` has validated them and read n and the a-list's key."""
+    return lambda params: report(*a_list_key(params), params)
 
 
-def _pfaff_check(n, **f):
-    x, y, z, q = (Fraction(f[v + "_num"], f[v + "_den"]) for v in "xyzq")
-    return check_pfaff_saalschutz(x, y, z, q, n)
+def _by_position(check):
+    """The checker of params named as ``check``'s arguments, in their order:
+    ``check`` on their values."""
+    code = check.__code__
+    names = code.co_varnames[:code.co_argcount]
+
+    def run(params):
+        if tuple([name for name, _ in params]) != names:
+            raise InvalidParamsError("%s takes the params %s, got %r"
+                                     % (check.__name__, ", ".join(names), params))
+        return check(*[value for _, value in params])
+
+    return run
+
+
+def _pfaff_check(x_num, x_den, y_num, y_den, z_num, z_den, q_num, q_den, n):
+    from fractions import Fraction  # only qpfaff pays for the module
+
+    return check_pfaff_saalschutz(Fraction(x_num, x_den), Fraction(y_num, y_den),
+                                  Fraction(z_num, z_den), Fraction(q_num, q_den), n)
 
 
 def _sorted_tuple(values):
@@ -125,17 +157,17 @@ def _sorted_tuple(values):
 
 
 CLAIMS = {
-    "thm1": Claim(_a_list_check(check_thm1), "thm1", class_key=a_key),
-    "q1": Claim(_a_list_check(q1_check), "thm1", class_key=a_key),
-    "thm2": Claim(check_thm2, "thm2", class_key=_sorted_tuple),
-    "sum_lemma": Claim(check_sum_lemma, "identities"),
-    "chu_vandermonde": Claim(check_chu_vandermonde, "identities"),
-    "p_minus_one": Claim(check_p_minus_one_lemma, "identities"),
-    "residue_identity": Claim(check_residue_identity, "identities"),
-    "symmetric_identity": Claim(check_symmetric_identity, "identities"),
-    "qpfaff": Claim(_pfaff_check, "identities"),
-    "conjecture": Claim(check_conjecture, "conjecture", conjecture=True),
-    "faulhaber": Claim(check_faulhaber_cong, "faulhaber"),
+    "thm1": Claim(_on_a_list(thm1_report), "thm1", class_key=a_key),
+    "q1": Claim(_on_a_list(q1_report), "thm1", class_key=a_key),
+    "thm2": Claim(_by_position(check_thm2), "thm2", class_key=_sorted_tuple),
+    "sum_lemma": Claim(_by_position(check_sum_lemma), "identities"),
+    "chu_vandermonde": Claim(_by_position(check_chu_vandermonde), "identities"),
+    "p_minus_one": Claim(_by_position(check_p_minus_one_lemma), "identities"),
+    "residue_identity": Claim(_by_position(check_residue_identity), "identities"),
+    "symmetric_identity": Claim(_by_position(check_symmetric_identity), "identities"),
+    "qpfaff": Claim(_by_position(_pfaff_check), "identities"),
+    "conjecture": Claim(_by_position(check_conjecture), "conjecture", conjecture=True),
+    "faulhaber": Claim(_by_position(check_faulhaber_cong), "faulhaber"),
 }
 
 SUITES = tuple(dict.fromkeys(c.suite for c in CLAIMS.values())) + ("all",)
@@ -274,12 +306,15 @@ def _nonzero_rational(rng, max_num=7, max_den=4):
 
 
 def pfaff_sample_instances(count, seed, n_max):
-    """Seeded rational specializations for the balanced summation.
+    """Seeded rational specializations for the balanced summation, each
+    point once, in order of its first draw.
 
     x, y: numerator in +-1..7, denominator 1..4.  z: same, redrawn while
     z == 1.  q: numerator +-2..7 (magnitude then sign), denominator 1..3,
     redrawn while |q| == 1.  n in 0..min(n_max, 8).
     """
+    from fractions import Fraction  # only a sampled sweep pays for the module
+
     rng = SplitMix64(seed)
     out = []
     for _ in range(count):
@@ -303,13 +338,13 @@ def pfaff_sample_instances(count, seed, n_max):
             z_num=z.numerator, z_den=z.denominator,
             q_num=q.numerator, q_den=q.denominator,
             n=n)))
-    return out
+    return list(dict.fromkeys(out))
 
 
 def _thm1_suite(c):
-    return (thm1_grid_instances(c.n_max, c.m_max, c.a_max)
-            + thm1_sample_instances(c.sample_count, c.rng_seed,
-                                    c.n_max, c.m_max, c.a_max))
+    """The thm1/q1 grid.  ``--samples`` adds no thm1 instance: a sample
+    drawn within the grid's own bounds is a grid instance."""
+    return thm1_grid_instances(c.n_max, c.m_max, c.a_max)
 
 
 def _thm2_suite(c):
@@ -354,16 +389,18 @@ _SUITE_INSTANCES = {
 
 
 def enumerate_instances(config):
-    """The full, deterministic instance list for a config (duplicates removed).
+    """The full, deterministic instance list for a config, each instance once.
 
     Suites are concatenated in ``SUITES`` order, so ``all`` lists the thm1
-    instances first and the faulhaber instances last.
+    instances first and the faulhaber instances last.  Only the qpfaff
+    samples can draw one instance twice, and ``pfaff_sample_instances``
+    keeps its first draw alone.
     """
     suites = SUITES[:-1] if config.suite == "all" else (config.suite,)
     out = []
     for suite in suites:
         out.extend(_SUITE_INSTANCES[suite](config))
-    return list(dict.fromkeys(out))
+    return out
 
 
 # --- execution ---------------------------------------------------------------------
@@ -372,7 +409,7 @@ def run_instance(item):
     """Check and time one (claim_id, params) instance; used directly and by workers."""
     claim_id, params = item
     t0 = time.perf_counter()
-    report = CLAIMS[claim_id].check(**dict(params))
+    report = CLAIMS[claim_id].check(params)
     elapsed_ms = round((time.perf_counter() - t0) * 1000)
     if elapsed_ms == report.elapsed_ms:  # checkers report 0; most checks take < 0.5 ms
         return report
@@ -423,9 +460,9 @@ class MemberReport:
     __slots__ = ("claim_id", "params", "report")
 
     elapsed_ms = 0
-    status = property(lambda self: self.report.status)
-    witness = property(lambda self: self.report.witness)
-    note = property(lambda self: self.report.note)
+    status = property(attrgetter("report.status"))
+    witness = property(attrgetter("report.witness"))
+    note = property(attrgetter("report.note"))
     sort_key = CongruenceReport.sort_key
     to_json_obj = CongruenceReport.to_json_obj
 
@@ -484,14 +521,10 @@ def _is_conjecture(report):
 
 def exit_code_for(reports):
     """0 clean, 1 any theorem/identity failure, 3 conjecture counterexample only."""
-    conjecture_fail = False
-    for r in reports:
-        if r.status == FAIL:
-            if _is_conjecture(r):
-                conjecture_fail = True
-            else:
-                return 1
-    return 3 if conjecture_fail else 0
+    failed = {r.claim_id for r in reports if r.status == FAIL}
+    if not failed:
+        return 0
+    return 3 if all(CLAIMS[claim_id].conjecture for claim_id in failed) else 1
 
 
 # --- rendering ----------------------------------------------------------------------
@@ -504,11 +537,15 @@ def _params_text(params):
     return ";".join(map(_text_pair, params))
 
 
-def _params_renderer(render_pair, render_pairs):
-    """``render_pairs`` of the rendered (name, value) pairs, once per params
-    tuple; a pair, shared by many tuples, is rendered once too."""
-    pair = _Rendered(render_pair).__getitem__
-    return _Rendered(lambda params: render_pairs(list(map(pair, params))))
+def _text_rest(tail):
+    return "".join([";%s=%d" % kv for kv in tail])
+
+
+def _params_renderer(render_first, render_rest, empty):
+    """The rendering of each params tuple, once per tuple: its first pair's
+    and its tail's, each of them rendered once too; ``empty`` for ()."""
+    firsts, rests = _Rendered(render_first), _Rendered(render_rest)
+    return _Rendered(lambda params: firsts[params[0]] + rests[params[1:]] if params else empty)
 
 
 class _Rendered(dict):
@@ -530,12 +567,12 @@ _JSON_TAIL = ',\n    "status": %s,\n    "witness": %s,\n    "elapsed_ms": %d\n  
 _JSON_WITNESS = '{\n      "lhs": %s,\n      "rhs": %s,\n      "difference": %s\n    }'
 
 
-def _json_pair(kv):
-    return "      %s: %d" % (_quote(kv[0]), kv[1])
+def _json_first(kv):
+    return '{\n      %s: %d' % (_quote(kv[0]), kv[1])
 
 
-def _json_pairs(pairs):
-    return "{\n%s\n    }" % ",\n".join(pairs) if pairs else "{}"
+def _json_rest(tail):
+    return "".join([',\n      %s: %d' % (_quote(k), v) for k, v in tail]) + "\n    }"
 
 
 def _json_tail(tail):
@@ -550,10 +587,11 @@ def _json_tail(tail):
 def render_report(reports, fmt, stable=False):
     """Render sorted reports as text, json, or csv; returns a string.
 
-    A params tuple is rendered once, though thm1 and q1 share each, and so
-    is a status, witness and elapsed_ms tail, which every member of a class
-    shares; json and text then join the rendered pieces of all reports at
-    once.  json is the layout ``json.dumps([r.to_json_obj(stable) for r in
+    A params tuple is rendered once, though thm1 and q1 share each, from
+    its first pair and its tail, each rendered once, and so is a status,
+    witness and elapsed_ms tail, which every member of a class shares;
+    json and text then join the rendered pieces of all reports at once.
+    json is the layout ``json.dumps([r.to_json_obj(stable) for r in
     reports], indent=2)`` plus a newline.
     """
     ms = (lambda r: 0) if stable else (lambda r: r.elapsed_ms)
@@ -561,14 +599,14 @@ def render_report(reports, fmt, stable=False):
         if not reports:
             return "[]\n"
         heads = _Rendered(lambda claim_id: _JSON_HEAD % _quote(claim_id))
-        params, tails = _params_renderer(_json_pair, _json_pairs), _Rendered(_json_tail)
+        params, tails = _params_renderer(_json_first, _json_rest, "{}"), _Rendered(_json_tail)
         tail = attrgetter("status", "witness", *(() if stable else ("elapsed_ms",)))
         parts = ["[\n"]
         for r in reports:
             parts += heads[r.claim_id], params[r.params], tails[tail(r)]
         parts[-1] = parts[-1][:-2] + "\n]\n"  # no comma after the last report
         return "".join(parts)
-    params = _params_renderer(_text_pair, ";".join)
+    params = _params_renderer(_text_pair, _text_rest, "")
     if fmt == "csv":
         import csv  # only a csv sweep pays for the module
         buf = io.StringIO()

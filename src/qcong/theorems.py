@@ -61,6 +61,7 @@ qpfaff
     integer numerators and denominators (``_pfaff_integers``); only a
     singular point or a fail is summed again on Fractions, with q^k carried
     along (``_pfaff_sides``), which gives the skip note or the witness.
+    ``fractions`` is imported by the qpfaff functions alone, when called.
 
 The quotient polynomial sum_quotient(n, a_list), the thm1 product divided
 by [n], has a closed base case and a contiguous recurrence:
@@ -82,11 +83,15 @@ checker takes a cache argument.  The memo takes the prefactor's and W's
 a-list as its key ``a_key``, the sorted nonzero entries, so every
 permutation of one a-list, with or without zeros, shares its entries
 (gauss(h, 0) = [0]! = 1).  thm1, q1 and thm2 read their a-list through
-that key once and hand it to both memo calls; q1 sums its rows at q = 1
-with the memo's own ``qcomb.rows_at_one``.  The memo builds both as
-packed integers, one checked step at a time, so a corrupted step raises
-InternalError instead of reaching a verdict.  The recurrence's own memo is
-local to one call.
+that key once and hand it to both memo calls.  ``check_thm1`` and
+``q1_check`` validate (n, a_list) and hand n, its key and its params to
+the cores ``thm1_report`` and ``q1_report``; the sweep's claim table calls
+the same cores on its own params tuple, validated and read by
+``a_list_key``, so a sweep's thm1 or q1 report holds that very tuple.
+q1 sums its rows at q = 1 with the memo's own ``qcomb.rows_at_one``.  The
+memo builds the prefactor and W as packed integers, one checked step at
+a time, so a corrupted step raises InternalError instead of reaching a
+verdict.  The recurrence's own memo is local to one call.
 
 Each congruence names its modulus [n]^e by the pair (n, e): thm1 and the
 p - 1 lemma take (n, 1), thm2 takes (p, 2).  thm1 and thm2 hand their
@@ -114,7 +119,7 @@ first failed raises InternalError.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from functools import lru_cache
 from itertools import starmap
 
 from .congruence import (
@@ -139,8 +144,10 @@ from .qcomb import BINOMIAL_MEMO, LaurentPoly, q_int, q_pochhammer_eval, rows_at
 
 def _naturals(*values):
     """True when every value is an integer >= 0, and none a bool."""
-    return all(isinstance(v, int) and not isinstance(v, bool) and v >= 0
-               for v in values)
+    for v in values:
+        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            return False
+    return True
 
 
 def _a_tuple(n, a_list):
@@ -191,6 +198,24 @@ def weighted_sum(n, a_list):
     return BINOMIAL_MEMO.weighted_sum(n, a_key(_a_tuple(n, a_list))).poly()
 
 
+@lru_cache(maxsize=64)
+def _a_list_names(m):
+    """The names of thm1/q1 params with m entries: n, a1, ..., am."""
+    return ("n",) + a_names(m)
+
+
+def a_list_key(params):
+    """n and the a-list key of thm1 or q1 params, (("n", n), ("a1", a1), ...,
+    ("am", am)), refused as ``check_thm1`` refuses (n, a_list) and unless
+    they name n, a1, ..., am in order."""
+    names, values = zip(*params) if params else ((), ())
+    if names != _a_list_names(len(names) - 1):
+        raise InvalidParamsError("thm1 and q1 take the params n, a1, ..., am, got %r"
+                                 % (names,))
+    n = values[0]
+    return n, a_key(_a_tuple(n, values[1:]))
+
+
 def check_thm1(n, a_list):
     """Divisibility of the prefactored weighted sum by [n] (claim id thm1).
 
@@ -201,13 +226,18 @@ def check_thm1(n, a_list):
     the witness.
     """
     a_tuple = _a_tuple(n, a_list)
-    key = a_key(a_tuple)
+    return thm1_report(n, a_key(a_tuple), a_list_params(n, a_tuple))
+
+
+def thm1_report(n, key, params):
+    """thm1 at n >= 1 for the a-list ``key`` (``a_key``), reported under
+    ``params``; the caller has validated all three."""
     if BINOMIAL_MEMO.within_one_row(n, key):
         w = BINOMIAL_MEMO.weighted_sum(n, key)
     else:
         w = BINOMIAL_MEMO.folded_weighted_sum(n, key)
     prefactor = BINOMIAL_MEMO.prefactor(key)
-    return packed_report("thm1", a_list_params(n, a_tuple), (prefactor, w), n,
+    return packed_report("thm1", params, (prefactor, w), n,
                          note=None if w.value else VANISHING_SUM,
                          unpacked=lambda: (prefactor.poly(),
                                            BINOMIAL_MEMO.weighted_sum(n, key).poly()))
@@ -216,7 +246,12 @@ def check_thm1(n, a_list):
 def q1_check(n, a_list):
     """The q = 1 congruence of thm1, in pure integer arithmetic (claim id q1)."""
     a_tuple = _a_tuple(n, a_list)
-    key = a_key(a_tuple)
+    return q1_report(n, a_key(a_tuple), a_list_params(n, a_tuple))
+
+
+def q1_report(n, key, params):
+    """q1 at n >= 1 for the a-list ``key``, reported under ``params``; the
+    caller has validated all three."""
     numer = math.factorial(sum(key) + 1)
     denom = 1
     for a in key:
@@ -225,7 +260,7 @@ def q1_check(n, a_list):
     if rem:
         raise InternalError("integer multinomial quotient not exact")
     total = rows_at_one(key, 0, n)
-    return integer_report("q1", a_list_params(n, a_tuple), factor * total, n,
+    return integer_report("q1", params, factor * total, n,
                           note=VANISHING_SUM if total == 0 else None)
 
 
@@ -463,6 +498,8 @@ def check_pfaff_saalschutz(x, y, z, q, n):
     ``_pfaff_sides``, which gives the skip note or the witness; if that
     route passes, the integer one is broken and InternalError is raised.
     """
+    from fractions import Fraction  # only qpfaff pays for the module
+
     if not _naturals(n):
         raise InvalidParamsError("n must be an integer >= 0")
     x, y, z, q = Fraction(x), Fraction(y), Fraction(z), Fraction(q)
@@ -535,6 +572,8 @@ def _pfaff_integers(x, y, z, q, n):
 
 
 def _pfaff_sides(x, y, z, q, n):
+    from fractions import Fraction
+
     if q in (0, 1, -1):
         raise SingularSpecialization("q in {0, 1, -1}")
     if x == 0 or y == 0 or z == 0:

@@ -85,8 +85,10 @@ def test_splitmix64_below_bounds():
 
 
 def _patch_check(monkeypatch, claim_id, check):
-    """Swap the checker of one CLAIMS row for the duration of a test."""
-    monkeypatch.setitem(CLAIMS, claim_id, CLAIMS[claim_id]._replace(check=check))
+    """Swap the checker of one CLAIMS row for the duration of a test; the
+    row hands ``check`` the params as keyword arguments."""
+    monkeypatch.setitem(CLAIMS, claim_id,
+                        CLAIMS[claim_id]._replace(check=lambda params: check(**dict(params))))
 
 
 def _cfg(**kw):
@@ -197,6 +199,18 @@ class TestEnumeration:
         samples = sweep_mod.thm1_sample_instances(60, 4, n_max, m_max, a_max)
         assert set(samples) <= set(grid)
         assert enumerate_instances(config) == grid
+
+    def test_pfaff_samples_keep_a_repeated_point_at_its_first_draw(self):
+        # at seed 2, n_max 1, one of the first 300 draws repeats an earlier one
+        draws = [pfaff_sample_instances(k, 2, 1) for k in range(301)]
+        k = next(k for k in range(1, 301) if len(draws[k]) < k)
+        assert draws[k] == draws[k - 1]
+        assert len(draws[300]) == len(set(draws[300])) == 299
+        assert draws[300][:k - 1] == draws[k - 1]
+        config = _cfg(suite="identities", n_max=1, sample_count=300, rng_seed=2)
+        instances = enumerate_instances(config)
+        assert len(instances) == len(set(instances))
+        assert [i for i in instances if i[0] == "qpfaff"] == draws[300]
 
     def test_thm1_grid_size(self):
         # n in 1..4, m=1: 3 tuples, m=2: 9 tuples, twice for the q1 shadow
@@ -531,41 +545,101 @@ def _class_instances():
             + enumerate_instances(_cfg(suite="thm2", prime_set=(5, 7))))
 
 
-# valid params of every claim, as the sweep passes them to the table's checkers
+# valid params of every claim, as the sweep hands them to the table's checkers
 _VALID_PARAMS = {
-    "thm1": {"n": 3, "a1": 1, "a2": 2},
-    "q1": {"n": 3, "a1": 1, "a2": 2},
-    "thm2": {"p": 5, "a": 1, "b": 2},
-    "sum_lemma": {"n": 3, "a": 1},
-    "chu_vandermonde": {"a": 2, "b": 1, "n": 1},
-    "p_minus_one": {"p": 5, "j": 1},
-    "residue_identity": {"a": 1, "b": 1},
-    "symmetric_identity": {"a": 1, "b": 1},
-    "qpfaff": {"x_num": 2, "x_den": 1, "y_num": 3, "y_den": 1, "z_num": 5,
-               "z_den": 1, "q_num": 2, "q_den": 1, "n": 2},
-    "conjecture": {"n": 3, "m": 1, "k": 1},
-    "faulhaber": {"n": 3, "m": 1},
+    "thm1": (("n", 3), ("a1", 1), ("a2", 2)),
+    "q1": (("n", 3), ("a1", 1), ("a2", 2)),
+    "thm2": (("p", 5), ("a", 1), ("b", 2)),
+    "sum_lemma": (("n", 3), ("a", 1)),
+    "chu_vandermonde": (("a", 2), ("b", 1), ("n", 1)),
+    "p_minus_one": (("p", 5), ("j", 1)),
+    "residue_identity": (("a", 1), ("b", 1)),
+    "symmetric_identity": (("a", 1), ("b", 1)),
+    "qpfaff": (("x_num", 2), ("x_den", 1), ("y_num", 3), ("y_den", 1), ("z_num", 5),
+               ("z_den", 1), ("q_num", 2), ("q_den", 1), ("n", 2)),
+    "conjecture": (("n", 3), ("m", 1), ("k", 1)),
+    "faulhaber": (("n", 3), ("m", 1)),
 }
 # qpfaff's x, y, z and q are rationals, whose parts Fraction takes as numbers;
-# every other param is an integer the checker must see as one
+# every other param is an integer the checker must see as one.  Each bad
+# value replaces one param: a bool, and -1 for every integer param but
+# qpfaff's rationals, and 0 for every param that must be at least 1 (a
+# prime p is at least 2)
+_AT_LEAST_ONE = {("thm1", "n"), ("q1", "n"), ("sum_lemma", "n"), ("conjecture", "n"),
+                 ("conjecture", "m"), ("conjecture", "k"), ("faulhaber", "n"),
+                 ("faulhaber", "m"), ("thm2", "p"), ("p_minus_one", "p")}
 _BOOL_CASES = [(claim, name, flag) for claim, params in _VALID_PARAMS.items()
-               for name in params if claim != "qpfaff" or name == "n"
+               for name, _ in params if claim != "qpfaff" or name == "n"
                for flag in (True, False)]
+_BAD_CASES = _BOOL_CASES + [
+    (claim, name, bad) for claim, params in _VALID_PARAMS.items()
+    for name, _ in params if claim != "qpfaff" or name == "n"
+    for bad in ((-1, 0) if (claim, name) in _AT_LEAST_ONE else (-1,))]
+
+
+def _with(params, name, value):
+    return tuple((k, value if k == name else v) for k, v in params)
+
+
+def _no_work(*args):
+    raise AssertionError("a checker did work before refusing its params")
+
+
+class _NoWork:
+    """A stand-in for ``BINOMIAL_MEMO`` whose every method is ``_no_work``."""
+
+    def __getattr__(self, name):
+        return _no_work
 
 
 def test_bool_cases_cover_every_claim():
     assert set(_VALID_PARAMS) == set(CLAIMS)
     for claim, params in _VALID_PARAMS.items():
-        assert CLAIMS[claim].check(**params).status == PASS, claim
+        report = CLAIMS[claim].check(params)
+        assert report.status == PASS and report.params == params, claim
+    assert {claim for claim, _, _ in _BAD_CASES} == set(CLAIMS)
 
 
-@pytest.mark.parametrize("claim, name, flag", _BOOL_CASES)
-def test_bool_param_fails_before_any_work(claim, name, flag):
+@pytest.mark.parametrize("claim, name, bad", _BAD_CASES)
+def test_bool_param_fails_before_any_work(monkeypatch, claim, name, bad):
     # a bool is an int to Python, and a report would print it with %d as 1;
-    # every checker refuses one before any work
-    params = dict(_VALID_PARAMS[claim], **{name: flag})
+    # every checker refuses one, and an entry out of range, before any work
+    from qcong import theorems
+
+    monkeypatch.setattr(theorems, "BINOMIAL_MEMO", _NoWork())
+    monkeypatch.setattr(theorems, "rows_at_one", _no_work)
     with pytest.raises(InvalidParamsError):
-        CLAIMS[claim].check(**params)
+        CLAIMS[claim].check(_with(_VALID_PARAMS[claim], name, bad))
+
+
+@pytest.mark.parametrize("claim, params", [
+    ("thm1", (("n", 3), ("a2", 1), ("a1", 2))),
+    ("thm1", (("a1", 1), ("n", 3))),
+    ("q1", (("n", 3),)),
+    ("q1", ()),
+    ("thm2", (("a", 1), ("p", 5), ("b", 2))),
+    ("thm2", (("p", 5), ("a", 1))),
+    ("sum_lemma", (("n", 3), ("a", 1), ("b", 1))),
+    ("qpfaff", _VALID_PARAMS["qpfaff"][:-1]),
+])
+def test_misnamed_params_are_refused(claim, params):
+    # the names are checked too, in order, as a keyword call bound them
+    with pytest.raises(InvalidParamsError):
+        CLAIMS[claim].check(params)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_thm1_and_q1_reports_hold_the_enumerated_params(jobs):
+    # at jobs 1 every report holds the very params tuple enumerate_instances
+    # made, the checked ones too; a worker sends back an equal one
+    instances = enumerate_instances(_cfg(n_max=6, m_max=3, a_max=3, jobs=jobs))
+    reports = execute(instances, jobs=jobs)
+    checked = [(r, p) for r, (_, p) in zip(reports, instances)
+               if isinstance(r, CongruenceReport)]
+    assert {r.claim_id for r, _ in checked} == {"thm1", "q1"}
+    assert all(r.params == p for r, (_, p) in zip(reports, instances))
+    if jobs == 1:
+        assert all(r.params is p for r, (_, p) in zip(reports, instances))
 
 
 class TestOrderClasses:
@@ -598,7 +672,7 @@ class TestOrderClasses:
             if list(values) != sorted(values):
                 continue
             check = CLAIMS[claim_id].check
-            want = _outcome(check(**dict(params)))
+            want = _outcome(check(params))
             tails = set(itertools.permutations(values))
             if claim_id != "thm2":
                 # and a thm1 or q1 a-list padded with a zero at every position
@@ -606,7 +680,7 @@ class TestOrderClasses:
             for tail in tails:
                 named = {"a%d" % (i + 1): a for i, a in enumerate(tail)} \
                     if claim_id != "thm2" else dict(zip(names, tail))
-                got = _outcome(check(**dict(params[:1]), **named))
+                got = _outcome(check(params[:1] + tuple(named.items())))
                 assert got == want, (claim_id, params, tail)
 
     def test_checks_once_per_class(self, monkeypatch):
@@ -614,7 +688,8 @@ class TestOrderClasses:
         for claim_id, seen in calls.items():
             check = CLAIMS[claim_id].check
             _patch_check(monkeypatch, claim_id,
-                         lambda check=check, seen=seen, **kw: seen.append(kw) or check(**kw))
+                         lambda check=check, seen=seen, **kw:
+                         seen.append(kw) or check(tuple(kw.items())))
         grid = enumerate_instances(_cfg(n_max=5, m_max=3, a_max=2))
         lemma = enumerate_instances(_cfg(suite="identities", n_max=4, a_max=4))
         lemma = [i for i in lemma if i[0] == "sum_lemma"]
@@ -720,12 +795,12 @@ class TestTiming:
 
     def test_direct_check_reports_zero(self):
         # thm2 at p = 17 takes milliseconds, yet a direct call is not timed
-        assert CLAIMS["thm2"].check(p=17, a=16, b=15).elapsed_ms == 0
+        assert CLAIMS["thm2"].check((("p", 17), ("a", 16), ("b", 15))).elapsed_ms == 0
         cfg = _cfg(suite="all", n_max=3, m_max=1, a_max=1, prime_set=(3,), sample_count=2)
         first = dict(reversed(enumerate_instances(cfg)))  # each claim's first instance
         assert set(first) == set(CLAIMS)
         for claim_id, params in first.items():
-            assert CLAIMS[claim_id].check(**dict(params)).elapsed_ms == 0, claim_id
+            assert CLAIMS[claim_id].check(params).elapsed_ms == 0, claim_id
 
 
 class TestRunSuite:
@@ -810,13 +885,14 @@ class TestMain:
 
     def test_cli_import_loads_no_dataclasses_inspect_or_traceback(self):
         # a fresh interpreter without site packages: importing the CLI loads
-        # none of the three, and a crash still exits 4 with its traceback
+        # none of these, and a crash still exits 4 with its traceback
         code = ("import sys\n"
                 "sys.path.insert(0, sys.argv[1])\n"
                 "import qcong.cli\n"
-                "print(sorted({'dataclasses', 'inspect', 'traceback'} & set(sys.modules)))\n"
+                "print(sorted({'dataclasses', 'inspect', 'traceback', 'fractions', 'decimal',"
+                " 'json'} & set(sys.modules)))\n"
                 "from qcong.sweep import CLAIMS\n"
-                "def crash(**params):\n"
+                "def crash(params):\n"
                 "    raise RuntimeError('checker crashed')\n"
                 "CLAIMS['faulhaber'] = CLAIMS['faulhaber']._replace(check=crash)\n"
                 "sys.exit(qcong.cli.main(['--suite', 'faulhaber', '--n-max', '2']))\n")
@@ -826,6 +902,30 @@ class TestMain:
         assert proc.returncode == 4
         assert "Traceback" in proc.stderr
         assert "RuntimeError: checker crashed" in proc.stderr
+
+    # sha256 of the stable output of --suite identities --samples 20 --seed 3,
+    # recorded while the package imported fractions with the CLI
+    QPFAFF_DIGESTS = {
+        "json": "3dbcf60b0845b37acce04015789a43eb75a92050b8392ae1c0aacac6b0b19e0b",
+        "text": "13f519a93415f9a95c7d59393a3710f4389fbc790b3ba6faefeee16a211e978b",
+    }
+
+    @pytest.mark.parametrize("fmt", sorted(QPFAFF_DIGESTS))
+    def test_qpfaff_sweep_imports_fractions_when_it_needs_them(self, fmt):
+        # the 20 qpfaff samples are drawn and checked on Fractions, imported
+        # only then; the output keeps its bytes
+        code = ("import sys\n"
+                "sys.path.insert(0, sys.argv[1])\n"
+                "import qcong.cli\n"
+                "code = qcong.cli.main(['--suite', 'identities', '--samples', '20', '--seed',"
+                " '3', '--stable-output', '--format', sys.argv[2]])\n"
+                "sys.stderr.write(repr('fractions' in sys.modules))\n"
+                "sys.exit(code)\n")
+        proc = subprocess.run([sys.executable, "-S", "-c", code, os.path.join(ROOT, "src"),
+                               fmt], capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == b"True"
+        assert hashlib.sha256(proc.stdout).hexdigest() == self.QPFAFF_DIGESTS[fmt]
 
     def test_failure_and_counterexample_both_reach_stderr(self, capsys, monkeypatch):
         def broken_faulhaber(**d):
