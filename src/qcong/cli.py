@@ -57,7 +57,7 @@ def build_parser():
     parser.add_argument("--seed", dest="rng_seed", type=int, metavar="SEED",
                         help="SplitMix64 seed for sampled instances (default %(default)s)")
     parser.add_argument("--jobs", type=int,
-                        help="worker processes (default %(default)s)")
+                        help="processes that check instances (default %(default)s)")
     parser.add_argument("--format", choices=FORMATS,
                         help="report format (default %(default)s)")
     parser.add_argument("--fail-fast", action="store_true",

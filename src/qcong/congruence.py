@@ -143,9 +143,9 @@ class CongruenceReport(_ReportFields):
     milliseconds; it is 0 for a checker called directly and is rendered as
     0 under ``--stable-output``.
 
-    A named tuple, so a report pickles to a pool worker and back, and
-    ``_replace`` stamps a copy with a new ``elapsed_ms`` without checking
-    the fields again; building one checks status and witness.
+    A named tuple, so ``_replace`` stamps a copy with a new ``elapsed_ms``
+    without checking the fields again; building one, as ``sweep`` does
+    from the fields a forked child sends, checks status and witness.
     """
 
     __slots__ = ()

@@ -4,7 +4,7 @@ A polynomial in q is stored as a tuple of coefficients, entry i holding the
 coefficient of q^i.  The representation is canonical: the zero polynomial is
 the empty tuple, and otherwise the last entry is nonzero.  Values are
 immutable after construction and therefore safe to share across threads and
-to pickle into worker processes.
+with forked processes.
 
 Multiplication is Kronecker substitution: each operand is packed into one
 integer and the two are multiplied once by the interpreter's big-integer

@@ -26,7 +26,7 @@ corrupted step never reaches a verdict.
 
 ``BINOMIAL_MEMO``, the package's one memo, holds them under flat keys:
 ``(n, k)``, ``(a_key,)`` and ``(n, a_key)``, in one table with one bound;
-each worker process of a sweep holds its own copy.  A binomial is held as
+each forked process of a sweep holds its own copy.  A binomial is held as
 an IntPoly; the prefactor and W(n) stay packed (``poly.Packed``), and a
 caller that wants an IntPoly unpacks one.  An a-list is keyed on its
 sorted nonzero entries, since gauss(h, 0) = [0]! = 1.  Every checker in

@@ -31,13 +31,16 @@ member gets a ``MemberReport``: its own claim_id and params, the status,
 witness and note of the class's report, and elapsed_ms 0, since nothing
 was checked for it.  No report is copied.  Classes are numbered in one
 pass with one tail lookup and one first-param lookup per instance
-(``_classes``).  A pool starts at most as many workers as there are checks
-to run and CPUs this process may use.  Reports are sorted on (claim_id,
-params) no matter how many worker processes ran the checks, so identical
-configs yield identical output; ``run_suite`` sorts stably on params and
-then on claim_id, which is that order and compares no (claim_id, params)
-pair.  ``stable_output`` additionally zeroes elapsed_ms for byte-exact
-diffs.
+(``_classes``).  Under ``--jobs`` the classes are checked in at most as
+many processes, this one included, as there are checks to run and CPUs
+this process may use, and in this one alone where ``os.fork`` is
+missing: ``_fan_out`` forks the others, each sends back its reports'
+fields by ``marshal``, and a check that no child brought back is run
+here.  Reports are sorted on (claim_id, params) no matter how many
+processes ran the checks, so identical configs yield identical output;
+``run_suite`` sorts stably on params and then on claim_id, which is that
+order and compares no (claim_id, params) pair.  ``stable_output``
+additionally zeroes elapsed_ms for byte-exact diffs.
 
 ``render_report`` renders each params tuple once (thm1 and q1 share every
 one), as the renderings of its first pair and its tail, each of which is
@@ -66,6 +69,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import marshal
 import os
 import sys
 import time
@@ -73,7 +77,7 @@ from collections import Counter
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
-from .congruence import FAIL, PASS, SKIPPED, CongruenceReport, is_prime
+from .congruence import FAIL, PASS, SKIPPED, CongruenceReport, Witness, is_prime
 from .errors import InvalidParamsError
 from .faulhaber import check_conjecture, check_faulhaber_cong
 from .theorems import (
@@ -406,7 +410,7 @@ def enumerate_instances(config):
 # --- execution ---------------------------------------------------------------------
 
 def run_instance(item):
-    """Check and time one (claim_id, params) instance; used directly and by workers."""
+    """Check and time one (claim_id, params) instance, in any process of a sweep."""
     claim_id, params = item
     t0 = time.perf_counter()
     report = CLAIMS[claim_id].check(params)
@@ -479,39 +483,121 @@ def _cpu_count():
     return os.cpu_count() or 1
 
 
+def _check_share(todo, share, fail_fast):
+    """The reports of ``todo[i]`` for i in ``share``, in order, up to the
+    first check that raises, left out, or under ``fail_fast`` up to and
+    including the first fail.  ``run_instance`` is looked up at call time,
+    so a wrapper installed on it is called in every process."""
+    out = []
+    try:
+        for i in share:
+            report = run_instance(todo[i])
+            out.append(report)
+            if fail_fast and report.status == FAIL:
+                break
+    except Exception:  # execute checks it again in order, where it raises
+        pass
+    return out
+
+
+def _fan_out(todo, workers, fail_fast):
+    """The report of each of ``todo``, or None where none came back, from
+    ``workers`` processes: this one and ``workers - 1`` forked children.
+
+    ``todo`` is cut into chunks of max(1, len(todo) // (workers * 8)), and
+    chunk c goes to process c % workers; this process checks share 0.  A
+    child sends one ``marshal`` list of (status, witness tuple or None,
+    elapsed_ms, note), one per report of its share, and leaves by
+    ``os._exit``; each report is rebuilt here from its own (claim_id,
+    params), so nothing is pickled.  A child that cannot be started, or
+    dies or fails before it has sent a whole list, leaves None in its
+    slots; ``marshal`` refuses a list cut short.  Every child is reaped
+    before this returns or raises, and on the error path killed first.
+    """
+    n = len(todo)
+    chunk = max(1, n // (workers * 8))
+    starts = range(0, n, chunk)
+    shares = [[i for s in starts[w::workers] for i in range(s, min(s + chunk, n))]
+              for w in range(workers)]
+    checked = [None] * n
+    children = {}  # pid -> (the read end of its pipe, its share)
+    try:
+        for share in shares[1:]:
+            rfd, wfd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no child: execute checks the share in order
+                os.close(rfd)
+                os.close(wfd)
+                continue
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(rfd)
+                    fields = [(rep.status, rep.witness and tuple(rep.witness),
+                               rep.elapsed_ms, rep.note)
+                              for rep in _check_share(todo, share, fail_fast)]
+                    with open(wfd, "wb") as pipe:
+                        pipe.write(marshal.dumps(fields))
+                    code = 0
+                finally:
+                    os._exit(code)
+            children[pid] = open(rfd, "rb"), share
+            os.close(wfd)
+        for i, report in zip(shares[0], _check_share(todo, shares[0], fail_fast)):
+            checked[i] = report
+        for pid, (pipe, share) in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            os.waitpid(pid, 0)
+            del children[pid]
+            try:  # empty or cut short if the child died before its one write ended
+                fields = marshal.loads(data)
+                reports = [CongruenceReport(*todo[i], status, witness and Witness(*witness),
+                                            ms, note)
+                           for i, (status, witness, ms, note) in zip(share, fields)]
+            except (EOFError, ValueError, TypeError):
+                continue
+            for i, report in zip(share, reports):
+                checked[i] = report
+    finally:
+        if children:  # the error path
+            from signal import SIGKILL
+
+            for pid, (pipe, _) in children.items():
+                pipe.close()
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+    return checked
+
+
 def execute(instances, jobs=1, fail_fast=False):
     """Run instances, optionally across processes; results in submission order.
 
     Only the first instance of each class is checked and gets its report;
-    every later one gets a ``MemberReport`` of it.  The pool has min(jobs,
-    checks to run, usable CPUs) workers, and none if that is 1.
+    every later one gets a ``MemberReport`` of it.  With min(jobs, checks to
+    run, usable CPUs) above 1 and ``os.fork`` at hand, ``_fan_out`` checks
+    the classes first in that many processes; each check it did not bring
+    back is run here when the loop reaches it, so an exception surfaces
+    with its own traceback, as when serial, and a lost child costs time
+    only.  Under ``fail_fast`` each process stops its share at its own
+    first fail, and the loop stops at the first fail of all, before any
+    check that a process skipped.
     """
     numbers, todo = _classes(instances)
+    workers = min(jobs, len(todo), _cpu_count()) if hasattr(os, "fork") else 1
+    checked = _fan_out(todo, workers, fail_fast) if workers > 1 else [None] * len(todo)
     reports = []
     done = [None] * len(todo)
-    pool = None
-    workers = min(jobs, len(todo), _cpu_count())
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(max_workers=workers)
-    try:
-        if pool is None:
-            results = map(run_instance, todo)
+    for number, (claim_id, params) in zip(numbers, instances):
+        report = done[number]
+        if report is None:
+            report = done[number] = checked[number] or run_instance(todo[number])
         else:
-            chunk = max(1, len(todo) // (workers * 8))
-            results = pool.map(run_instance, todo, chunksize=chunk)
-        for number, (claim_id, params) in zip(numbers, instances):
-            report = done[number]
-            if report is None:
-                report = done[number] = next(results)
-            else:
-                report = MemberReport(claim_id, params, report)
-            reports.append(report)
-            if fail_fast and report.status == FAIL:
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)  # waits: no worker outlives the call
+            report = MemberReport(claim_id, params, report)
+        reports.append(report)
+        if fail_fast and report.status == FAIL:
+            break
     return reports
 
 

@@ -9,9 +9,10 @@ import hashlib
 import io
 import itertools
 import json
-import multiprocessing
+import marshal
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -32,7 +33,7 @@ from oracles import (
 )
 
 from qcong.congruence import FAIL, PASS, CongruenceReport, Witness
-from qcong.errors import InvalidParamsError
+from qcong.errors import InternalError, InvalidParamsError
 from qcong.cli import build_parser, main
 from qcong.sweep import (
     CLAIMS,
@@ -89,6 +90,32 @@ def _patch_check(monkeypatch, claim_id, check):
     row hands ``check`` the params as keyword arguments."""
     monkeypatch.setitem(CLAIMS, claim_id,
                         CLAIMS[claim_id]._replace(check=lambda params: check(**dict(params))))
+
+
+def _cpus(monkeypatch, count):
+    """Let ``execute`` see ``count`` usable CPUs."""
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    else:
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+
+def _count_forks(monkeypatch, fork=None):
+    """The list that each call of ``os.fork`` appends to; ``fork``, if given,
+    is called instead of the real one."""
+    forks, fork = [], fork or os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):  # no child, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _cfg(**kw):
@@ -236,7 +263,7 @@ class TestEnumeration:
                 assert d[key] >= 1
 
     # sha256 of repr(instance list) per suite, recorded before the claim table
-    # replaced the per-suite if-chain; --fail-fast output and the pool's
+    # replaced the per-suite if-chain; --fail-fast output and the --jobs
     # chunking depend on this order, not just on the set
     ORDER_CONFIGS = (
         dict(n_max=4, m_max=2, a_max=2, prime_set=(2, 3), sample_count=5,
@@ -414,45 +441,25 @@ class TestExecution:
         assert len(reports) == 1
         assert len(calls) == 1
 
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="workers see the patched CLAIMS row only when forked")
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork: jobs 2 runs serially")
     def test_fail_fast_stops_the_pool(self, monkeypatch):
         _patch_check(monkeypatch, "sum_lemma",
                      lambda n, a: make_report("sum_lemma", {"n": n, "a": a}, FAIL,
                                               witness=Witness("1", "0", "1")))
         instances = [("sum_lemma", (("n", i), ("a", 0))) for i in range(1, 41)]
         assert len(execute(instances, jobs=2, fail_fast=True)) == 1
-        assert multiprocessing.active_children() == []
+        _assert_no_child_left()
         assert len(execute(instances, jobs=2)) == 40
 
     @pytest.mark.parametrize("fail_fast", [False, True])
     def test_pool_workers_are_gone_when_execute_returns(self, fail_fast):
         instances = enumerate_instances(_cfg(n_max=6))
         assert len(execute(instances, jobs=2, fail_fast=fail_fast)) == len(instances)
-        assert multiprocessing.active_children() == []
+        _assert_no_child_left()
 
     def test_pool_is_capped(self, monkeypatch):
-        # a stub executor records the pool size and runs the checks in process,
-        # so no worker is ever started
-        sizes = []
-
-        class Stub:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
-            def shutdown(self, cancel_futures=False):
-                pass
-
-        import concurrent.futures
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Stub)
-        cpus = {"n": 4}
-        if hasattr(os, "sched_getaffinity"):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus["n"])))
-        else:
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus["n"])
+        # each worker but this process is one fork
+        forks = _count_forks(monkeypatch)
         lemma = [("sum_lemma", (("n", n), ("a", 1))) for n in range(1, 11)]
         # thm1 at n = 3 for [1, 2], [2, 1] and [0, 2, 1]: one check
         one_class = [("thm1", (("n", 3), ("a1", 1), ("a2", 2))),
@@ -462,15 +469,100 @@ class TestExecution:
                 (5000, lemma, 4, 4),     # capped by the CPUs
                 (5000, lemma[:3], 4, 3),  # by the checks to run
                 (3, lemma, 4, 3),        # by jobs
-                (5000, lemma, 1, None),  # one CPU: serial, no pool
-                (8, one_class, 4, None),  # one check: serial, no pool
+                (5000, lemma, 1, None),  # one CPU: serial, no fork
+                (8, one_class, 4, None),  # one check: serial, no fork
                 (1, lemma, 4, None)]:
-            cpus["n"] = cpu_count
-            del sizes[:]
+            _cpus(monkeypatch, cpu_count)
+            del forks[:]
             got = execute(items, jobs=jobs)
-            assert sizes == ([] if size is None else [size])
+            assert len(forks) == (0 if size is None else size - 1)
             assert [(r.claim_id, r.params, r.status) for r in got] \
                 == [(r.claim_id, r.params, PASS) for r in execute_each(items)]
+            _assert_no_child_left()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork: jobs 2 runs serially")
+    @pytest.mark.parametrize("loss", ["killed", "short", "unreadable", "unforked"])
+    def test_lost_child_costs_time_not_the_sweep(self, monkeypatch, loss):
+        # this process checks again every instance whose report no child
+        # brought back, and no child is left behind
+        parent = os.getpid()
+        checks_here = []
+        check = CLAIMS["sum_lemma"].check
+
+        def checked_here_or_killed(params):
+            if os.getpid() != parent:
+                if loss == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+            else:
+                checks_here.append(params)
+            return check(params)
+
+        instances = [("sum_lemma", (("n", n), ("a", a))) for n in range(1, 9) for a in range(3)]
+        want = execute(instances, jobs=1)
+        monkeypatch.setitem(CLAIMS, "sum_lemma",
+                            CLAIMS["sum_lemma"]._replace(check=checked_here_or_killed))
+        _cpus(monkeypatch, 2)
+        dumps = marshal.dumps
+        if loss == "short":
+            monkeypatch.setattr(marshal, "dumps", lambda fields: dumps(fields[:1]))
+        elif loss == "unreadable":
+            monkeypatch.setattr(marshal, "dumps", lambda fields: dumps(fields)[:-1])
+
+        def no_fork():
+            raise BlockingIOError("fork: resource temporarily unavailable")
+
+        forks = _count_forks(monkeypatch, no_fork if loss == "unforked" else None)
+        _assert_same_reports(execute(instances, jobs=2), want)
+        assert len(forks) == 1
+        assert len(checks_here) == len(instances) - (loss == "short")
+        _assert_no_child_left()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork: jobs 2 runs serially")
+    def test_interrupted_parent_kills_and_reaps_its_children(self, monkeypatch):
+        class Interrupt(BaseException):
+            pass
+
+        parent = os.getpid()
+
+        def check(n, a):
+            if os.getpid() == parent:
+                raise Interrupt
+            time.sleep(60)
+
+        _patch_check(monkeypatch, "sum_lemma", check)
+        _cpus(monkeypatch, 2)
+        instances = [("sum_lemma", (("n", n), ("a", 0))) for n in range(1, 9)]
+        t0 = time.monotonic()
+        with pytest.raises(Interrupt):
+            execute(instances, jobs=2)
+        assert time.monotonic() - t0 < 30
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fail_fast_hides_a_crash_after_the_first_fail(self, monkeypatch, jobs):
+        # n = 1 fails, first in this process's share; n = 4 raises, in the
+        # child's share at jobs 2 (chunks of two); as when serial, only a
+        # sweep without fail-fast reaches the crash, and this process checks
+        # nothing after its first fail
+        checks_here = []
+
+        def check(n, a):
+            checks_here.append(n)
+            if n == 4:
+                raise InternalError("routes disagree")
+            status = FAIL if n == 1 else PASS
+            return make_report("sum_lemma", {"n": n, "a": a}, status,
+                               witness=Witness("1", "0", "1") if status == FAIL else None)
+
+        _patch_check(monkeypatch, "sum_lemma", check)
+        _cpus(monkeypatch, 2)
+        instances = [("sum_lemma", (("n", i), ("a", 0))) for i in range(1, 41)]
+        reports = execute(instances, jobs=jobs, fail_fast=True)
+        assert [(r.params, r.status) for r in reports] == [(instances[0][1], FAIL)]
+        assert checks_here == [1]
+        with pytest.raises(InternalError, match="routes disagree"):
+            execute(instances, jobs=jobs)
+        _assert_no_child_left()
 
     def test_parallel_matches_serial(self):
         cfg = _cfg(suite="identities", n_max=4, a_max=2, prime_set=(2,),
@@ -501,7 +593,7 @@ class TestExecution:
         assert ('"status": "fail"' in outs[0]) == corrupt
 
 
-FORKED = multiprocessing.get_start_method() == "fork"
+FORKED = hasattr(os, "fork")
 CORRUPTIONS = [
     pytest.param(None, id="true"),
     pytest.param(modulus_shifted, id="shifted-modulus"),
@@ -510,7 +602,7 @@ CORRUPTIONS = [
     pytest.param(weighted_sum_plus_modulus, id="weighted-sum-plus-modulus"),
 ]
 JOBS = [1, pytest.param(2, marks=pytest.mark.skipif(
-    not FORKED, reason="workers see a corrupted checker only when forked"))]
+    not FORKED, reason="no os.fork: jobs 2 runs serially"))]
 
 
 def _outcome(r):
@@ -630,16 +722,14 @@ def test_misnamed_params_are_refused(claim, params):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_thm1_and_q1_reports_hold_the_enumerated_params(jobs):
-    # at jobs 1 every report holds the very params tuple enumerate_instances
-    # made, the checked ones too; a worker sends back an equal one
+    # every report holds the very params tuple enumerate_instances made, the
+    # checked ones too, at jobs 2 as well: a forked child sends back no params
     instances = enumerate_instances(_cfg(n_max=6, m_max=3, a_max=3, jobs=jobs))
     reports = execute(instances, jobs=jobs)
     checked = [(r, p) for r, (_, p) in zip(reports, instances)
                if isinstance(r, CongruenceReport)]
     assert {r.claim_id for r, _ in checked} == {"thm1", "q1"}
-    assert all(r.params == p for r, (_, p) in zip(reports, instances))
-    if jobs == 1:
-        assert all(r.params is p for r, (_, p) in zip(reports, instances))
+    assert all(r.params is p for r, (_, p) in zip(reports, instances))
 
 
 class TestOrderClasses:
@@ -774,12 +864,21 @@ class TestOrderClasses:
                 "from qcong.sweep import SweepConfig, run_suite\n"
                 "assert run_suite(SweepConfig(suite='all', n_max=3), out=io.StringIO()) == 0\n"
                 "print(sorted({'multiprocessing', 'concurrent.futures.process'}"
+                " & set(sys.modules)))\n"
+                "import os\n"
+                "forks, fork = [], os.fork\n"
+                "os.fork = lambda: forks.append(1) or fork()\n"
+                "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                "assert run_suite(SweepConfig(suite='all', n_max=3, jobs=2),"
+                " out=io.StringIO()) == 0\n"
+                "assert forks == [1]\n"
+                "print(sorted({'multiprocessing', 'concurrent.futures', 'pickle'}"
                 " & set(sys.modules)))\n")
         env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[]\n"
+        assert proc.stdout == "[]\n[]\n"
 
 
 class TestTiming:
@@ -871,17 +970,19 @@ class TestMain:
         assert captured.out == ""
         assert "selects no instances" in captured.err
 
-    def test_crashing_check_exits_four(self, capsys, monkeypatch):
-        from qcong.errors import InternalError
-
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_crashing_check_exits_four(self, capsys, monkeypatch, jobs):
         def crash(**d):
             raise InternalError("routes disagree")
 
         _patch_check(monkeypatch, "faulhaber", crash)
-        assert main(["--suite", "faulhaber", "--n-max", "2", "--m-max", "1"]) == 4
+        _cpus(monkeypatch, 2)
+        assert main(["--suite", "faulhaber", "--n-max", "2", "--m-max", "1",
+                     "--jobs", str(jobs)]) == 4
         captured = capsys.readouterr()
         assert "Traceback" in captured.err
         assert "InternalError: routes disagree" in captured.err
+        _assert_no_child_left()
 
     def test_cli_import_loads_no_dataclasses_inspect_or_traceback(self):
         # a fresh interpreter without site packages: importing the CLI loads
