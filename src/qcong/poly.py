@@ -7,20 +7,18 @@ immutable after construction and therefore safe to share across threads and
 with forked processes.
 
 Multiplication is Kronecker substitution: each operand is packed into one
-integer and the two are multiplied once by the interpreter's big-integer
-multiply.  Slots of 1, 2, 4 or 8 bytes are machine words: each operand is
-packed, and the product read back, by one ``array`` call in native byte
-order.  Wider slots go through bytes, one ``to_bytes``/``from_bytes`` per
-coefficient.  Schoolbook convolution (``_mul_schoolbook``) is kept only as
-the reference the kernel tests compare against.
+integer, slot by slot through bytes, and the two are multiplied once by the
+interpreter's big-integer multiply.  The kernel tests compare it against a
+schoolbook convolution kept in their oracles.
 
 ``_pack_nonneg`` and ``_unpack_nonneg`` carry nonnegative coefficients to
-and from one integer at X = 2^(8k) with no bias, for a caller that does
-more than multiply there: :mod:`qcong.qcomb` builds a whole weighted sum
-of Gaussian binomials as one integer, and :mod:`qcong.congruence` decides
-thm1 on such integers.  ``_slot_bytes`` picks k from a bound on every
-coefficient, ``_repack`` moves slots to another width, and ``Packed``
-holds one such integer with its width, length and value at q = 1.
+and from one integer at X = 2^(8k) with no bias, by one ``array`` call over
+machine words, for a caller that does more than multiply there:
+:mod:`qcong.qcomb` builds a whole weighted sum of Gaussian binomials as one
+integer, and :mod:`qcong.congruence` decides thm1 on such integers.
+``_slot_bytes`` picks k from a bound on every coefficient, ``_repack``
+moves slots to another width, and ``Packed`` holds one such integer with
+its width, length and value at q = 1.
 """
 
 from __future__ import annotations
@@ -31,8 +29,7 @@ from typing import NamedTuple
 
 from .errors import LeadingCoeffNotUnitError, NotDivisibleError
 
-# Signed and unsigned array typecodes of each machine-word slot width, in bytes.
-_WORDS = {array(t).itemsize: t for t in "bhilq"}
+# Unsigned array typecode of each machine-word slot width, in bytes.
 _UWORDS = {array(t).itemsize: t for t in "BHILQ"}
 _WORD64 = (1 << 64) - 1
 
@@ -62,20 +59,6 @@ def _sub_lists(a, b):
     return _strip(out)
 
 
-def _mul_schoolbook(a, b):
-    """Plain convolution; the inner loop runs as one slice comprehension."""
-    if not a or not b:
-        return []
-    if len(b) > len(a):
-        a, b = b, a
-    out = [0] * (len(a) + len(b) - 1)
-    la = len(a)
-    for i, bi in enumerate(b):
-        if bi:
-            out[i:i + la] = [x + bi * aj for x, aj in zip(out[i:i + la], a)]
-    return out
-
-
 def _pack(coeffs, k, bias):
     """The integer sum of c_i * 2^(8ki), packed via k-byte slots holding c_i + bias."""
     slots = b"".join([(c + bias).to_bytes(k, "little") for c in coeffs])
@@ -90,38 +73,20 @@ def _mul_lists(a, b):
     min(len a, len b) < 2^(8k-1) = bias, so c + bias fills a k-byte slot
     without sign or overflow.  Each operand is packed into one integer, the
     two are multiplied once, and the product plus bias in every slot is read
-    back.  The result has len(a) + len(b) - 1 entries, exactly as
-    ``_mul_schoolbook`` returns them.
-
-    A k of at most 8 is rounded up to a word of 1, 2, 4 or 8 bytes, which
-    only widens the slots.  ``array`` then packs each operand as signed
-    words, slot i holding u_i = c_i mod 2^(8k); since c_i = u_i - 2*(u_i &
-    bias), the packed integer U stands for the operand U - 2*(U & biases),
-    biases holding bias in every slot.  Read back, c + bias and c mod 2^(8k)
-    differ in the bias bit alone, so one XOR turns the biased product into
-    signed words.  On a big-endian host every operand and the product are
-    read slot-reversed, and the reversal of a product is the product of the
-    reversals.  A wider k packs and reads back slot by slot through bytes.
+    back.  The result has len(a) + len(b) - 1 entries, the schoolbook
+    convolution's, trailing zeros included.
     """
     if not a or not b:
         return []
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     k = bound.bit_length() // 8 + 1
     n = len(a) + len(b) - 1
-    if k > 8:
-        bias = 1 << (8 * k - 1)
-        biased = _pack(a, k, bias) * _pack(b, k, bias) + int.from_bytes(
-            bias.to_bytes(k, "little") * n, "little")
-        buf = biased.to_bytes(n * k, "little")
-        return [int.from_bytes(buf[i:i + k], "little") - bias
-                for i in range(0, n * k, k)]
-    k = 1 << (k - 1).bit_length()
-    word, order = _WORDS[k], sys.byteorder
-    biases = int.from_bytes((1 << (8 * k - 1)).to_bytes(k, order) * n, order)
-    ua = int.from_bytes(array(word, a), order)
-    ub = int.from_bytes(array(word, b), order)
-    product = (ua - ((ua & biases) << 1)) * (ub - ((ub & biases) << 1))
-    return array(word, ((product + biases) ^ biases).to_bytes(n * k, order)).tolist()
+    bias = 1 << (8 * k - 1)
+    biased = _pack(a, k, bias) * _pack(b, k, bias) + int.from_bytes(
+        bias.to_bytes(k, "little") * n, "little")
+    buf = biased.to_bytes(n * k, "little")
+    return [int.from_bytes(buf[i:i + k], "little") - bias
+            for i in range(0, n * k, k)]
 
 
 def _slot_bytes(bound):

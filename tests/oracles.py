@@ -25,6 +25,21 @@ from qcong.qcomb import LaurentPoly, q_binomial, q_factorial, q_int, q_pochhamme
 from qcong.sweep import CLAIMS, SplitMix64, run_instance
 
 
+def _mul_schoolbook(a, b):
+    """Plain convolution of coefficient lists, the reference for
+    ``poly._mul_lists``; the inner loop runs as one slice comprehension."""
+    if not a or not b:
+        return []
+    if len(b) > len(a):
+        a, b = b, a
+    out = [0] * (len(a) + len(b) - 1)
+    la = len(a)
+    for i, bi in enumerate(b):
+        if bi:
+            out[i:i + la] = [x + bi * aj for x, aj in zip(out[i:i + la], a)]
+    return out
+
+
 def q_binomial_oracle(n, k):
     """Gaussian binomial via the Pascal-style recurrence; cross-check only.
 

@@ -518,6 +518,34 @@ class TestExecution:
         _assert_no_child_left()
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork: jobs 2 runs serially")
+    def test_child_fails_come_back_as_reports_with_witnesses(self, monkeypatch):
+        # a child sends marshalled fields, and this process rebuilds each
+        # report from them; rendered bytes alone would not tell a rebuilt
+        # CongruenceReport or Witness from a tuple that renders the same
+        weighted_sums_plus_one(monkeypatch)
+        instances = enumerate_instances(_cfg(n_max=6))
+        want = execute(instances, jobs=1)
+        parent = os.getpid()
+        checks_here = set()
+
+        def checked_where(item):
+            if os.getpid() == parent:
+                checks_here.add(item)
+            return run_instance(item)
+
+        monkeypatch.setattr(sweep_mod, "run_instance", checked_where)
+        _cpus(monkeypatch, 2)
+        got = execute(instances, jobs=2)
+        _assert_same_reports(got, want)
+        fails = [r for r in got if type(r) is not MemberReport and r.status == FAIL]
+        from_child = [r for r in fails if (r.claim_id, r.params) not in checks_here]
+        assert from_child and len(from_child) < len(fails)
+        for r in fails:
+            assert type(r) is CongruenceReport
+            assert type(r.witness) is Witness
+        _assert_no_child_left()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork: jobs 2 runs serially")
     def test_interrupted_parent_kills_and_reaps_its_children(self, monkeypatch):
         class Interrupt(BaseException):
             pass

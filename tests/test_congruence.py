@@ -2,7 +2,6 @@
 
 import itertools
 import json
-import pickle
 import random
 from fractions import Fraction
 from functools import reduce
@@ -498,13 +497,6 @@ def test_report_equality_hash_and_immutability():
     with pytest.raises(AttributeError):
         same.witness.lhs = "1"
     assert same == _FAILED
-
-
-def test_report_pickles_for_the_pool():
-    for report in (_FAILED, make_report("q1", {"n": 3, "a1": 5}, PASS, note="vanishing-sum")):
-        back = pickle.loads(pickle.dumps(report))
-        assert back == report and type(back) is CongruenceReport
-        assert type(back.witness) is type(report.witness)
 
 
 def test_report_checks_status_and_witness_when_built():

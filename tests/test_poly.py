@@ -6,20 +6,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import _mul_schoolbook
 
-from qcong import poly
 from qcong.errors import LeadingCoeffNotUnitError, NotDivisibleError
 from qcong.poly import (
     ONE,
     ZERO,
     IntPoly,
     _mul_lists,
-    _mul_schoolbook,
     _pack_nonneg,
     _slot_bytes,
     _unpack_nonneg,
 )
-from qcong.qcomb import q_binomial
 
 BIG = 2 ** 256
 
@@ -230,9 +228,9 @@ def _kronecker_cases():
         for length in (1, 2, 3, 4, 400):
             for sign_a, sign_b in ((1, 1), (1, -1), (-1, -1)):
                 cases.append(([sign_a * m] * length, [sign_b * m] * length))
-    # Word-width edges: bound = max|a| * max|b| * min(len) one below and at
-    # 2^7, 2^15, 2^31, 2^63, where the slot grows 1 -> 2 -> 4 -> 8 bytes and
-    # then leaves the word path; the extreme product coefficient is +-bound.
+    # Slot-width edges: bound = max|a| * max|b| * min(len) one below and at
+    # 2^7, 2^15, 2^31, 2^63, where the slot grows 1 -> 2, 2 -> 3, 4 -> 5 and
+    # 8 -> 9 bytes; the extreme product coefficient is +-bound.
     for t in (7, 15, 31, 63):
         for length in (1, 2, 400):
             signs = [(-1) ** i for i in range(length)]
@@ -246,14 +244,6 @@ def _kronecker_cases():
 def test_kronecker_equals_schoolbook_seeded():
     for a, b in _kronecker_cases():
         assert _mul_lists(a, b) == _mul_schoolbook(a, b)
-
-
-def test_word_slots_never_pack_through_bytes(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a product with k <= 8 went through _pack")
-    monkeypatch.setattr(poly, "_pack", refuse)
-    a, b = q_binomial(30, 15), q_binomial(24, 12)  # bound has 45 bits: k = 6
-    assert (a * b).coeffs == tuple(_mul_schoolbook(a.coeffs, b.coeffs))
 
 
 def test_nonneg_slots_hold_their_bound():

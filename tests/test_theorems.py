@@ -1,5 +1,6 @@
 """Checker tests: frozen small cases first, then grids and cross-route agreement."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -758,6 +759,21 @@ def test_fail_branch_witness(monkeypatch, corrupt, check, witness):
     assert r.status == "fail"
     assert (r.witness.lhs, r.witness.rhs, r.witness.difference) == witness
     assert r.note is None
+
+
+@pytest.mark.parametrize("p, a, b, digest", [
+    (7, 3, 2, "e3ec49b48f84627f1abd7e2bdf902d94b337873944f5e257e342c9ec668839ed"),
+    (19, 9, 8, "b1b52d185b21187e273c08f2140dbaa27e157034ac8317a95f45e255f196650a"),
+    (37, 17, 18, "75433f60b6e50571f9a56940d5149f2877072c13e9df8c5afd39f414c837b0fe"),
+    (53, 26, 25, "891bed7ba0457be806c071a8bebe2361b519aa3a28ca15324dea4f836e50f778"),
+])
+def test_thm2_witness_bytes_are_pinned(monkeypatch, p, a, b, digest):
+    # A fail's witness multiplies the unpacked prefactor and W(p), here in
+    # slots of up to 2, 7, 14 and 20 bytes, either side of an 8-byte word.
+    weighted_sums_plus_one(monkeypatch)
+    r = check_thm2(p, a, b)
+    assert r.status == "fail"
+    assert hashlib.sha256(repr(tuple(r.witness)).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("check, match", [
