@@ -13,12 +13,21 @@ Exit codes: 0 all checks passed (skips allowed), 1 a theorem or identity
 check failed, 2 usage error (including a selection with no instances), 3
 conjecture counterexample found, 4 a check crashed (the traceback goes to
 stderr; ``traceback`` is imported only then, so a sweep that does not crash
-does not pay for it).
+does not pay for it) or the report could not be written.
+
+``main(argv)`` is the in-process entry: it returns the exit code and leaves
+the process and the cyclic collector as it found them.  ``run()`` is the
+process entry of the ``qcong`` console script and of ``python -m
+qcong.cli``: it runs ``main()`` with the cyclic collector off, flushes
+stdout and stderr, and ends the process by ``os._exit``, without
+finalizing the interpreter.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import os
 import sys
 
 from .sweep import FORMATS, SUITES, SweepConfig, UsageError, run_suite
@@ -87,5 +96,36 @@ def main(argv=None):
         return 4
 
 
+def run():
+    """Run ``main()`` and end the process with its exit code.
+
+    A sweep makes no reference cycles (``tests/test_cli.py`` pins that), so
+    the cyclic collector's passes over its memo entries and reports find
+    nothing, and freeing them one at a time at interpreter exit is work that
+    no one reads: the collector is off, and the process leaves by
+    ``os._exit``.  Forked ``--jobs`` children inherit the collector off.
+    Only a return from ``main()`` takes this exit; an exception such as
+    ``KeyboardInterrupt`` propagates as usual.  A report that cannot be
+    flushed, or a stdout that is None because fd 1 was closed at start-up,
+    exits 4, never 1.
+    """
+    gc.disable()
+    code = main()
+    note = ""
+    try:
+        sys.stdout.flush()
+    except Exception as exc:  # EPIPE, ENOSPC; AttributeError: fd 1 was closed at start-up
+        code = 4
+        note = "error: the report could not be written: %s\n" % (
+            "stdout is closed" if sys.stdout is None else exc)
+    if sys.stderr is not None:
+        try:
+            sys.stderr.write(note)
+            sys.stderr.flush()
+        except Exception:  # stderr is broken too: the failure blocks may be lost
+            code = 4
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -5,6 +5,7 @@ so any independent implementation seeded identically enumerates the same
 sampled instances.
 """
 
+import gc
 import hashlib
 import io
 import itertools
@@ -37,6 +38,7 @@ from qcong.errors import InternalError, InvalidParamsError
 from qcong.cli import build_parser, main
 from qcong.sweep import (
     CLAIMS,
+    FORMATS,
     SUITES,
     MemberReport,
     SplitMix64,
@@ -1126,6 +1128,175 @@ class TestMain:
         monkeypatch.setattr(cli, "run_suite", lambda config: seen.append(config) or 0)
         assert main(["--suite", "faulhaber"]) == 0
         assert seen[0].jobs == 1
+
+
+# code run before ``cli.run()`` in a fresh interpreter (see ``_run_process``)
+CRASH = ("from qcong.sweep import CLAIMS\n"
+         "def crash(params):\n"
+         "    raise RuntimeError('checker crashed')\n"
+         "CLAIMS['faulhaber'] = CLAIMS['faulhaber']._replace(check=crash)\n")
+COUNTEREXAMPLE = ("from qcong.sweep import CLAIMS\n"
+                  "from qcong.congruence import FAIL, Witness\n"
+                  "from oracles import make_report\n"
+                  "def broken(params):\n"
+                  "    return make_report('conjecture', dict(params), FAIL,"
+                  " witness=Witness('17', '0', '17'))\n"
+                  "CLAIMS['conjecture'] = CLAIMS['conjecture']._replace(check=broken)\n")
+WEIGHTED_SUMS_PLUS_ONE = ("import types, oracles\n"
+                          "oracles.weighted_sums_plus_one(types.SimpleNamespace(setattr=setattr))\n")
+UNFLUSHABLE = ("import io\n"
+               "class Unflushable(io.StringIO):\n"
+               "    def flush(self):\n"
+               "        raise OSError(28, 'No space left on device')\n"
+               "sys.%s = Unflushable()\n")
+# 571 instances fail under weighted_sums_plus_one
+ALL_SMALL = ["--suite", "all", "--n-max", "6", "--m-max", "2", "--a-max", "6",
+             "--samples", "100", "--seed", "3", "--stable-output"]
+
+
+def _run_process(argv, setup="", **kw):
+    """``cli.run()`` with ``argv`` in a fresh interpreter, ``src`` and
+    ``tests`` on its path, after ``setup``; help is laid out 80 columns wide."""
+    path = os.pathsep.join([os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")])
+    code = "import sys\n" + setup + "from qcong import cli\ncli.run()\n"
+    return subprocess.run([sys.executable, "-c", code] + argv,
+                          env=dict(os.environ, PYTHONPATH=path, COLUMNS="80"),
+                          capture_output=True, text=True, timeout=120, **kw)
+
+
+class TestProcessEntry:
+    @pytest.mark.parametrize("argv, setup, code, err", [
+        (["--suite", "faulhaber", "--n-max", "4"], "", 0, ""),
+        (["--suite", "thm1", "--n-max", "0"], "", 2,
+         "error: n_max must be a positive integer\n"),
+        (["--suite", "faulhaber", "--n-max", "2"], CRASH, 4,
+         "RuntimeError: checker crashed\n"),
+        (["--suite", "conjecture", "--n-max", "2", "--m-max", "1"], COUNTEREXAMPLE, 3,
+         "CONJECTURE COUNTEREXAMPLE: n=2;m=1;k=1\n  value: 17\n  residue: 17\n"),
+    ], ids=["pass", "usage", "crash", "counterexample"])
+    def test_exit_code(self, argv, setup, code, err):
+        proc = _run_process(argv, setup)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.endswith(err)
+        assert bool(proc.stderr) == bool(code)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("setup", ["", WEIGHTED_SUMS_PLUS_ONE],
+                             ids=["pass", "weighted-sums-plus-one"])
+    def test_writes_what_main_writes(self, capsys, monkeypatch, setup, jobs):
+        # the report reaches stdout, and every CHECK FAILED block stderr, whole
+        argv = ALL_SMALL + ["--format", "json", "--jobs", str(jobs)]
+        if setup:
+            weighted_sums_plus_one(monkeypatch)
+        code = main(argv)
+        captured = capsys.readouterr()
+        proc = _run_process(argv, setup)
+        assert (proc.returncode, code) == ((1, 1) if setup else (0, 0)), proc.stderr
+        assert proc.stdout == captured.out
+        assert proc.stderr == captured.err
+        assert proc.stderr.count("CHECK FAILED: ") == (571 if setup else 0)
+
+    def test_help_is_complete(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        proc = _run_process(["--help"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == build_parser().format_help()
+
+    @pytest.mark.parametrize("argv", [["--suite", "faulhaber", "--n-max", "4"], ["--help"]])
+    def test_closed_stdout_exits_four(self, argv):
+        # as `qcong ... >&-` starts it: sys.stdout is None
+        proc = _run_process(argv, preexec_fn=lambda: os.close(1))
+        assert proc.returncode == 4
+        assert proc.stderr.endswith("error: the report could not be written: "
+                                    "stdout is closed\n")
+
+    def test_closed_stderr_on_a_pass_exits_zero(self, capsys):
+        # nothing was lost: the report is whole and no failure block was due
+        argv = ["--suite", "thm1", "--n-max", "6", "--stable-output"]
+        proc = _run_process(argv, preexec_fn=lambda: os.close(2))
+        assert proc.returncode == 0
+        assert main(argv) == 0
+        assert proc.stdout == capsys.readouterr().out
+
+    def test_both_launch_paths_end_through_run(self):
+        with open(os.path.join(ROOT, "pyproject.toml")) as fh:
+            assert '\nqcong = "qcong.cli:run"\n' in fh.read()
+        # main() alone returns 0 here: argparse writes the help to stderr
+        proc = subprocess.run([sys.executable, "-m", "qcong.cli", "--help"],
+                              env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+                              capture_output=True, text=True, timeout=120,
+                              preexec_fn=lambda: os.close(1))
+        assert proc.returncode == 4, proc.stderr
+
+    @pytest.mark.parametrize("setup, fails", [("", 0), (WEIGHTED_SUMS_PLUS_ONE, 86)],
+                             ids=["pass", "weighted-sums-plus-one"])
+    def test_failed_flush_exits_four(self, setup, fails):
+        # a report that main() wrote but that could not be flushed, never exit 0 or 1
+        proc = _run_process(["--suite", "thm1", "--n-max", "6"], setup + UNFLUSHABLE % "stdout")
+        assert proc.returncode == 4
+        assert proc.stderr.endswith("error: the report could not be written: "
+                                    "[Errno 28] No space left on device\n")
+        assert proc.stderr.count("CHECK FAILED: ") == fails
+
+    @pytest.mark.parametrize("setup, fails", [("", 0), (WEIGHTED_SUMS_PLUS_ONE, 86)],
+                             ids=["pass", "weighted-sums-plus-one"])
+    def test_failed_stderr_flush_exits_four(self, setup, fails):
+        # the failure blocks may be lost: exit 4, never 0 or 1
+        proc = _run_process(["--suite", "thm1", "--n-max", "6"], setup + UNFLUSHABLE % "stderr")
+        assert proc.returncode == 4
+        assert proc.stdout.endswith("summary: %d pass, %d fail, 0 skipped\n"
+                                    % (360 - fails, fails))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_the_sweep_runs_with_the_collector_off(self, jobs):
+        setup = ("import gc\n"
+                 "from qcong.sweep import CLAIMS\n"
+                 "row = CLAIMS['faulhaber']\n"
+                 "def check(params):\n"
+                 "    sys.stderr.write('sweep %s\\n' % gc.isenabled())\n"
+                 "    return row.check(params)\n"
+                 "CLAIMS['faulhaber'] = row._replace(check=check)\n"
+                 "sys.stderr.write('import %s\\n' % gc.isenabled())\n")
+        proc = _run_process(["--suite", "faulhaber", "--n-max", "12", "--jobs", str(jobs)],
+                            setup)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert lines[0] == "import True"
+        assert sorted(lines[1:]) == ["sweep False"] * 24
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_leaves_the_collector_as_it_found_it(self, capsys, enabled):
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            assert main(["--suite", "faulhaber", "--n-max", "4"]) == 0
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("corrupt", [None, weighted_sums_plus_one],
+                             ids=["pass", "weighted-sums-plus-one"])
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_a_sweep_makes_no_cyclic_garbage(self, monkeypatch, suite, corrupt, jobs):
+        # run() turns the collector off on this premise: a sweep that made
+        # cycles would keep them until exit and grow its peak RSS
+        if corrupt:
+            corrupt(monkeypatch)
+        _cpus(monkeypatch, 2)
+        config = SweepConfig(suite=suite, n_max=6, m_max=2, a_max=6, sample_count=100,
+                             rng_seed=3, jobs=jobs)
+        was = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            for fmt in FORMATS:
+                run_suite(config._replace(format=fmt), out=io.StringIO(), err=io.StringIO())
+            assert gc.collect() == 0
+        finally:
+            if was:
+                gc.enable()
+        _assert_no_child_left()
 
 
 class TestClaimTable:
