@@ -23,9 +23,9 @@ once.
 Every polynomial modulus in the paper is a power of a q-integer: [n] for
 thm1 and the p - 1 lemma, [p]^2 for thm2.  So a caller names it by the pair
 (n, e), e in (1, 2), and ``fold`` reduces a residue modulo (q^n - 1)^e, a
-multiple of [n]^e, before ``rem_mod`` divides.  ``congruence_report`` folds
-each factor before multiplying them, and builds their full product only
-for a fail witness.
+multiple of [n]^e, before ``rem_mod`` divides.  ``congruence_report``
+multiplies its factors once, in full, and ``rem_mod`` folds their product
+minus rhs; that product is the lhs a fail's witness shows.
 
 The factors of thm1 and thm2, a prefactor and a weighted sum, come packed
 (``poly.Packed``) and ``packed_report`` decides on those integers.  For
@@ -190,13 +190,11 @@ def _verdict(claim_id, params, lhs, rhs, residue, note):
 def congruence_report(claim_id, params, factors, rhs, n, e=1, note=None):
     """Report whether prod(factors) == rhs (mod [n]^e) in Z[q].
 
-    Each factor is folded before they are multiplied, so a pass never builds
-    their full product; a fail builds it for the witness.
+    The factors are multiplied once, in full, since a fail's witness shows
+    their product; ``rem_mod`` folds the difference before it divides.
     """
-    lhs = reduce(mul, [fold(f, n, e) for f in factors])
+    lhs = reduce(mul, factors)
     residue = rem_mod(lhs - rhs if rhs else lhs, n, e)  # rhs == 0: no copy of lhs
-    if residue:
-        lhs = reduce(mul, factors)
     return _verdict(claim_id, params, lhs, rhs, residue, note)
 
 

@@ -27,9 +27,10 @@ check call and stamps the report's elapsed_ms.  ``execute`` checks each
 class once: instances of an order-free claim whose first param and class
 key agree share one check (for thm1 and q1 the key is the a-list's sorted
 nonzero entries, computed once per claim and distinct a-list), and every later
-member gets a ``MemberReport``: its own claim_id and params, the status,
-witness and note of the class's report, and elapsed_ms 0, since nothing
-was checked for it.  No report is copied.  Classes are numbered in one
+member gets a ``CongruenceReport`` of its own claim_id and params, the
+status, witness and note objects of the class's report, and elapsed_ms 0,
+since nothing was checked for it.  It is built by ``_make``, which checks
+no field again: the class's report checked them.  Classes are numbered in one
 pass with one tail lookup and one first-param lookup per instance
 (``_classes``).  Under ``--jobs`` the classes are checked in at most as
 many processes, this one included, as there are checks to run and CPUs
@@ -52,7 +53,7 @@ fixed templates; strings are escaped by ``_json.encode_basestring_ascii``,
 the C function that ``json.encoder`` wraps, so a sweep imports no
 ``json``.  The tests pin the bytes to ``json.dumps``.
 
-``execute`` returns one report per instance, each with the fields
+``execute`` returns one ``CongruenceReport`` per instance, with the fields
 ``render_report`` reads and a ``sort_key``, since the benchmark in
 ``perfbench/`` sorts and renders that list itself, and ``run_suite`` calls
 ``enumerate_instances``, ``execute`` and ``render_report`` by their module
@@ -455,27 +456,6 @@ def _classes(instances):
     return numbers, firsts
 
 
-class MemberReport:
-    """The report of a class member that was not checked itself: its own
-    claim_id and params, the status, witness and note of ``report``, the
-    one checked for its class, and elapsed_ms 0.  It reads like a
-    ``CongruenceReport`` and is no copy of one."""
-
-    __slots__ = ("claim_id", "params", "report")
-
-    elapsed_ms = 0
-    status = property(attrgetter("report.status"))
-    witness = property(attrgetter("report.witness"))
-    note = property(attrgetter("report.note"))
-    sort_key = CongruenceReport.sort_key
-    to_json_obj = CongruenceReport.to_json_obj
-
-    def __init__(self, claim_id, params, report):
-        self.claim_id = claim_id
-        self.params = params
-        self.report = report
-
-
 def _cpu_count():
     """The CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -575,9 +555,13 @@ def execute(instances, jobs=1, fail_fast=False):
     """Run instances, optionally across processes; results in submission order.
 
     Only the first instance of each class is checked and gets its report;
-    every later one gets a ``MemberReport`` of it.  With min(jobs, checks to
-    run, usable CPUs) above 1 and ``os.fork`` at hand, ``_fan_out`` checks
-    the classes first in that many processes; each check it did not bring
+    every later one gets a ``CongruenceReport`` of its own claim_id and
+    params with that report's status, witness and note, and elapsed_ms 0.
+    ``_classes`` numbers the classes in order of first appearance, so an
+    instance is its class's first exactly when its number is the count of
+    classes met before it.  With min(jobs, checks to run, usable CPUs)
+    above 1 and ``os.fork`` at hand, ``_fan_out`` checks the classes first
+    in that many processes; each check it did not bring
     back is run here when the loop reaches it, so an exception surfaces
     with its own traceback, as when serial, and a lost child costs time
     only.  Under ``fail_fast`` each process stops its share at its own
@@ -587,14 +571,16 @@ def execute(instances, jobs=1, fail_fast=False):
     numbers, todo = _classes(instances)
     workers = min(jobs, len(todo), _cpu_count()) if hasattr(os, "fork") else 1
     checked = _fan_out(todo, workers, fail_fast) if workers > 1 else [None] * len(todo)
+    make = CongruenceReport._make
     reports = []
-    done = [None] * len(todo)
+    seen = 0
     for number, (claim_id, params) in zip(numbers, instances):
-        report = done[number]
-        if report is None:
-            report = done[number] = checked[number] or run_instance(todo[number])
+        if number == seen:
+            report = checked[number] = checked[number] or run_instance(todo[number])
+            seen += 1
         else:
-            report = MemberReport(claim_id, params, report)
+            first = checked[number]
+            report = make((claim_id, params, first.status, first.witness, 0, first.note))
         reports.append(report)
         if fail_fast and report.status == FAIL:
             break

@@ -40,7 +40,6 @@ from qcong.sweep import (
     CLAIMS,
     FORMATS,
     SUITES,
-    MemberReport,
     SplitMix64,
     SweepConfig,
     UsageError,
@@ -371,13 +370,16 @@ class TestRendering:
         if corrupt is not None:
             corrupt(monkeypatch)
         config = _cfg(suite="all", n_max=4, m_max=3, a_max=2, sample_count=12, rng_seed=2)
-        swept = sorted(execute(enumerate_instances(config)), key=lambda r: r.sort_key)
-        assert any(isinstance(r, MemberReport) for r in swept)
+        instances = enumerate_instances(config)
+        swept = sorted(execute(instances), key=lambda r: r.sort_key)
+        assert len(sweep_mod._classes(instances)[1]) < len(instances)  # members were made
         assert any(r.status == FAIL for r in swept) == (corrupt is not None)
         odd = make_report('say "q,\\', {"n": 2, "a1": -3}, FAIL, elapsed_ms=7,
                           witness=Witness("q^-2 + 1", '"\\"', "2"), note="a, b")
         bare = make_report("qpfaff", {}, "skipped", elapsed_ms=12345)
-        members = [MemberReport("thm1", (("n", 9),), odd), MemberReport("q1", (), bare)]
+        members = [CongruenceReport._make(("thm1", (("n", 9),), odd.status, odd.witness, 0,
+                                           odd.note)),
+                   CongruenceReport._make(("q1", (), bare.status, bare.witness, 0, bare.note))]
         for reports in ([], [bare], swept, self._reports() + [odd, bare] + members):
             known = [r for r in reports if r.claim_id in CLAIMS]  # text asks CLAIMS
             for stable in (False, True):
@@ -398,11 +400,15 @@ class TestRendering:
                         == json_report_oracle(reports, stable)), (reports, stable)
         assert render_report([], "json") == "[]\n"
 
-    def test_member_renders_like_a_report(self):
+    def test_member_renders_like_a_report(self, monkeypatch):
         checked = make_report("thm1", {"n": 4, "a1": 1, "a2": 2}, FAIL, elapsed_ms=7,
                               witness=Witness("q", "0", "q"), note="a note")
-        member = MemberReport("thm1", (("n", 4), ("a1", 2), ("a2", 1)), checked)
+        monkeypatch.setattr(sweep_mod, "run_instance", lambda item: checked)
+        first, member = execute([("thm1", checked.params),
+                                 ("thm1", (("n", 4), ("a1", 2), ("a2", 1)))])
+        assert first is checked
         alike = checked._replace(params=member.params, elapsed_ms=0)
+        assert member == alike
         for fmt in sweep_mod.FORMATS:
             for stable in (False, True):
                 assert (render_report([member], fmt, stable)
@@ -444,7 +450,7 @@ class TestExecution:
         assert len(calls) == 1
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork: jobs 2 runs serially")
-    def test_fail_fast_stops_the_pool(self, monkeypatch):
+    def test_fail_fast_stops_the_forked_children(self, monkeypatch):
         _patch_check(monkeypatch, "sum_lemma",
                      lambda n, a: make_report("sum_lemma", {"n": n, "a": a}, FAIL,
                                               witness=Witness("1", "0", "1")))
@@ -454,12 +460,12 @@ class TestExecution:
         assert len(execute(instances, jobs=2)) == 40
 
     @pytest.mark.parametrize("fail_fast", [False, True])
-    def test_pool_workers_are_gone_when_execute_returns(self, fail_fast):
+    def test_forked_children_are_gone_when_execute_returns(self, fail_fast):
         instances = enumerate_instances(_cfg(n_max=6))
         assert len(execute(instances, jobs=2, fail_fast=fail_fast)) == len(instances)
         _assert_no_child_left()
 
-    def test_pool_is_capped(self, monkeypatch):
+    def test_forked_children_are_capped(self, monkeypatch):
         # each worker but this process is one fork
         forks = _count_forks(monkeypatch)
         lemma = [("sum_lemma", (("n", n), ("a", 1))) for n in range(1, 11)]
@@ -539,7 +545,7 @@ class TestExecution:
         _cpus(monkeypatch, 2)
         got = execute(instances, jobs=2)
         _assert_same_reports(got, want)
-        fails = [r for r in got if type(r) is not MemberReport and r.status == FAIL]
+        fails = [r for r in _firsts(instances, got).values() if r.status == FAIL]
         from_child = [r for r in fails if (r.claim_id, r.params) not in checks_here]
         assert from_child and len(from_child) < len(fails)
         for r in fails:
@@ -659,6 +665,14 @@ def _class_of(item):
     return claim_id, params[0], tuple(sorted(tail))
 
 
+def _firsts(instances, reports):
+    """The checked report of each order-free class: its first appearance."""
+    firsts = {}
+    for item, r in zip(instances, reports):
+        firsts.setdefault(_class_of(item), r)
+    return firsts
+
+
 def _class_instances():
     """A thm1 grid, thm1 samples with exact duplicates, and thm2 at 5 and 7."""
     samples = sweep_mod.thm1_sample_instances(60, 4, 7, 3, 3)
@@ -756,9 +770,9 @@ def test_thm1_and_q1_reports_hold_the_enumerated_params(jobs):
     # checked ones too, at jobs 2 as well: a forked child sends back no params
     instances = enumerate_instances(_cfg(n_max=6, m_max=3, a_max=3, jobs=jobs))
     reports = execute(instances, jobs=jobs)
-    checked = [(r, p) for r, (_, p) in zip(reports, instances)
-               if isinstance(r, CongruenceReport)]
-    assert {r.claim_id for r, _ in checked} == {"thm1", "q1"}
+    checked = _firsts(instances, reports)
+    assert {r.claim_id for r in checked.values()} == {"thm1", "q1"}
+    assert len(checked) < len(instances)
     assert all(r.params is p for r, (_, p) in zip(reports, instances))
 
 
@@ -838,26 +852,57 @@ class TestOrderClasses:
         assert copy.elapsed_ms == 0 and copy.params == (("p", 5), ("a", 2), ("b", 1))
 
     def test_one_report_per_class_and_no_copy(self, monkeypatch):
-        # every CongruenceReport built is a check's, or the copy run_instance
-        # stamps with a check's time; every other member is a MemberReport.
-        # A copy is built by _make (which _replace calls), which skips
-        # __new__, so it counts as built too
-        built, copies = [], []
+        # a check builds its report by __new__, which checks the fields, once
+        # per class; _make, which skips __new__, builds every other report:
+        # each member's, and the copy run_instance stamps (by _replace) with a
+        # check's time
+        checks, makes = [], []
         new, make = CongruenceReport.__new__, CongruenceReport._make
         monkeypatch.setattr(CongruenceReport, "__new__",
-                            lambda cls, *args, **kw: built.append(args) or new(cls, *args, **kw))
+                            lambda cls, *args, **kw: checks.append(args) or new(cls, *args, **kw))
         monkeypatch.setattr(CongruenceReport, "_make",
-                            classmethod(lambda cls, fields: copies.append(fields)
-                                        or built.append(fields) or make(fields)))
+                            classmethod(lambda cls, fields: makes.append(fields)
+                                        or make(fields)))
         instances = _class_instances()
         reports = execute(instances)
         classes = {_class_of(item) for item in instances}
-        assert len(built) == len(classes) + len(copies) and len(copies) <= len(classes)
-        members = [r for r in reports if isinstance(r, MemberReport)]
-        assert len(members) == len(instances) - len(classes)
+        assert len(checks) == len(classes)
+        members = len(instances) - len(classes)
+        assert members <= len(makes) <= members + len(classes)
         assert [(r.claim_id, r.params) for r in reports] == instances
-        assert {r.elapsed_ms for r in members} == {0}
-        assert all(isinstance(r.report, CongruenceReport) for r in members)
+        firsts = _firsts(instances, reports)
+        assert {r.elapsed_ms for item, r in zip(instances, reports)
+                if firsts[_class_of(item)] is not r} == {0}
+        assert all(type(r) is CongruenceReport for r in reports)
+
+    @pytest.mark.parametrize("jobs", JOBS)
+    @pytest.mark.parametrize("corrupt", [None, weighted_sums_plus_one],
+                             ids=["true", "weighted-sums-plus-one"])
+    def test_every_member_is_a_report_sharing_its_class_verdict(self, monkeypatch,
+                                                                corrupt, jobs):
+        # each member is a CongruenceReport with no time of its own, and holds
+        # the very witness and note objects of its class's checked report, at
+        # jobs 2 the one this process rebuilt from a child's fields
+        if corrupt is not None:
+            corrupt(monkeypatch)
+        _cpus(monkeypatch, 2)
+        instances = _class_instances()
+        reports = execute(instances, jobs=jobs)
+        assert len(reports) == len(instances)
+        assert any(r.status == FAIL for r in reports) == (corrupt is not None)
+        firsts = _firsts(instances, reports)
+        members = 0
+        for item, r in zip(instances, reports):
+            assert type(r) is CongruenceReport
+            first = firsts[_class_of(item)]
+            if first is r:
+                continue
+            members += 1
+            assert r.elapsed_ms == 0
+            assert r.witness is first.witness and r.note is first.note
+            assert r.status == first.status
+        assert members == len(instances) - len(firsts) > 0
+        _assert_no_child_left()
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
