@@ -16,9 +16,9 @@ by one of three deciders: ``congruence_report`` (a product of factors ==
 rhs modulo [n]^e; ``rem_mod(lhs - rhs, n, e)``), ``identity_report`` (lhs ==
 rhs exactly for polynomials, Laurent polynomials or rationals; lhs - rhs)
 and ``integer_report`` (an integer divisible by a modulus; value % modulus).
-A zero residue gives ``pass`` with the optional note; any other gives
-``fail`` with that residue as the witness's difference, so a verdict divides
-once.
+A zero residue gives ``pass``, with ``integer_report``'s optional note; any
+other gives ``fail`` with that residue as the witness's difference, so a
+verdict divides once.
 
 Every polynomial modulus in the paper is a power of a q-integer: [n] for
 thm1 and the p - 1 lemma, [p]^2 for thm2.  So a caller names it by the pair
@@ -28,7 +28,7 @@ multiplies its factors once, in full, and ``rem_mod`` folds their product
 minus rhs; that product is the lhs a fail's witness shows.
 
 The factors of thm1 and thm2, a prefactor and a weighted sum, come packed
-(``poly.Packed``) and ``packed_report`` decides on those integers.  For
+(``poly.Packed``), and two deciders answer on those integers alone.  For
 thm1, ``packed_divides`` folds each modulo X^n - 1, multiplies the n-slot
 folds and folds again, in slots that hold the product of the factors'
 values at q = 1, and [n] divides iff all n slots are equal.  For thm2,
@@ -37,8 +37,13 @@ B = sum_j j*F_j over its length-p blocks, so F == A + (q^p - 1)B modulo
 (q^p - 1)^2; one multiply of the pairs gives the product's pair (S, T)
 (``pair_folds``), and the congruence modulo [p]^2 is read off S and T by
 two routes that must agree.  Both fold by the same halving adds
-(``_block_sums``).  A fail is decided again, with its witness, by
-``congruence_report`` on the unpacked factors, and the two must agree.
+(``_block_sums``).  The checkers decide a fail again, with its witness,
+by ``congruence_report`` on the unpacked factors.
+
+Every check with a fast and a slow route, thm1, thm2, the Laurent
+identities and qpfaff, asks the slow route only where the fast one found
+no pass, and hands its report to ``confirmed``: a slow route that passes
+there means the fast one is broken, and InternalError is raised.
 
 Checkers read no clock: ``sweep.run_instance`` stamps each report's
 ``elapsed_ms``."""
@@ -51,7 +56,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import InternalError
-from .poly import ZERO, IntPoly, _repack, _slot_bytes, _unpack_nonneg
+from .poly import IntPoly, _repack, _slot_bytes, _unpack_nonneg
 
 PASS = "pass"
 FAIL = "fail"
@@ -179,7 +184,7 @@ class CongruenceReport(_ReportFields):
         }
 
 
-def _verdict(claim_id, params, lhs, rhs, residue, note):
+def _verdict(claim_id, params, lhs, rhs, residue, note=None):
     """``pass`` with the note when residue is zero, else ``fail`` showing it."""
     if not residue:
         return CongruenceReport(claim_id, params, PASS, note=note)
@@ -187,7 +192,7 @@ def _verdict(claim_id, params, lhs, rhs, residue, note):
                             witness=Witness(str(lhs), str(rhs), str(residue)))
 
 
-def congruence_report(claim_id, params, factors, rhs, n, e=1, note=None):
+def congruence_report(claim_id, params, factors, rhs, n, e=1):
     """Report whether prod(factors) == rhs (mod [n]^e) in Z[q].
 
     The factors are multiplied once, in full, since a fail's witness shows
@@ -195,7 +200,7 @@ def congruence_report(claim_id, params, factors, rhs, n, e=1, note=None):
     """
     lhs = reduce(mul, factors)
     residue = rem_mod(lhs - rhs if rhs else lhs, n, e)  # rhs == 0: no copy of lhs
-    return _verdict(claim_id, params, lhs, rhs, residue, note)
+    return _verdict(claim_id, params, lhs, rhs, residue)
 
 
 def _block_sums(value, block_bits, blocks, weighted=False):
@@ -332,38 +337,23 @@ def packed_square_congruent(factors, sign, shift, n):
     return divided
 
 
-def packed_report(claim_id, params, factors, n, note=None, rhs=None, unpacked=None):
-    """Report whether [n] divides the product of packed ``factors`` or, for
-    rhs = (sign, shift) and two factors, whether their product is
-    sign * q^shift * [n] modulo [n]^2.
+def confirmed(report, route):
+    """``report``, the slow route's report on an instance whose fast
+    ``route`` found no pass.
 
-    ``packed_divides`` or ``packed_square_congruent`` decides a pass alone.
-    A fail is decided again by ``congruence_report`` on the unpacked
-    factors, which gives the witness; if that route passes, the packed
-    route is broken and InternalError is raised.  A caller that hands in a
-    factor already folded passes ``unpacked``, which returns the factors in
-    full, so the witness shows the full product.
+    The slow route gives a fail its witness.  If it passes, the fast route
+    is broken, and InternalError is raised: a broken route never reads as
+    a fail.
     """
-    if rhs is None:
-        e, target = 1, ZERO
-        passed = packed_divides(factors, n)
-    else:
-        sign, shift = rhs
-        e, target = 2, IntPoly._make([0] * shift + [sign] * n)
-        passed = packed_square_congruent(factors, sign, shift, n)
-    if passed:
-        return CongruenceReport(claim_id, params, PASS, note=note)
-    full = unpacked() if unpacked else tuple(f.poly() for f in factors)
-    report = congruence_report(claim_id, params, full, target, n, e, note=note)
     if report.status == PASS:
-        raise InternalError("%s %r: the packed residue modulo [%d]%s is nonzero, the "
-                            "unpacked one zero" % (claim_id, params, n, "^2" * (e - 1)))
+        raise InternalError("%s %r: the %s finds no pass, the route that gives the "
+                            "witness passes" % (report.claim_id, report.params, route))
     return report
 
 
-def identity_report(claim_id, params, lhs, rhs, note=None):
+def identity_report(claim_id, params, lhs, rhs):
     """Report whether lhs == rhs exactly."""
-    return _verdict(claim_id, params, lhs, rhs, lhs - rhs, note)
+    return _verdict(claim_id, params, lhs, rhs, lhs - rhs)
 
 
 def integer_report(claim_id, params, value, modulus, note=None):

@@ -21,17 +21,13 @@ import math
 
 from .congruence import VANISHING_SUM, integer_report
 from .errors import InternalError, InvalidParamsError
-
-
-def _ints(*values):
-    """True when every value is an integer, and none a bool."""
-    return all(isinstance(v, int) and not isinstance(v, bool) for v in values)
+from .qcomb import _ints
 
 
 def power_sum(n, e):
     """sum_{h=0}^{n-1} h^e with the 0^0 = 1 convention."""
-    if n < 0 or e < 0:
-        raise ValueError("need n >= 0 and e >= 0")
+    if not _ints(n, e) or n < 0 or e < 0:
+        raise ValueError("need integers n >= 0 and e >= 0")
     return sum(h ** e for h in range(n))
 
 

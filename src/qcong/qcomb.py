@@ -60,10 +60,20 @@ from .poly import (
 _NO_ROWS = Packed(0, 1, 0, 0)  # W(n) for n <= max(a_i): every row vanishes
 
 
+def _ints(*values):
+    """True when every value is an integer, and none a bool: the package's
+    one test of an integer argument, for the checkers, ``q_int``,
+    ``faulhaber.power_sum`` and ``SweepConfig``."""
+    for v in values:
+        if not isinstance(v, int) or isinstance(v, bool):
+            return False
+    return True
+
+
 def q_int(n):
-    """[n] = 1 + q + ... + q^(n-1); requires n >= 0."""
-    if n < 0:
-        raise ValueError("q_int needs n >= 0, got %d" % n)
+    """[n] = 1 + q + ... + q^(n-1); requires an integer n >= 0."""
+    if not _ints(n) or n < 0:
+        raise ValueError("q_int needs an integer n >= 0, got %r" % (n,))
     return IntPoly._make([1] * n)
 
 

@@ -81,6 +81,7 @@ from typing import Callable, NamedTuple
 from .congruence import FAIL, PASS, SKIPPED, CongruenceReport, Witness, is_prime
 from .errors import InvalidParamsError
 from .faulhaber import check_conjecture, check_faulhaber_cong
+from .qcomb import _ints
 from .theorems import (
     a_key,
     a_list_key,
@@ -232,29 +233,24 @@ class SweepConfig(NamedTuple):
             raise UsageError("unknown suite %r (choose from %s)"
                              % (self.suite, ", ".join(SUITES)))
         for name in ("n_max", "m_max", "a_max"):
-            if not _is_int(getattr(self, name)) or getattr(self, name) < 1:
+            if not _ints(getattr(self, name)) or getattr(self, name) < 1:
                 raise UsageError("%s must be a positive integer" % name)
         if not isinstance(self.prime_set, tuple):
             raise UsageError("prime_set must be a tuple of primes, got %r" % (self.prime_set,))
         for p in self.prime_set:
             if not is_prime(p):
                 raise UsageError("prime_set entry %r is not prime" % (p,))
-        if not _is_int(self.sample_count) or self.sample_count < 0:
+        if not _ints(self.sample_count) or self.sample_count < 0:
             raise UsageError("sample_count must be >= 0")
-        if not _is_int(self.jobs) or self.jobs < 1:
+        if not _ints(self.jobs) or self.jobs < 1:
             raise UsageError("jobs must be >= 1")
         if self.format not in FORMATS:
             raise UsageError("unknown format %r" % (self.format,))
-        if not _is_int(self.rng_seed):
+        if not _ints(self.rng_seed):
             raise UsageError("rng_seed must be an integer")
         for name in ("fail_fast", "stable_output"):
             if not isinstance(getattr(self, name), bool):
                 raise UsageError("%s must be True or False" % name)
-
-
-def _is_int(value):
-    """An int that is not a bool, which the checkers refuse too."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # --- instance enumeration ---------------------------------------------------------

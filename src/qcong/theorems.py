@@ -94,16 +94,16 @@ a time, so a corrupted step raises InternalError instead of reaching a
 verdict.  The recurrence's own memo is local to one call.
 
 Each congruence names its modulus [n]^e by the pair (n, e): thm1 and the
-p - 1 lemma take (n, 1), thm2 takes (p, 2).  thm1 and thm2 hand their
-packed prefactor and weighted sum to ``packed_report``, which decides on
-the integers.  For thm1 each is folded modulo X^n - 1, the folds are
-multiplied and folded again, and [n] divides iff all n slots are equal;
-unless the memo's W(n) is at most one row away, thm1 asks it for W(n)
-modulo q^n - 1 alone.  For thm2 each is folded into its pair of block
-sums modulo (X^p - 1)^2, one multiply gives the product's pair, and both
-routes above are read off that pair.  Only a fail unpacks them, to decide
-again by long division and render the witness; thm1 then builds W(n) in
-full.
+p - 1 lemma take (n, 1), thm2 takes (p, 2).  thm1 and thm2 decide on
+their packed prefactor and weighted sum: thm1 by ``packed_divides``,
+which folds each modulo X^n - 1, multiplies the folds, folds again and
+finds [n] dividing iff all n slots are equal; unless the memo's W(n) is
+at most one row away, thm1 asks it for W(n) modulo q^n - 1 alone.  thm2
+by ``packed_square_congruent``, which folds each into its pair of block
+sums modulo (X^p - 1)^2, multiplies once and reads both routes above off
+the product's pair.  Only a fail unpacks them, to decide again by
+``congruence_report``'s long division and render the witness; thm1 then
+builds W(n) in full.
 
 The Laurent identities, chu_vandermonde, residue_identity and
 symmetric_identity, move every term to one side, as (sign, e, pairs) for
@@ -111,9 +111,10 @@ sign * q^e * prod gauss(n, a), and ``_sum_vanishes`` decides whether they
 sum to zero: the two signs must agree at q = 1, on a sum S, and the terms
 of each sign, packed by ``BINOMIAL_MEMO.packed_product`` in slots that
 hold S and shifted by e - min e slots, must add up to one integer.  A fail
-is decided again in ``LaurentPoly`` form, which gives the witness.  For
-these identities and for qpfaff, a second route that passes where the
-first failed raises InternalError.
+is decided again in ``LaurentPoly`` form, which gives the witness.  thm1,
+thm2, these identities and qpfaff hand the slow route's report to
+``congruence.confirmed``, which raises InternalError if it passes where
+the fast route found no pass.
 """
 
 from __future__ import annotations
@@ -127,37 +128,31 @@ from .congruence import (
     SKIPPED,
     VANISHING_SUM,
     CongruenceReport,
+    confirmed,
     congruence_report,
     identity_report,
     integer_report,
     is_prime,
-    packed_report,
+    packed_divides,
+    packed_square_congruent,
 )
 from .errors import (
     InternalError,
     InvalidParamsError,
     SingularSpecialization,
 )
-from .poly import ONE, ZERO, _slot_bytes
-from .qcomb import BINOMIAL_MEMO, LaurentPoly, q_int, q_pochhammer_eval, rows_at_one
-
-
-def _naturals(*values):
-    """True when every value is an integer >= 0, and none a bool."""
-    for v in values:
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            return False
-    return True
+from .poly import ONE, ZERO, IntPoly, _slot_bytes
+from .qcomb import BINOMIAL_MEMO, LaurentPoly, _ints, q_int, q_pochhammer_eval, rows_at_one
 
 
 def _a_tuple(n, a_list):
     """``a_list`` as a tuple, once n >= 1 (unless n is None) and every a_i >= 0 hold."""
-    if n is not None and (not _naturals(n) or n < 1):
+    if n is not None and (not _ints(n) or n < 1):
         raise InvalidParamsError("n must be an integer >= 1, got %r" % (n,))
     a_tuple = tuple(a_list)
     if not a_tuple:
         raise InvalidParamsError("a_list must be nonempty")
-    if not _naturals(*a_tuple):
+    if not _ints(*a_tuple) or min(a_tuple) < 0:
         raise InvalidParamsError("a_list entries must be integers >= 0")
     return a_tuple
 
@@ -237,10 +232,11 @@ def thm1_report(n, key, params):
     else:
         w = BINOMIAL_MEMO.folded_weighted_sum(n, key)
     prefactor = BINOMIAL_MEMO.prefactor(key)
-    return packed_report("thm1", params, (prefactor, w), n,
-                         note=None if w.value else VANISHING_SUM,
-                         unpacked=lambda: (prefactor.poly(),
-                                           BINOMIAL_MEMO.weighted_sum(n, key).poly()))
+    if packed_divides((prefactor, w), n):
+        return CongruenceReport("thm1", params, PASS, note=None if w.value else VANISHING_SUM)
+    full = (prefactor.poly(), BINOMIAL_MEMO.weighted_sum(n, key).poly())
+    return confirmed(congruence_report("thm1", params, full, ZERO, n),
+                     "packed residue modulo [%d]" % n)
 
 
 def q1_check(n, a_list):
@@ -320,7 +316,7 @@ def check_sum_lemma(n, a):
     The lhs is the memo's W(n) for the a-list (a,), the entry thm1 reads, so
     the identity also checks the memo's W-extension against a closed form.
     """
-    if not _naturals(n, a) or n < 1:
+    if not _ints(n, a) or n < 1 or a < 0:
         raise InvalidParamsError("need integers n >= 1 and a >= 0")
     lhs = BINOMIAL_MEMO.weighted_sum(n, a_key((a,))).poly()
     rhs = BINOMIAL_MEMO.binomial(n, a + 1).shift(a)
@@ -351,33 +347,20 @@ def _sum_vanishes(terms):
     return sides[0] == sides[1]
 
 
-def _identity_report(claim_id, params, terms, sides):
-    """Report whether ``terms`` sum to zero (``_sum_vanishes``).
-
-    A fail is decided again by ``identity_report`` on ``sides()``, the
-    Laurent polynomials of the two sides, which gives the witness; if that
-    route passes, the packed one is broken and InternalError is raised.
-    """
-    if _sum_vanishes(terms):
-        return CongruenceReport(claim_id, params, PASS)
-    report = identity_report(claim_id, params, *sides())
-    if report.status == PASS:
-        raise InternalError("%s %r: the packed sides differ, the Laurent sides agree"
-                            % (claim_id, params))
-    return report
-
-
 def check_chu_vandermonde(a, b, n):
     """The q-Chu-Vandermonde convolution (claim id chu_vandermonde), decided
     on packed integers, a fail again in Laurent form."""
-    if not _naturals(a, b, n):
+    if not _ints(a, b, n) or min(a, b, n) < 0:
         raise InvalidParamsError("need integers a, b, n >= 0")
     terms = [(1, k * (b - n + k), ((a, k), (b, n - k)))
              for k in range(max(0, n - b), min(a, n) + 1)]
     if n <= a + b:
         terms.append((-1, 0, ((a + b, n),)))
-    return _identity_report("chu_vandermonde", (("a", a), ("b", b), ("n", n)), terms,
-                            lambda: _chu_sides(a, b, n))
+    params = (("a", a), ("b", b), ("n", n))
+    if _sum_vanishes(terms):
+        return CongruenceReport("chu_vandermonde", params, PASS)
+    return confirmed(identity_report("chu_vandermonde", params, *_chu_sides(a, b, n)),
+                     "packed sum")
 
 
 def _chu_sides(a, b, n):
@@ -394,7 +377,7 @@ def check_p_minus_one_lemma(p, j):
     """q^C(j+1,2) gauss(p-1, j) == (-1)^j (mod [p]) (claim id p_minus_one)."""
     if not is_prime(p):
         raise InvalidParamsError("p must be prime, got %r" % (p,))
-    if not _naturals(j) or j > p - 1:
+    if not _ints(j) or not 0 <= j < p:
         raise InvalidParamsError("need an integer 0 <= j <= p-1")
     lhs = BINOMIAL_MEMO.binomial(p - 1, j).shift(math.comb(j + 1, 2))
     return congruence_report("p_minus_one", (("p", p), ("j", j)), (lhs,), _sign(j) * ONE, p)
@@ -414,14 +397,17 @@ def _residue_exponent(a, b, k):
 def check_residue_identity(a, b):
     """The alternating triple-product sum equal to (-1)^b q^(ab - C(a,2) - C(b,2)),
     decided on packed integers, a fail again in Laurent form."""
-    if not _naturals(a, b):
+    if not _ints(a, b) or min(a, b) < 0:
         raise InvalidParamsError("need integers a, b >= 0")
     terms = [(_sign(k), _residue_exponent(a, b, k),
               ((a + b + 1, b - k), (a + k, a), (a + k, b)))
              for k in range(max(0, b - a), b + 1)]
     terms.append((-_sign(b), _ab_exponent(a, b), ()))
-    return _identity_report("residue_identity", (("a", a), ("b", b)), terms,
-                            lambda: _residue_sides(a, b))
+    params = (("a", a), ("b", b))
+    if _sum_vanishes(terms):
+        return CongruenceReport("residue_identity", params, PASS)
+    return confirmed(identity_report("residue_identity", params, *_residue_sides(a, b)),
+                     "packed sum")
 
 
 def _residue_sides(a, b):
@@ -443,13 +429,16 @@ def _symmetric_exponent(a, b, k):
 def check_symmetric_identity(a, b):
     """The a<->b symmetric alternating sum equal to (-1)^(a-b), decided on
     packed integers, a fail again in Laurent form."""
-    if not _naturals(a, b):
+    if not _ints(a, b) or min(a, b) < 0:
         raise InvalidParamsError("need integers a, b >= 0")
     terms = [(_sign(k), _symmetric_exponent(a, b, k), ((k, a), (k, b), (a + b + 1, k + 1)))
              for k in range(max(a, b), a + b + 1)]
     terms.append((-_sign(a - b), 0, ()))
-    return _identity_report("symmetric_identity", (("a", a), ("b", b)), terms,
-                            lambda: _symmetric_sides(a, b))
+    params = (("a", a), ("b", b))
+    if _sum_vanishes(terms):
+        return CongruenceReport("symmetric_identity", params, PASS)
+    return confirmed(identity_report("symmetric_identity", params, *_symmetric_sides(a, b)),
+                     "packed sum")
 
 
 def _symmetric_sides(a, b):
@@ -468,24 +457,29 @@ def _symmetric_sides(a, b):
 def check_thm2(p, a, b):
     """The mod [p]^2 refinement for pairs (claim id thm2).
 
-    Decided by ``packed_report`` on the packed prefactor and W(p), with the
-    right-hand exponent normalized into [0, p-1]: ``packed_square_congruent``
-    folds each into block sums, multiplies once and checks the result two
-    ways, by dividing out [p] and, on the denominator-cleared difference D
-    of the sides, by [p] | D and [p] | D'.  That is exact because [p] =
-    Phi_p is irreducible and separable.  The two routes must agree
-    (anything else is an InternalError), and a fail is decided again on the
-    unpacked factors, which gives its witness.
+    Decided by ``packed_square_congruent`` on the packed prefactor and W(p),
+    with the right-hand exponent normalized into [0, p-1]: it folds each
+    into block sums, multiplies once and checks the result two ways, by
+    dividing out [p] and, on the denominator-cleared difference D of the
+    sides, by [p] | D and [p] | D'.  That is exact because [p] = Phi_p is
+    irreducible and separable.  The two routes must agree (anything else is
+    an InternalError).  A fail is decided again by ``congruence_report`` on
+    the unpacked factors against sign * q^shift * [p], which gives its
+    witness; ``confirmed`` raises InternalError if that route passes.
     """
     if not is_prime(p):
         raise InvalidParamsError("p must be prime, got %r" % (p,))
-    if not _naturals(a, b) or p <= max(a, b):
+    if not _ints(a, b) or min(a, b) < 0 or p <= max(a, b):
         raise InvalidParamsError("need integers 0 <= a, b < p")
     ab = a_key((a, b))
-    e = _ab_exponent(a, b)
-    return packed_report("thm2", (("p", p), ("a", a), ("b", b)),
-                         (BINOMIAL_MEMO.prefactor(ab), BINOMIAL_MEMO.weighted_sum(p, ab)),
-                         p, rhs=(_sign(a - b), e % p))
+    factors = (BINOMIAL_MEMO.prefactor(ab), BINOMIAL_MEMO.weighted_sum(p, ab))
+    params = (("p", p), ("a", a), ("b", b))
+    sign, shift = _sign(a - b), _ab_exponent(a, b) % p
+    if packed_square_congruent(factors, sign, shift, p):
+        return CongruenceReport("thm2", params, PASS)
+    rhs = IntPoly._make([0] * shift + [sign] * p)
+    return confirmed(congruence_report("thm2", params, tuple(f.poly() for f in factors),
+                                       rhs, p, 2), "packed residue modulo [%d]^2" % p)
 
 
 # --- the balanced 3phi2 summation at rational points ---------------------------------
@@ -496,11 +490,11 @@ def check_pfaff_saalschutz(x, y, z, q, n):
     Decided on integers by ``_pfaff_integers``.  A singular point, where it
     decides nothing, and a fail are decided again on Fractions by
     ``_pfaff_sides``, which gives the skip note or the witness; if that
-    route passes, the integer one is broken and InternalError is raised.
+    route passes, ``confirmed`` raises InternalError.
     """
     from fractions import Fraction  # only qpfaff pays for the module
 
-    if not _naturals(n):
+    if not _ints(n) or n < 0:
         raise InvalidParamsError("n must be an integer >= 0")
     x, y, z, q = Fraction(x), Fraction(y), Fraction(z), Fraction(q)
     params = (("x_num", x.numerator), ("x_den", x.denominator),
@@ -517,11 +511,7 @@ def check_pfaff_saalschutz(x, y, z, q, n):
         lhs, rhs = _pfaff_sides(x, y, z, q, n)
     except SingularSpecialization as exc:
         return CongruenceReport("qpfaff", params, SKIPPED, note=str(exc))
-    report = identity_report("qpfaff", params, lhs, rhs)
-    if report.status == PASS:
-        raise InternalError("qpfaff %r: the integer route finds no pass, the Fraction "
-                            "route passes" % (params,))
-    return report
+    return confirmed(identity_report("qpfaff", params, lhs, rhs), "integer route")
 
 
 def _pfaff_integers(x, y, z, q, n):

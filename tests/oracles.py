@@ -281,26 +281,35 @@ def folded(w, n):
 def modulus_shifted(monkeypatch):
     """Corrupt every modulus the checkers name: [n]^e becomes [n+1]^e.
 
-    Shifts the n that ``theorems`` hands to ``packed_report`` (thm1 and
-    thm2, which then decide on packed integers, thm2 against the right side
-    sign * q^shift * [n+1]) and to ``congruence_report`` (the p - 1 lemma).
-    thm1's W(n) modulo q^n - 1 becomes W(n) modulo q^(n+1) - 1, folded from
-    the full W(n), so thm1 decides on what it would decide on unfolded.
+    Shifts the n that ``theorems`` hands to its deciders: ``packed_divides``
+    (thm1), ``packed_square_congruent`` (thm2, against the right side
+    sign * q^shift * [n+1]) and ``congruence_report`` (the p - 1 lemma, and
+    the fails of thm1 and thm2, whose thm2 right side sign * q^shift * [n]
+    becomes sign * q^shift * [n+1] too).  thm1's W(n) modulo q^n - 1
+    becomes W(n) modulo q^(n+1) - 1, folded from the full W(n), so thm1
+    decides on what it would decide on unfolded.
     """
-    report, packed_report = theorems.congruence_report, theorems.packed_report
+    divides = theorems.packed_divides
+    square_congruent = theorems.packed_square_congruent
+    report = theorems.congruence_report
 
-    def shifted_report(claim_id, params, factors, rhs, n, e=1, note=None):
-        return report(claim_id, params, factors, rhs, n + 1, e, note)
+    def shifted_divides(factors, n):
+        return divides(factors, n + 1)
 
-    def shifted_packed_report(claim_id, params, factors, n, note=None, rhs=None,
-                              unpacked=None):
-        return packed_report(claim_id, params, factors, n + 1, note, rhs, unpacked)
+    def shifted_square_congruent(factors, sign, shift, n):
+        return square_congruent(factors, sign, shift, n + 1)
+
+    def shifted_report(claim_id, params, factors, rhs, n, e=1):
+        if e == 2:  # sign * q^shift * [n], its top coefficient sign
+            rhs = IntPoly._make(rhs.coeffs + rhs.coeffs[-1:])
+        return report(claim_id, params, factors, rhs, n + 1, e)
 
     def shifted_fold(memo, n, a_key):
         return folded(memo.weighted_sum(n, a_key), n + 1)
 
+    monkeypatch.setattr(theorems, "packed_divides", shifted_divides)
+    monkeypatch.setattr(theorems, "packed_square_congruent", shifted_square_congruent)
     monkeypatch.setattr(theorems, "congruence_report", shifted_report)
-    monkeypatch.setattr(theorems, "packed_report", shifted_packed_report)
     monkeypatch.setattr(qcomb.QBinomialCache, "folded_weighted_sum", shifted_fold)
 
 

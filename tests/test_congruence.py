@@ -400,34 +400,33 @@ def test_is_prime_small():
 
 # --- report record ---------------------------------------------------------------
 
-@pytest.mark.parametrize("decide, witness", [
-    (lambda note: identity_report("t", (), q_int(3), q_int(3), note=note), None),
-    (lambda note: identity_report("t", (), q_int(3), q_int(2), note=note),
-     ("1 + q + q^2", "1 + q", "q^2")),
-    (lambda note: identity_report("t", (), LaurentPoly(q_int(2), -2),
-                                  LaurentPoly(q_int(2), -2), note=note), None),
-    (lambda note: identity_report("t", (), LaurentPoly(q_int(2), -2), LaurentPoly(ONE, 0),
-                                  note=note), ("q^-2 + q^-1", "1", "q^-2 + q^-1 - 1")),
-    (lambda note: identity_report("t", (), Fraction(1, 2), Fraction(2, 4), note=note), None),
-    (lambda note: identity_report("t", (), Fraction(-1, 2), Fraction(-3, 2), note=note),
-     ("-1/2", "-3/2", "1")),
-    (lambda note: integer_report("t", (), 12, 4, note=note), None),
-    (lambda note: integer_report("t", (), 14, 4, note=note), ("14", "0", "2")),
-    (lambda note: congruence_report("t", (), (q_power(7),), q_power(2), 5, note=note),
+@pytest.mark.parametrize("decide, witness, note", [
+    (lambda: identity_report("t", (), q_int(3), q_int(3)), None, None),
+    (lambda: identity_report("t", (), q_int(3), q_int(2)), ("1 + q + q^2", "1 + q", "q^2"),
      None),
-    (lambda note: congruence_report("t", (), (q_power(5),), q_power(1), 5, note=note),
-     ("q^5", "q", "1 - q")),
-    (lambda note: congruence_report("t", (), (q_power(6),), ZERO, 5, note=note),
-     ("q^6", "0", "q")),
+    (lambda: identity_report("t", (), LaurentPoly(q_int(2), -2), LaurentPoly(q_int(2), -2)),
+     None, None),
+    (lambda: identity_report("t", (), LaurentPoly(q_int(2), -2), LaurentPoly(ONE, 0)),
+     ("q^-2 + q^-1", "1", "q^-2 + q^-1 - 1"), None),
+    (lambda: identity_report("t", (), Fraction(1, 2), Fraction(2, 4)), None, None),
+    (lambda: identity_report("t", (), Fraction(-1, 2), Fraction(-3, 2)), ("-1/2", "-3/2", "1"),
+     None),
+    # a pass keeps integer_report's note, a fail drops it
+    (lambda: integer_report("t", (), 12, 4, note="marker"), None, "marker"),
+    (lambda: integer_report("t", (), 14, 4, note="marker"), ("14", "0", "2"), None),
+    (lambda: congruence_report("t", (), (q_power(7),), q_power(2), 5), None, None),
+    (lambda: congruence_report("t", (), (q_power(5),), q_power(1), 5), ("q^5", "q", "1 - q"),
+     None),
+    (lambda: congruence_report("t", (), (q_power(6),), ZERO, 5), ("q^6", "0", "q"), None),
 ])
-def test_deciders_share_one_verdict_core(decide, witness):
-    r = decide("marker")
+def test_deciders_share_one_verdict_core(decide, witness, note):
+    r = decide()
     if witness is None:
-        assert (r.status, r.witness, r.note) == (PASS, None, "marker")
+        assert (r.status, r.witness) == (PASS, None)
     else:
         assert r.status == FAIL
         assert (r.witness.lhs, r.witness.rhs, r.witness.difference) == witness
-        assert r.note is None
+    assert r.note == note
 
 
 def test_report_json_schema():

@@ -40,11 +40,10 @@ def test_power_sum_frozen():
     assert power_sum(4, 1) == 6
 
 
-def test_power_sum_validation():
+@pytest.mark.parametrize("n, e", [(-1, 2), (3, -2), (True, 3), (3, True), (3.0, 2), (3, "2")])
+def test_power_sum_validation(n, e):
     with pytest.raises(ValueError):
-        power_sum(-1, 2)
-    with pytest.raises(ValueError):
-        power_sum(3, -2)
+        power_sum(n, e)
 
 
 def test_faulhaber_frozen():

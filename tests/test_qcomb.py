@@ -39,9 +39,10 @@ def test_q_int_values():
     assert q_int(3) == IntPoly([1, 1, 1])
 
 
-def test_q_int_negative_rejected():
+@pytest.mark.parametrize("n", [-1, True, False, 2.0, "3"])
+def test_q_int_rejects_all_but_integers_from_zero(n):
     with pytest.raises(ValueError):
-        q_int(-1)
+        q_int(n)
 
 
 def test_q_factorial_values():

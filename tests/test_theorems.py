@@ -405,17 +405,6 @@ def test_identity_pass_builds_no_laurent_poly_and_multiplies_nothing(monkeypatch
     assert "__init__" in calls and "__mul__" in calls
 
 
-@pytest.mark.parametrize("check, args", [
-    (check_chu_vandermonde, (3, 2, 4)),
-    (check_residue_identity, (2, 3)),
-    (check_symmetric_identity, (3, 2)),
-])
-def test_packed_identity_fail_that_the_laurent_route_passes_raises(monkeypatch, check, args):
-    monkeypatch.setattr(theorems, "_sum_vanishes", lambda terms: False)
-    with pytest.raises(InternalError, match="the packed sides differ, the Laurent sides agree"):
-        check(*args)
-
-
 # --- the mod [p]^2 refinement ------------------------------------------------------------
 
 def test_thm2_frozen_2_1_1():
@@ -464,7 +453,7 @@ def test_thm2_cross_check_catches_a_fold_without_its_b_term(monkeypatch):
             try:
                 assert check_thm2(7, a, b).status == "pass"
             except InternalError as exc:
-                assert "packed residue modulo [7]^2 is nonzero" in str(exc)
+                assert "packed residue modulo [7]^2 finds no pass" in str(exc)
                 raised += 1
     assert raised > 0
 
@@ -500,12 +489,6 @@ def test_thm2_pass_multiplies_and_divides_no_polynomial(monkeypatch):
     modulus_shifted(monkeypatch)
     assert check_thm2(p, a, b).status == "fail"
     assert "mul" in calls and "divrem" in calls
-
-
-def test_thm2_packed_fail_that_the_list_route_passes_raises(monkeypatch):
-    monkeypatch.setattr(congruence, "packed_square_congruent", lambda *args: False)
-    with pytest.raises(InternalError, match=r"thm2 .* packed residue modulo \[5\]\^2"):
-        check_thm2(5, 1, 2)
 
 
 def test_thm2_validation():
@@ -653,12 +636,6 @@ def test_pfaff_pass_calls_no_fraction_route(monkeypatch):
         assert calls, point  # the spies are live: a skip asks the Fraction route
         del calls[:]
     assert calls == []
-
-
-def test_pfaff_integer_fail_that_the_fraction_route_passes_raises(monkeypatch):
-    monkeypatch.setattr(theorems, "_pfaff_integers", lambda *args: ((1, 1), (2, 1)))
-    with pytest.raises(InternalError, match="the integer route finds no pass"):
-        check_pfaff_saalschutz(2, 3, 5, 2, 1)
 
 
 def test_pfaff_params_encode_rationals():
@@ -840,14 +817,6 @@ def test_thm1_pass_multiplies_and_divides_no_polynomial(monkeypatch):
     assert "mul" in calls and "divrem" in calls
 
 
-def test_packed_fail_that_the_list_route_passes_raises(monkeypatch):
-    # corrupt the packed decider alone: the list route then passes, and the
-    # two routes disagreeing is a bug, not a verdict
-    monkeypatch.setattr(congruence, "packed_divides", lambda factors, n: False)
-    with pytest.raises(InternalError, match=r"thm1 .* packed residue modulo \[3\]"):
-        check_thm1(3, [1, 2])
-
-
 # --- W(n) modulo q^n - 1: when thm1 builds it, and how a fail is decided ------------
 
 def _folded_builds(monkeypatch):
@@ -943,11 +912,36 @@ def test_folded_fail_takes_the_witness_of_the_full_w(monkeypatch):
         _LHS_7_3_2, "0", "q + 2*q^2 + 3*q^3 + 3*q^4 + 2*q^5 + q^6"))
 
 
-def test_folded_fail_that_the_full_route_passes_raises(monkeypatch):
+def _folded_row_turned(monkeypatch):
+    # from a cold memo W(7) is folded, and its row 5 rotated one slot too far
     qcomb.BINOMIAL_MEMO.clear()
     _table_entry_changed(monkeypatch, 5, _turned)
-    with pytest.raises(InternalError, match=r"thm1 .* packed residue modulo \[7\]"):
-        check_thm1(7, [3, 2])
+
+
+def _no_pass(name, value):
+    """Set ``theorems``' fast route ``name`` to return ``value``, no pass."""
+    return lambda monkeypatch: monkeypatch.setattr(theorems, name, lambda *args: value)
+
+
+@pytest.mark.parametrize("check, args, force", [
+    (check_thm1, (3, [1, 2]), _no_pass("packed_divides", False)),  # W(3) in full
+    (check_thm1, (7, [3, 2]), _folded_row_turned),  # W(7) modulo q^7 - 1
+    (check_thm2, (5, 1, 2), _no_pass("packed_square_congruent", False)),
+    (check_chu_vandermonde, (3, 2, 4), _no_pass("_sum_vanishes", False)),
+    (check_residue_identity, (2, 3), _no_pass("_sum_vanishes", False)),
+    (check_symmetric_identity, (3, 2), _no_pass("_sum_vanishes", False)),
+    (check_pfaff_saalschutz, (2, 3, 5, 2, 1), _no_pass("_pfaff_integers", ((1, 1), (2, 1)))),
+], ids=["thm1", "thm1-folded", "thm2", "chu_vandermonde", "residue_identity",
+        "symmetric_identity", "qpfaff"])
+def test_fast_fail_that_the_slow_route_passes_raises(monkeypatch, check, args, force):
+    # a passing instance whose fast route alone is made to find no pass: the
+    # slow route then passes, and the two disagreeing is a bug, not a verdict
+    want = check(*args)
+    assert want.status == "pass"
+    force(monkeypatch)
+    with pytest.raises(InternalError) as exc:
+        check(*args)
+    assert str(exc.value).startswith("%s %r: " % (want.claim_id, want.params))
 
 
 def test_folded_row_corrupted_raises_on_the_sum(monkeypatch):
