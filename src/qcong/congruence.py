@@ -56,7 +56,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import InternalError
-from .poly import IntPoly, _repack, _slot_bytes, _unpack_nonneg
+from .poly import IntPoly, _ints, _repack, _slot_bytes, _unpack_nonneg
 
 PASS = "pass"
 FAIL = "fail"
@@ -74,7 +74,7 @@ def fold(a, n, e):
     sum A of the length-n blocks a_j; for e = 2, y^j == (1 - j) + j*y, so
     a == (A - B) + q^n * B with B = sum_j j*a_j.
     """
-    if n < 1 or e not in (1, 2):
+    if not _ints(n, e) or n < 1 or e not in (1, 2):
         raise ValueError("the modulus [n]^e needs n >= 1 and e in (1, 2), got n=%r e=%r"
                          % (n, e))
     c = a.coeffs

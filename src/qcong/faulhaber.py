@@ -21,7 +21,7 @@ import math
 
 from .congruence import VANISHING_SUM, integer_report
 from .errors import InternalError, InvalidParamsError
-from .qcomb import _ints
+from .poly import _ints
 
 
 def power_sum(n, e):

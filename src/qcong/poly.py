@@ -34,6 +34,17 @@ _UWORDS = {array(t).itemsize: t for t in "BHILQ"}
 _WORD64 = (1 << 64) - 1
 
 
+def _ints(*values):
+    """True when every value is an integer, and none a bool: the package's
+    one test of an integer argument, for the checkers, ``IntPoly.__pow__``,
+    ``congruence.fold``, ``q_int``, ``q_binomial``, ``q_pochhammer_eval``,
+    ``faulhaber.power_sum`` and ``SweepConfig``."""
+    for v in values:
+        if not isinstance(v, int) or isinstance(v, bool):
+            return False
+    return True
+
+
 def _strip(coeffs):
     """Drop trailing zeros in place; return the same list."""
     while coeffs and coeffs[-1] == 0:
@@ -280,7 +291,7 @@ class IntPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
+        if not _ints(n) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
         out = ONE
         for _ in range(n):

@@ -51,6 +51,7 @@ from .poly import (
     IntPoly,
     Packed,
     _format_terms,
+    _ints,
     _pack_nonneg,
     _repack,
     _slot_bytes,
@@ -58,16 +59,6 @@ from .poly import (
 )
 
 _NO_ROWS = Packed(0, 1, 0, 0)  # W(n) for n <= max(a_i): every row vanishes
-
-
-def _ints(*values):
-    """True when every value is an integer, and none a bool: the package's
-    one test of an integer argument, for the checkers, ``q_int``,
-    ``faulhaber.power_sum`` and ``SweepConfig``."""
-    for v in values:
-        if not isinstance(v, int) or isinstance(v, bool):
-            return False
-    return True
 
 
 def q_int(n):
@@ -89,6 +80,8 @@ def q_factorial(n):
 
 def q_binomial(n, k):
     """Gaussian binomial via the product formula; zero out of range."""
+    if not _ints(n, k):
+        raise ValueError("q_binomial needs integers n and k, got %r and %r" % (n, k))
     if k < 0 or n < 0 or k > n:
         return ZERO
     return IntPoly._make(_gauss_product(((n, k),))[1])
@@ -190,8 +183,8 @@ def q_pochhammer_eval(x, q, k):
     """(x;q)_k evaluated at exact rationals: prod_{i<k} (1 - x*q^i), x*q^i carried."""
     from fractions import Fraction  # only qpfaff pays for the module
 
-    if k < 0:
-        raise ValueError("q_pochhammer_eval needs k >= 0, got %d" % k)
+    if not _ints(k) or k < 0:
+        raise ValueError("q_pochhammer_eval needs an integer k >= 0, got %r" % (k,))
     x = Fraction(x)
     q = Fraction(q)
     out = Fraction(1)

@@ -68,7 +68,6 @@ counterexample.  An exception escaping a checker propagates out of
 
 from __future__ import annotations
 
-import io
 import itertools
 import marshal
 import os
@@ -81,7 +80,7 @@ from typing import Callable, NamedTuple
 from .congruence import FAIL, PASS, SKIPPED, CongruenceReport, Witness, is_prime
 from .errors import InvalidParamsError
 from .faulhaber import check_conjecture, check_faulhaber_cong
-from .qcomb import _ints
+from .poly import _ints
 from .theorems import (
     a_key,
     a_list_key,
@@ -652,15 +651,25 @@ def _json_tail(tail):
     return _JSON_TAIL % (_quote(status), witness, elapsed_ms)
 
 
+def _csv_cell(text):
+    """``text`` as a ``csv.writer`` cell: quoted, its quotes doubled, if it
+    holds a comma, a quote or a newline, as no claim id or params text of
+    the package's own does."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"%s"' % text.replace('"', '""')
+    return text
+
+
 def render_report(reports, fmt, stable=False):
     """Render sorted reports as text, json, or csv; returns a string.
 
     A params tuple is rendered once, though thm1 and q1 share each, from
     its first pair and its tail, each rendered once, and so is a status,
     witness and elapsed_ms tail, which every member of a class shares;
-    json and text then join the rendered pieces of all reports at once.
+    each format then joins the rendered pieces of all reports at once.
     json is the layout ``json.dumps([r.to_json_obj(stable) for r in
-    reports], indent=2)`` plus a newline.
+    reports], indent=2)`` plus a newline, and csv that of ``csv.writer``
+    ending each row in a newline.
     """
     ms = (lambda r: 0) if stable else (lambda r: r.elapsed_ms)
     if fmt == "json":
@@ -676,12 +685,10 @@ def render_report(reports, fmt, stable=False):
         return "".join(parts)
     params = _params_renderer(_text_pair, _text_rest, "")
     if fmt == "csv":
-        import csv  # only a csv sweep pays for the module
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["claim_id", "params", "status", "elapsed_ms"])
-        writer.writerows([(r.claim_id, params[r.params], r.status, ms(r)) for r in reports])
-        return buf.getvalue()
+        cells = _Rendered(_csv_cell)
+        return "claim_id,params,status,elapsed_ms\n" + "".join(
+            ["%s,%s,%s,%d\n" % (cells[r.claim_id], cells[params[r.params]], r.status, ms(r))
+             for r in reports])
     if fmt != "text":
         raise UsageError("unknown format %r" % (fmt,))
     rows = [("claim", "params", ("status", "ms", "note"))]

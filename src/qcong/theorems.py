@@ -106,15 +106,17 @@ the product's pair.  Only a fail unpacks them, to decide again by
 builds W(n) in full.
 
 The Laurent identities, chu_vandermonde, residue_identity and
-symmetric_identity, move every term to one side, as (sign, e, pairs) for
-sign * q^e * prod gauss(n, a), and ``_sum_vanishes`` decides whether they
-sum to zero: the two signs must agree at q = 1, on a sum S, and the terms
-of each sign, packed by ``BINOMIAL_MEMO.packed_product`` in slots that
-hold S and shifted by e - min e slots, must add up to one integer.  A fail
-is decided again in ``LaurentPoly`` form, which gives the witness.  thm1,
-thm2, these identities and qpfaff hand the slow route's report to
-``congruence.confirmed``, which raises InternalError if it passes where
-the fast route found no pass.
+symmetric_identity, state each side once, as a list of terms (sign, e,
+pairs) for sign * q^e * prod gauss(n, a), and ``_identity`` decides them.
+``_sum_vanishes`` decides whether the left terms and the negated right
+ones sum to zero: the two signs must agree at q = 1, on a sum S, and the
+terms of each sign, packed by ``BINOMIAL_MEMO.packed_product`` in slots
+that hold S and shifted by e - min e slots, must add up to one integer.
+A fail is decided again on the ``LaurentPoly`` sums of the same terms,
+the memo's binomials multiplied as IntPolys (``_laurent_sum``), which
+gives the witness.  thm1, thm2, these identities and qpfaff hand the slow
+route's report to ``congruence.confirmed``, which raises InternalError if
+it passes where the fast route found no pass.
 """
 
 from __future__ import annotations
@@ -141,8 +143,8 @@ from .errors import (
     InvalidParamsError,
     SingularSpecialization,
 )
-from .poly import ONE, ZERO, IntPoly, _slot_bytes
-from .qcomb import BINOMIAL_MEMO, LaurentPoly, _ints, q_int, q_pochhammer_eval, rows_at_one
+from .poly import ONE, ZERO, IntPoly, _ints, _slot_bytes
+from .qcomb import BINOMIAL_MEMO, LaurentPoly, q_int, q_pochhammer_eval, rows_at_one
 
 
 def _a_tuple(n, a_list):
@@ -347,30 +349,32 @@ def _sum_vanishes(terms):
     return sides[0] == sides[1]
 
 
-def check_chu_vandermonde(a, b, n):
-    """The q-Chu-Vandermonde convolution (claim id chu_vandermonde), decided
-    on packed integers, a fail again in Laurent form."""
-    if not _ints(a, b, n) or min(a, b, n) < 0:
-        raise InvalidParamsError("need integers a, b, n >= 0")
-    terms = [(1, k * (b - n + k), ((a, k), (b, n - k)))
-             for k in range(max(0, n - b), min(a, n) + 1)]
-    if n <= a + b:
-        terms.append((-1, 0, ((a + b, n),)))
-    params = (("a", a), ("b", b), ("n", n))
-    if _sum_vanishes(terms):
-        return CongruenceReport("chu_vandermonde", params, PASS)
-    return confirmed(identity_report("chu_vandermonde", params, *_chu_sides(a, b, n)),
+def _identity(claim_id, params, lhs, rhs):
+    """The report on sum lhs = sum rhs, each a list of terms (sign, e, pairs)
+    for sign * q^e * prod gauss(n, a): decided by ``_sum_vanishes`` on lhs
+    and rhs negated, a fail again on their ``_laurent_sum`` sides."""
+    if _sum_vanishes(lhs + [(-sign, e, pairs) for sign, e, pairs in rhs]):
+        return CongruenceReport(claim_id, params, PASS)
+    return confirmed(identity_report(claim_id, params, _laurent_sum(lhs), _laurent_sum(rhs)),
                      "packed sum")
 
 
-def _chu_sides(a, b, n):
-    lhs = LaurentPoly()
-    for k in range(n + 1):
-        coeff = BINOMIAL_MEMO.binomial(a, k) * BINOMIAL_MEMO.binomial(b, n - k)
-        if coeff.is_zero:
-            continue
-        lhs = lhs + LaurentPoly(coeff, k * (b - n + k))
-    return lhs, LaurentPoly.from_poly(BINOMIAL_MEMO.binomial(a + b, n))
+def _laurent_sum(terms):
+    """sum sign * q^e * prod gauss(n, a) over ``terms`` as a LaurentPoly, the
+    memo's binomials multiplied as IntPolys, nothing packed: the witness
+    route of ``_identity``."""
+    return sum([LaurentPoly(math.prod(starmap(BINOMIAL_MEMO.binomial, pairs), start=sign), e)
+                for sign, e, pairs in terms], LaurentPoly())
+
+
+def check_chu_vandermonde(a, b, n):
+    """The q-Chu-Vandermonde convolution (claim id chu_vandermonde)."""
+    if not _ints(a, b, n) or min(a, b, n) < 0:
+        raise InvalidParamsError("need integers a, b, n >= 0")
+    lhs = [(1, k * (b - n + k), ((a, k), (b, n - k)))
+           for k in range(max(0, n - b), min(a, n) + 1)]
+    rhs = [(1, 0, ((a + b, n),))] if n <= a + b else []
+    return _identity("chu_vandermonde", (("a", a), ("b", b), ("n", n)), lhs, rhs)
 
 
 def check_p_minus_one_lemma(p, j):
@@ -389,67 +393,29 @@ def _ab_exponent(a, b):
     return a * b - math.comb(a, 2) - math.comb(b, 2)
 
 
-def _residue_exponent(a, b, k):
-    """The exponent of q in term k of the residue identity's left side."""
-    return k * (a - b + k) + a + k - math.comb(a + k + 1, 2)
-
-
 def check_residue_identity(a, b):
-    """The alternating triple-product sum equal to (-1)^b q^(ab - C(a,2) - C(b,2)),
-    decided on packed integers, a fail again in Laurent form."""
+    """The alternating triple-product sum equal to (-1)^b q^(ab - C(a,2) - C(b,2))
+    (claim id residue_identity)."""
     if not _ints(a, b) or min(a, b) < 0:
         raise InvalidParamsError("need integers a, b >= 0")
-    terms = [(_sign(k), _residue_exponent(a, b, k),
-              ((a + b + 1, b - k), (a + k, a), (a + k, b)))
-             for k in range(max(0, b - a), b + 1)]
-    terms.append((-_sign(b), _ab_exponent(a, b), ()))
-    params = (("a", a), ("b", b))
-    if _sum_vanishes(terms):
-        return CongruenceReport("residue_identity", params, PASS)
-    return confirmed(identity_report("residue_identity", params, *_residue_sides(a, b)),
-                     "packed sum")
-
-
-def _residue_sides(a, b):
-    lhs = LaurentPoly()
-    for k in range(b + 1):
-        coeff = (BINOMIAL_MEMO.binomial(a + b + 1, b - k)
-                 * BINOMIAL_MEMO.binomial(a + k, a) * BINOMIAL_MEMO.binomial(a + k, b))
-        if coeff.is_zero:
-            continue
-        lhs = lhs + LaurentPoly(_sign(k) * coeff, _residue_exponent(a, b, k))
-    return lhs, LaurentPoly(_sign(b) * ONE, _ab_exponent(a, b))
-
-
-def _symmetric_exponent(a, b, k):
-    """The exponent of q in term k of the symmetric identity's left side."""
-    return math.comb(k + 1, 2) + math.comb(a + 1, 2) + math.comb(b + 1, 2) - (k + 1) * (a + b)
+    lhs = [(_sign(k), k * (a - b + k) + a + k - math.comb(a + k + 1, 2),
+            ((a + b + 1, b - k), (a + k, a), (a + k, b)))
+           for k in range(max(0, b - a), b + 1)]
+    rhs = [(_sign(b), _ab_exponent(a, b), ())]
+    return _identity("residue_identity", (("a", a), ("b", b)), lhs, rhs)
 
 
 def check_symmetric_identity(a, b):
-    """The a<->b symmetric alternating sum equal to (-1)^(a-b), decided on
-    packed integers, a fail again in Laurent form."""
+    """The a<->b symmetric alternating sum equal to (-1)^(a-b) (claim id
+    symmetric_identity)."""
     if not _ints(a, b) or min(a, b) < 0:
         raise InvalidParamsError("need integers a, b >= 0")
-    terms = [(_sign(k), _symmetric_exponent(a, b, k), ((k, a), (k, b), (a + b + 1, k + 1)))
-             for k in range(max(a, b), a + b + 1)]
-    terms.append((-_sign(a - b), 0, ()))
-    params = (("a", a), ("b", b))
-    if _sum_vanishes(terms):
-        return CongruenceReport("symmetric_identity", params, PASS)
-    return confirmed(identity_report("symmetric_identity", params, *_symmetric_sides(a, b)),
-                     "packed sum")
-
-
-def _symmetric_sides(a, b):
-    lhs = LaurentPoly()
-    for k in range(a, a + b + 1):
-        coeff = (BINOMIAL_MEMO.binomial(k, a) * BINOMIAL_MEMO.binomial(k, b)
-                 * BINOMIAL_MEMO.binomial(a + b + 1, k + 1))
-        if coeff.is_zero:
-            continue
-        lhs = lhs + LaurentPoly(_sign(k) * coeff, _symmetric_exponent(a, b, k))
-    return lhs, LaurentPoly(_sign(a - b) * ONE, 0)
+    lhs = [(_sign(k),
+            math.comb(k + 1, 2) + math.comb(a + 1, 2) + math.comb(b + 1, 2) - (k + 1) * (a + b),
+            ((k, a), (k, b), (a + b + 1, k + 1)))
+           for k in range(max(a, b), a + b + 1)]
+    rhs = [(_sign(a - b), 0, ())]
+    return _identity("symmetric_identity", (("a", a), ("b", b)), lhs, rhs)
 
 
 # --- the prime-squared refinement ----------------------------------------------------

@@ -159,6 +159,43 @@ def terms_sum_oracle(terms):
     return total
 
 
+def chu_sides_oracle(a, b, n):
+    """Both sides of q-Chu-Vandermonde as LaurentPolys, k over 0..n with the
+    vanishing terms skipped, every binomial from ``q_binomial``;
+    ``theorems.check_chu_vandermonde`` lists the terms of its tight range."""
+    lhs = LaurentPoly()
+    for k in range(n + 1):
+        coeff = q_binomial(a, k) * q_binomial(b, n - k)
+        if coeff.is_zero:
+            continue
+        lhs = lhs + LaurentPoly(coeff, k * (b - n + k))
+    return lhs, LaurentPoly.from_poly(q_binomial(a + b, n))
+
+
+def residue_sides_oracle(a, b):
+    """Both sides of the residue identity as LaurentPolys, k over 0..b."""
+    lhs = LaurentPoly()
+    for k in range(b + 1):
+        coeff = q_binomial(a + b + 1, b - k) * q_binomial(a + k, a) * q_binomial(a + k, b)
+        if coeff.is_zero:
+            continue
+        e = k * (a - b + k) + a + k - math.comb(a + k + 1, 2)
+        lhs = lhs + LaurentPoly((-1) ** k * coeff, e)
+    return lhs, LaurentPoly((-1) ** b, a * b - math.comb(a, 2) - math.comb(b, 2))
+
+
+def symmetric_sides_oracle(a, b):
+    """Both sides of the symmetric identity as LaurentPolys, k over a..a+b."""
+    lhs = LaurentPoly()
+    for k in range(a, a + b + 1):
+        coeff = q_binomial(k, a) * q_binomial(k, b) * q_binomial(a + b + 1, k + 1)
+        if coeff.is_zero:
+            continue
+        e = math.comb(k + 1, 2) + math.comb(a + 1, 2) + math.comb(b + 1, 2) - (k + 1) * (a + b)
+        lhs = lhs + LaurentPoly((-1) ** k * coeff, e)
+    return lhs, LaurentPoly((-1) ** (a + b), 0)
+
+
 def json_report_oracle(reports, stable=False):
     """The JSON report through the standard encoder; ``sweep.render_report``
     writes the same bytes from a fixed template."""

@@ -94,10 +94,11 @@ def test_rem_mod_of_a_difference():
     assert rem_mod(q_power(7) - q_power(2), 5) == ZERO
 
 
-@pytest.mark.parametrize("n, e", [(0, 1), (-1, 1), (0, 2), (3, 0), (3, 3), (3, -1)])
+@pytest.mark.parametrize("n, e", [(0, 1), (-1, 1), (0, 2), (3, 0), (3, 3), (3, -1),
+                                  (True, 1), (2.0, 1), (3, True)])
 def test_modulus_must_be_a_q_integer_or_its_square(n, e):
     # the modulus is [n]^e with n >= 1 and e in (1, 2); fold, rem_mod and the
-    # decider all refuse anything else
+    # decider all refuse anything else, a bool or a float too
     a = q_int(7)
     with pytest.raises(ValueError):
         fold(a, n, e)

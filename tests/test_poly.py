@@ -134,6 +134,8 @@ def test_pow():
     assert p ** 2 == IntPoly([1, 2, 1])
     with pytest.raises(ValueError):
         p ** -1
+    with pytest.raises(ValueError):
+        p ** True
 
 
 def test_evaluate_exact_rational():

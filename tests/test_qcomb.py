@@ -66,6 +66,13 @@ def test_q_binomial_frozen_example():
     assert q_binomial(4, 2) == IntPoly([1, 1, 2, 1, 1])
 
 
+@pytest.mark.parametrize("n, k", [(True, 1), (3, False), (3, 1.0), ("3", 1)])
+def test_q_binomial_rejects_a_bool_or_non_integer(n, k):
+    # a bool is refused as q_int refuses it, not read as 0 or 1
+    with pytest.raises(ValueError):
+        q_binomial(n, k)
+
+
 def test_q_binomial_out_of_range_is_zero():
     assert q_binomial(3, 5) == ZERO
     assert q_binomial(3, -1) == ZERO
@@ -164,8 +171,9 @@ def test_pochhammer_carried_power_matches_oracle():
 
 
 def test_pochhammer_negative_k_rejected():
-    with pytest.raises(ValueError):
-        q_pochhammer_eval(1, 2, -1)
+    for k in (-1, True, 2.0):  # a bool is refused, not read as 0 or 1
+        with pytest.raises(ValueError):
+            q_pochhammer_eval(1, 2, k)
 
 
 # --- cache ------------------------------------------------------------------------

@@ -9,12 +9,15 @@ from fractions import Fraction
 import pytest
 from oracles import (
     binomials_plus_one,
+    chu_sides_oracle,
     comb_row_zero_is_one,
     modulus_shifted,
     multinom_factor_oracle,
     pfaff_fraction_report,
     pfaff_lhs_oracle,
+    residue_sides_oracle,
     steps_plus_one,
+    symmetric_sides_oracle,
     terms_sum_oracle,
     thm2_full_product,
     weighted_sum_oracle,
@@ -129,12 +132,17 @@ def test_weighted_sum_independent_of_visit_order():
 @pytest.mark.parametrize("check, args", [
     (check_sum_lemma, (5, 2)),
     (check_chu_vandermonde, (3, 2, 4)),
-    (theorems._chu_sides, (3, 2, 4)),
+    # an identity's witness route, on the left side of the check above it
+    (theorems._laurent_sum, ([(1, 0, ((3, 2), (2, 2))), (1, 3, ((3, 3), (2, 1)))],)),
     (check_p_minus_one_lemma, (5, 2)),
     (check_residue_identity, (2, 3)),
-    (theorems._residue_sides, (2, 3)),
+    (theorems._laurent_sum, ([(-1, -3, ((6, 2), (3, 2), (3, 3))),
+                              (1, -4, ((6, 1), (4, 2), (4, 3))),
+                              (-1, -4, ((6, 0), (5, 2), (5, 3)))],)),
     (check_symmetric_identity, (3, 2)),
-    (theorems._symmetric_sides, (3, 2)),
+    (theorems._laurent_sum, ([(-1, -5, ((3, 3), (3, 2), (6, 4))),
+                              (1, -6, ((4, 3), (4, 2), (6, 5))),
+                              (-1, -6, ((5, 3), (5, 2), (6, 6)))],)),
     (sum_quotient_recurrence, (6, [2, 1])),
     (check_thm1, (7, [3, 2])),
     (check_thm2, (7, 3, 2)),
@@ -145,7 +153,7 @@ def test_checker_draws_binomials_from_the_shared_memo(monkeypatch, check, args):
     # the prefactor and W(n) are packed products that the memo builds whole,
     # so thm1 and thm2 build no binomial at all; an identity adds packed
     # products on a pass and reads the memo's binomials only on its fail
-    # route, the Laurent sides
+    # route, the Laurent sums of its terms
     builds = check not in (check_thm1, check_thm2, weighted_sum, multinom_factor,
                            check_chu_vandermonde, check_residue_identity,
                            check_symmetric_identity)
@@ -330,35 +338,38 @@ def test_symmetric_identity_grid():
 
 # --- the identities on packed integers --------------------------------------------------
 
-def _identity_terms(monkeypatch, check, *args):
-    """The terms ``check`` hands to ``_sum_vanishes``."""
+def _identity_spy(monkeypatch):
+    """A list that gets the term lists (lhs, rhs) of every ``_identity`` call."""
     seen = []
-    decide = theorems._sum_vanishes
-    monkeypatch.setattr(theorems, "_sum_vanishes",
-                        lambda terms: seen.append(terms) or decide(terms))
-    check(*args)
-    monkeypatch.setattr(theorems, "_sum_vanishes", decide)
-    (terms,) = seen
-    return terms
+    decide = theorems._identity
+    monkeypatch.setattr(theorems, "_identity", lambda claim_id, params, lhs, rhs:
+                        seen.append((lhs, rhs)) or decide(claim_id, params, lhs, rhs))
+    return seen
 
 
 _IDENTITY_GRID = (
-    [(check_chu_vandermonde, theorems._chu_sides, (a, b, n))
+    [(check_chu_vandermonde, chu_sides_oracle, (a, b, n))
      for a in range(9) for b in range(9) for n in range(19)]
     + [(check, sides, (a, b))
-       for check, sides in ((check_residue_identity, theorems._residue_sides),
-                            (check_symmetric_identity, theorems._symmetric_sides))
+       for check, sides in ((check_residue_identity, residue_sides_oracle),
+                            (check_symmetric_identity, symmetric_sides_oracle))
        for a in range(9) for b in range(9)])
 
 
-def test_packed_identities_match_the_laurent_route():
+def test_packed_identities_match_the_laurent_route(monkeypatch):
     # every chu_vandermonde check with a, b <= 8 and n <= 18, every residue
-    # and symmetric check with a, b <= 8: the Laurent sides agree, and so
-    # does the packed route
+    # and symmetric check with a, b <= 8: the oracle's sides agree, the
+    # witness route sums the checker's own terms to those very sides, and
+    # the packed route passes
+    seen = _identity_spy(monkeypatch)
     for check, sides, args in _IDENTITY_GRID:
         lhs, rhs = sides(*args)
         assert lhs == rhs, (check.__name__, args)
         assert check(*args).status == "pass", (check.__name__, args)
+        terms_lhs, terms_rhs = seen.pop()
+        assert theorems._laurent_sum(terms_lhs) == lhs, (check.__name__, args)
+        assert theorems._laurent_sum(terms_rhs) == rhs, (check.__name__, args)
+    assert seen == []
 
 
 def test_packed_sum_matches_the_laurent_sum_on_broken_terms(monkeypatch):
@@ -366,8 +377,11 @@ def test_packed_sum_matches_the_laurent_sum_on_broken_terms(monkeypatch):
     # flipped no longer sum to zero; the packed route must say so exactly
     # when the Laurent sum of the same terms is nonzero
     checked = vanishing = 0
+    seen = _identity_spy(monkeypatch)
     for check, _, args in _IDENTITY_GRID[::7]:
-        terms = _identity_terms(monkeypatch, check, *args)
+        check(*args)
+        lhs, rhs = seen.pop()
+        terms = lhs + [(-sign, e, pairs) for sign, e, pairs in rhs]
         for i, (sign, e, pairs) in enumerate(terms):
             for broken in ((sign, e + 1, pairs), (sign, e - 1, pairs), (-sign, e, pairs)):
                 moved = terms[:i] + [broken] + terms[i + 1:]
