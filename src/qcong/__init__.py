@@ -45,11 +45,7 @@ from .theorems import (
     check_symmetric_identity,
     check_thm1,
     check_thm2,
-    multinom_factor,
     q1_check,
-    sum_quotient_direct,
-    sum_quotient_recurrence,
-    weighted_sum,
 )
 
 __version__ = "0.1.0"
@@ -86,7 +82,6 @@ __all__ = [
     "conjecture_coefficient",
     "enumerate_instances",
     "is_prime",
-    "multinom_factor",
     "power_sum",
     "q1_check",
     "q_binomial",
@@ -95,7 +90,4 @@ __all__ = [
     "q_pochhammer_eval",
     "rem_mod",
     "run_suite",
-    "sum_quotient_direct",
-    "sum_quotient_recurrence",
-    "weighted_sum",
 ]

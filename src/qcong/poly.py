@@ -245,12 +245,6 @@ class IntPoly:
     def is_zero(self):
         return not self._coeffs
 
-    def coefficient(self, i):
-        """Coefficient of q^i (zero beyond the stored range)."""
-        if 0 <= i < len(self._coeffs):
-            return self._coeffs[i]
-        return 0
-
     @staticmethod
     def _coerce(other):
         if isinstance(other, IntPoly):

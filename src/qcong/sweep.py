@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import itertools
 import marshal
+import math
 import os
 import sys
 import time
@@ -298,11 +299,16 @@ def thm1_sample_instances(count, seed, n_max, m_max, a_max):
     return out
 
 
+def _lowest_terms(num, den):
+    """num/den in lowest terms, for den > 0."""
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
 def _nonzero_rational(rng, max_num=7, max_den=4):
     v = rng.below(2 * max_num)
     num = v - max_num if v < max_num else v - max_num + 1
-    den = 1 + rng.below(max_den)
-    return num, den
+    return _lowest_terms(num, 1 + rng.below(max_den))
 
 
 def pfaff_sample_instances(count, seed, n_max):
@@ -311,10 +317,10 @@ def pfaff_sample_instances(count, seed, n_max):
 
     x, y: numerator in +-1..7, denominator 1..4.  z: same, redrawn while
     z == 1.  q: numerator +-2..7 (magnitude then sign), denominator 1..3,
-    redrawn while |q| == 1.  n in 0..min(n_max, 8).
+    redrawn while |q| == 1.  n in 0..min(n_max, 8).  Every fraction is
+    drawn with a positive denominator and kept in lowest terms, as a
+    Fraction would be, so z == 1 exactly when zn == zd.
     """
-    from fractions import Fraction  # only a sampled sweep pays for the module
-
     rng = SplitMix64(seed)
     out = []
     for _ in range(count):
@@ -322,7 +328,7 @@ def pfaff_sample_instances(count, seed, n_max):
         yn, yd = _nonzero_rational(rng)
         while True:
             zn, zd = _nonzero_rational(rng)
-            if Fraction(zn, zd) != 1:
+            if zn != zd:
                 break
         while True:
             v = rng.below(12)
@@ -330,14 +336,10 @@ def pfaff_sample_instances(count, seed, n_max):
             qd = 1 + rng.below(3)
             if abs(qn) != qd:
                 break
+        qn, qd = _lowest_terms(qn, qd)
         n = rng.below(min(n_max, PFAFF_MAX_N) + 1)
-        x, y, z, q = Fraction(xn, xd), Fraction(yn, yd), Fraction(zn, zd), Fraction(qn, qd)
-        out.append(("qpfaff", _params(
-            x_num=x.numerator, x_den=x.denominator,
-            y_num=y.numerator, y_den=y.denominator,
-            z_num=z.numerator, z_den=z.denominator,
-            q_num=q.numerator, q_den=q.denominator,
-            n=n)))
+        out.append(("qpfaff", _params(x_num=xn, x_den=xd, y_num=yn, y_den=yd,
+                                      z_num=zn, z_den=zd, q_num=qn, q_den=qd, n=n)))
     return list(dict.fromkeys(out))
 
 

@@ -63,20 +63,6 @@ qpfaff
     along (``_pfaff_sides``), which gives the skip note or the witness.
     ``fractions`` is imported by the qpfaff functions alone, when called.
 
-The quotient polynomial sum_quotient(n, a_list), the thm1 product divided
-by [n], has a closed base case and a contiguous recurrence:
-
-    sum_quotient(n, (a,))  = gauss(n-1, a) * q^a
-    sum_quotient(n, (a_1..a_m)) =
-        sum_{k=0}^{a_m} gauss(a_1+...+a_m+1, a_m-k)
-                        * gauss(a_{m-1}+k, a_m) * gauss(a_{m-1}+k, a_{m-1})
-                        * q^(k(a_{m-1}-a_m+k))
-                        * sum_quotient(n, (a_1..a_{m-2}, a_{m-1}+k))
-
-computed here by ``sum_quotient_recurrence`` with memoization keyed on the
-exact ordered tuple (the recurrence is only stated for ordered lists, so no
-sorting is ever applied to memo keys).
-
 Every Gaussian binomial used here, the thm1 prefactor and the weighted
 sum W(n) come from the one shared bounded memo ``qcomb.BINOMIAL_MEMO``; no
 checker takes a cache argument.  The memo takes the prefactor's and W's
@@ -91,7 +77,7 @@ the same cores on its own params tuple, validated and read by
 q1 sums its rows at q = 1 with the memo's own ``qcomb.rows_at_one``.  The
 memo builds the prefactor and W as packed integers, one checked step at
 a time, so a corrupted step raises InternalError instead of reaching a
-verdict.  The recurrence's own memo is local to one call.
+verdict.
 
 Each congruence names its modulus [n]^e by the pair (n, e): thm1 and the
 p - 1 lemma take (n, 1), thm2 takes (p, 2).  thm1 and thm2 decide on
@@ -144,12 +130,12 @@ from .errors import (
     SingularSpecialization,
 )
 from .poly import ONE, ZERO, IntPoly, _ints, _slot_bytes
-from .qcomb import BINOMIAL_MEMO, LaurentPoly, q_int, q_pochhammer_eval, rows_at_one
+from .qcomb import BINOMIAL_MEMO, LaurentPoly, q_pochhammer_eval, rows_at_one
 
 
 def _a_tuple(n, a_list):
-    """``a_list`` as a tuple, once n >= 1 (unless n is None) and every a_i >= 0 hold."""
-    if n is not None and (not _ints(n) or n < 1):
+    """``a_list`` as a tuple, once n >= 1 and every a_i >= 0 hold."""
+    if not _ints(n) or n < 1:
         raise InvalidParamsError("n must be an integer >= 1, got %r" % (n,))
     a_tuple = tuple(a_list)
     if not a_tuple:
@@ -180,19 +166,6 @@ def a_list_params(n, a_list):
     """The params of a thm1/q1 instance: ("n", n), then ("a1", a1), ...,
     ("am", am) in list order."""
     return (("n", n),) + tuple(zip(a_names(len(a_list)), a_list))
-
-
-# --- the weighted sum and its prefactor ------------------------------------------
-
-def multinom_factor(a_list):
-    """[a1+...+am+1]! / ([a1]! ... [am]!), a product of Gaussian binomials,
-    from ``BINOMIAL_MEMO``."""
-    return BINOMIAL_MEMO.prefactor(a_key(_a_tuple(None, a_list))).poly()
-
-
-def weighted_sum(n, a_list):
-    """sum_{h=0}^{n-1} q^h * prod_i gauss(h, a_i), from ``BINOMIAL_MEMO``."""
-    return BINOMIAL_MEMO.weighted_sum(n, a_key(_a_tuple(n, a_list))).poly()
 
 
 @lru_cache(maxsize=64)
@@ -260,54 +233,6 @@ def q1_report(n, key, params):
     total = rows_at_one(key, 0, n)
     return integer_report("q1", params, factor * total, n,
                           note=VANISHING_SUM if total == 0 else None)
-
-
-# --- the quotient polynomial: two independent routes -------------------------------
-
-def sum_quotient_direct(n, a_list):
-    """multinom_factor * weighted_sum divided exactly by [n].
-
-    A NotDivisibleError here is a genuine counterexample to thm1 and is
-    allowed to propagate.
-    """
-    product = multinom_factor(a_list) * weighted_sum(n, a_list)
-    return product.exact_div(q_int(n))
-
-
-def sum_quotient_recurrence(n, a_list):
-    """The same quotient by the closed base case plus contiguous recurrence.
-
-    Memoized on the exact ordered tuple of remaining exponents; the
-    recurrence consumes the list from the right.
-    """
-    memo = {}
-
-    def rec(a_tuple):
-        hit = memo.get(a_tuple)
-        if hit is not None:
-            return hit
-        if len(a_tuple) == 1:
-            a = a_tuple[0]
-            out = BINOMIAL_MEMO.binomial(n - 1, a).shift(a)
-        else:
-            head = a_tuple[:-2]
-            prev, last = a_tuple[-2], a_tuple[-1]
-            total = sum(a_tuple) + 1
-            out = ZERO
-            for k in range(last + 1):
-                c1 = BINOMIAL_MEMO.binomial(total, last - k)
-                c2 = BINOMIAL_MEMO.binomial(prev + k, last)
-                c3 = BINOMIAL_MEMO.binomial(prev + k, prev)
-                if c1.is_zero or c2.is_zero or c3.is_zero:
-                    continue
-                e = k * (prev - last + k)
-                if e < 0:  # impossible when c2 is nonzero
-                    raise InternalError("negative shift in nonvanishing branch")
-                out = out + (c1 * c2 * c3).shift(e) * rec(head + (prev + k,))
-        memo[a_tuple] = out
-        return out
-
-    return rec(_a_tuple(n, a_list))
 
 
 # --- support identities -------------------------------------------------------------

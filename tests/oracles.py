@@ -19,10 +19,10 @@ from qcong.congruence import (
     identity_report,
     rem_mod,
 )
-from qcong.errors import SingularSpecialization
+from qcong.errors import InternalError, SingularSpecialization
 from qcong.poly import ONE, ZERO, IntPoly, Packed, _pack_nonneg, _slot_bytes
 from qcong.qcomb import LaurentPoly, q_binomial, q_factorial, q_int, q_pochhammer_eval
-from qcong.sweep import CLAIMS, SplitMix64, run_instance
+from qcong.sweep import CLAIMS, PFAFF_MAX_N, SplitMix64, run_instance
 
 
 def _mul_schoolbook(a, b):
@@ -56,10 +56,25 @@ def q_binomial_oracle(n, k):
     return row[k]
 
 
+def multinom_factor(a_list):
+    """[a1+...+am+1]! / ([a1]! ... [am]!), a product of Gaussian binomials:
+    the prefactor that thm1 and thm2 decide on, unpacked from the memo.
+    The a-list is refused as ``check_thm1`` refuses it."""
+    key = theorems.a_key(theorems._a_tuple(1, a_list))
+    return theorems.BINOMIAL_MEMO.prefactor(key).poly()
+
+
+def weighted_sum(n, a_list):
+    """sum_{h=0}^{n-1} q^h * prod_i gauss(h, a_i), the W(n) that thm1 and
+    thm2 decide on, unpacked from the memo."""
+    key = theorems.a_key(theorems._a_tuple(n, a_list))
+    return theorems.BINOMIAL_MEMO.weighted_sum(n, key).poly()
+
+
 def multinom_factor_oracle(a_list):
     """[a1+...+am+1]! / ([a1]! ... [am]!) by exact division of q-factorials.
 
-    Shares no code with ``theorems.multinom_factor`` (a product of Gaussian
+    Shares no code with ``multinom_factor`` (a product of Gaussian
     binomials): the quotient is divided out of [s]! one factorial at a time.
     """
     out = q_factorial(sum(a_list) + 1)
@@ -81,6 +96,68 @@ def weighted_sum_oracle(n, a_list):
             term = term * q_binomial(h, a)
         total = total + term
     return total
+
+
+# The quotient polynomial sum_quotient(n, a_list), the thm1 product divided
+# by [n], has a closed base case and a contiguous recurrence:
+#
+#     sum_quotient(n, (a,))  = gauss(n-1, a) * q^a
+#     sum_quotient(n, (a_1..a_m)) =
+#         sum_{k=0}^{a_m} gauss(a_1+...+a_m+1, a_m-k)
+#                         * gauss(a_{m-1}+k, a_m) * gauss(a_{m-1}+k, a_{m-1})
+#                         * q^(k(a_{m-1}-a_m+k))
+#                         * sum_quotient(n, (a_1..a_{m-2}, a_{m-1}+k))
+#
+# computed by ``sum_quotient_recurrence`` with memoization keyed on the
+# exact ordered tuple (the recurrence is only stated for ordered lists, so
+# no sorting is ever applied to memo keys); ``sum_quotient_direct`` divides
+# the product itself.
+
+def sum_quotient_direct(n, a_list):
+    """multinom_factor * weighted_sum divided exactly by [n].
+
+    A NotDivisibleError here is a genuine counterexample to thm1 and is
+    allowed to propagate.
+    """
+    product = multinom_factor(a_list) * weighted_sum(n, a_list)
+    return product.exact_div(q_int(n))
+
+
+def sum_quotient_recurrence(n, a_list):
+    """The same quotient by the closed base case plus contiguous recurrence.
+
+    Memoized on the exact ordered tuple of remaining exponents, in a memo
+    local to one call; the recurrence consumes the list from the right.
+    """
+    memo = {}
+    binomial = theorems.BINOMIAL_MEMO.binomial
+
+    def rec(a_tuple):
+        hit = memo.get(a_tuple)
+        if hit is not None:
+            return hit
+        if len(a_tuple) == 1:
+            a = a_tuple[0]
+            out = binomial(n - 1, a).shift(a)
+        else:
+            head = a_tuple[:-2]
+            prev, last = a_tuple[-2], a_tuple[-1]
+            total = sum(a_tuple) + 1
+            out = ZERO
+            for k in range(last + 1):
+                c1 = binomial(total, last - k)
+                c2 = binomial(prev + k, last)
+                c3 = binomial(prev + k, prev)
+                if c1.is_zero or c2.is_zero or c3.is_zero:
+                    continue
+                e = k * (prev - last + k)
+                if e < 0:  # impossible when c2 is nonzero
+                    raise InternalError("negative shift in nonvanishing branch")
+                out = out + (c1 * c2 * c3).shift(e) * rec(head + (prev + k,))
+        memo[a_tuple] = out
+        return out
+
+    return rec(theorems._a_tuple(n, a_list))
 
 
 def q_pochhammer_oracle(x, q, k):
@@ -110,6 +187,37 @@ def pfaff_lhs_oracle(x, y, z, q, n):
                  * q_pochhammer_eval(w, q, k))
         lhs += numer / denom
     return lhs
+
+
+def pfaff_sample_oracle(count, seed, n_max):
+    """The seeded qpfaff samples, every point drawn as Fractions, which
+    reduce themselves and test z != 1; ``sweep.pfaff_sample_instances``
+    draws the same points on integers and reduces them by ``math.gcd``."""
+    rng = SplitMix64(seed)
+
+    def rational():
+        v = rng.below(14)
+        return Fraction(v - 7 if v < 7 else v - 6, 1 + rng.below(4))
+
+    out = []
+    for _ in range(count):
+        x, y = rational(), rational()
+        z = rational()
+        while z == 1:
+            z = rational()
+        while True:
+            v = rng.below(12)
+            q = Fraction((2 + v // 2) * (1 if v % 2 == 0 else -1), 1 + rng.below(3))
+            if abs(q) != 1:
+                break
+        n = rng.below(min(n_max, PFAFF_MAX_N) + 1)
+        params = (("x_num", x.numerator), ("x_den", x.denominator),
+                  ("y_num", y.numerator), ("y_den", y.denominator),
+                  ("z_num", z.numerator), ("z_den", z.denominator),
+                  ("q_num", q.numerator), ("q_den", q.denominator), ("n", n))
+        if ("qpfaff", params) not in out:
+            out.append(("qpfaff", params))
+    return out
 
 
 def make_report(claim_id, params, status, witness=None, elapsed_ms=0, note=None):

@@ -21,11 +21,17 @@ import random
 import time
 
 import pytest
-from oracles import q_binomial_oracle
+from oracles import (
+    multinom_factor,
+    q_binomial_oracle,
+    sum_quotient_direct,
+    sum_quotient_recurrence,
+    weighted_sum,
+)
 
-from qcong.faulhaber import check_conjecture, check_faulhaber_cong
+from qcong.faulhaber import check_faulhaber_cong
 from qcong.poly import IntPoly
-from qcong.qcomb import q_binomial, q_int
+from qcong.qcomb import q_binomial
 from qcong.sweep import (
     SplitMix64,
     SweepConfig,
@@ -42,11 +48,7 @@ from qcong.theorems import (
     check_symmetric_identity,
     check_thm1,
     check_thm2,
-    multinom_factor,
     q1_check,
-    sum_quotient_direct,
-    sum_quotient_recurrence,
-    weighted_sum,
 )
 
 GRID_BUDGET_S = 60.0

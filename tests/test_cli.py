@@ -26,6 +26,7 @@ from oracles import (
     json_report_oracle,
     make_report,
     modulus_shifted,
+    pfaff_sample_oracle,
     text_report_oracle,
     thm1_grid_oracle,
     thm1_sample_oracle,
@@ -239,6 +240,14 @@ class TestEnumeration:
         instances = enumerate_instances(config)
         assert len(instances) == len(set(instances))
         assert [i for i in instances if i[0] == "qpfaff"] == draws[300]
+
+    @pytest.mark.parametrize("n_max", [1, 4, 12])
+    def test_pfaff_samples_match_the_fraction_draws(self, n_max):
+        # drawn on integers and reduced by gcd, the points equal the ones
+        # drawn and reduced as Fractions, repeats and order included
+        for seed in range(40):
+            assert pfaff_sample_instances(300, seed, n_max) \
+                == pfaff_sample_oracle(300, seed, n_max), seed
 
     def test_thm1_grid_size(self):
         # n in 1..4, m=1: 3 tuples, m=2: 9 tuples, twice for the q1 shadow
@@ -1079,6 +1088,21 @@ class TestMain:
         assert "Traceback" in proc.stderr
         assert "RuntimeError: checker crashed" in proc.stderr
 
+    def test_enumerating_qpfaff_samples_imports_no_fractions(self):
+        # the samples are drawn and reduced on integers; only checking them
+        # imports fractions
+        code = ("import sys\n"
+                "sys.path.insert(0, sys.argv[1])\n"
+                "from qcong.sweep import SweepConfig, enumerate_instances\n"
+                "before = 'fractions' in sys.modules\n"
+                "items = enumerate_instances(SweepConfig(suite='identities', sample_count=50))\n"
+                "print(before, 'fractions' in sys.modules,"
+                " any(claim == 'qpfaff' for claim, _ in items))\n")
+        proc = subprocess.run([sys.executable, "-S", "-c", code, os.path.join(ROOT, "src")],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False False True\n"
+
     # sha256 of the stable output of --suite identities --samples 20 --seed 3,
     # recorded while the package imported fractions with the CLI
     QPFAFF_DIGESTS = {
@@ -1088,8 +1112,8 @@ class TestMain:
 
     @pytest.mark.parametrize("fmt", sorted(QPFAFF_DIGESTS))
     def test_qpfaff_sweep_imports_fractions_when_it_needs_them(self, fmt):
-        # the 20 qpfaff samples are drawn and checked on Fractions, imported
-        # only then; the output keeps its bytes
+        # the 20 qpfaff samples are checked on Fractions, imported only
+        # then; the output keeps its bytes
         code = ("import sys\n"
                 "sys.path.insert(0, sys.argv[1])\n"
                 "import qcong.cli\n"

@@ -53,15 +53,6 @@ def test_non_int_coefficients_rejected():
         IntPoly([1.0])
 
 
-def test_coefficient_accessor_out_of_range():
-    p = IntPoly([3, 0, 5])
-    assert p.coefficient(0) == 3
-    assert p.coefficient(1) == 0
-    assert p.coefficient(2) == 5
-    assert p.coefficient(17) == 0
-    assert p.coefficient(-1) == 0
-
-
 def test_equality_coerces_ints():
     assert IntPoly([7]) == 7
     assert IntPoly([]) == 0

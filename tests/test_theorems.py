@@ -12,14 +12,18 @@ from oracles import (
     chu_sides_oracle,
     comb_row_zero_is_one,
     modulus_shifted,
+    multinom_factor,
     multinom_factor_oracle,
     pfaff_fraction_report,
     pfaff_lhs_oracle,
     residue_sides_oracle,
     steps_plus_one,
+    sum_quotient_direct,
+    sum_quotient_recurrence,
     symmetric_sides_oracle,
     terms_sum_oracle,
     thm2_full_product,
+    weighted_sum,
     weighted_sum_oracle,
     weighted_sum_plus_modulus,
     weighted_sums_plus_one,
@@ -38,11 +42,7 @@ from qcong.theorems import (
     check_symmetric_identity,
     check_thm1,
     check_thm2,
-    multinom_factor,
     q1_check,
-    sum_quotient_direct,
-    sum_quotient_recurrence,
-    weighted_sum,
 )
 
 
@@ -80,20 +80,14 @@ def test_weighted_sum_vanishes_when_exponents_exceed_range():
 
 
 def test_params_validation():
-    with pytest.raises(InvalidParamsError):
-        weighted_sum(0, [1])
-    with pytest.raises(InvalidParamsError):
-        weighted_sum(3, [])
-    with pytest.raises(InvalidParamsError):
-        weighted_sum(3, [-1])
+    for check in (check_thm1, q1_check):
+        for n, a_list in ((0, [1]), (3, []), (3, [-1])):
+            with pytest.raises(InvalidParamsError):
+                check(n, a_list)
     with pytest.raises(InvalidParamsError):
         check_thm2(4, 1, 0)  # p not prime
     with pytest.raises(InvalidParamsError):
         check_thm2(3, 3, 1)  # p <= max(a, b)
-    with pytest.raises(InvalidParamsError):
-        multinom_factor([])
-    with pytest.raises(InvalidParamsError):
-        q1_check(0, [1])
     # every checker rejects a non-integer or negative argument as the a-list
     # checkers do
     for check, args in [
@@ -143,20 +137,16 @@ def test_weighted_sum_independent_of_visit_order():
     (theorems._laurent_sum, ([(-1, -5, ((3, 3), (3, 2), (6, 4))),
                               (1, -6, ((4, 3), (4, 2), (6, 5))),
                               (-1, -6, ((5, 3), (5, 2), (6, 6)))],)),
-    (sum_quotient_recurrence, (6, [2, 1])),
     (check_thm1, (7, [3, 2])),
     (check_thm2, (7, 3, 2)),
-    (weighted_sum, (6, [2, 1])),
-    (multinom_factor, ([3, 1],)),
 ])
 def test_checker_draws_binomials_from_the_shared_memo(monkeypatch, check, args):
     # the prefactor and W(n) are packed products that the memo builds whole,
     # so thm1 and thm2 build no binomial at all; an identity adds packed
     # products on a pass and reads the memo's binomials only on its fail
     # route, the Laurent sums of its terms
-    builds = check not in (check_thm1, check_thm2, weighted_sum, multinom_factor,
-                           check_chu_vandermonde, check_residue_identity,
-                           check_symmetric_identity)
+    builds = check not in (check_thm1, check_thm2, check_chu_vandermonde,
+                           check_residue_identity, check_symmetric_identity)
     calls = []
 
     def counting(n, k):
